@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InputError
-from .table import FIXED, NOMINAL, ORDINAL, Partition, SparseTable, apply_partition, group_weights, pair_slice
+from .table import FIXED, NOMINAL, ORDINAL, Partition, SparseTable, apply_partition, group_weights
 
 __all__ = [
     "PairLoss",
@@ -90,81 +89,119 @@ class PairLoss:
         return self.g2 / self.df
 
 
+def _xlogx(t: np.ndarray) -> np.ndarray:
+    # t * ln(t) elementwise with the 0 * ln(0) = 0 guard
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = t[pos] * np.log(t[pos])
+    return out
+
+
+def _axis_pair_g2(table: SparseTable, dim: int, adjacent: bool = False) -> tuple[np.ndarray, int]:
+    """Aggregation loss of every category pair on one axis, in one batch.
+
+    Returns ``(g2, df)``: ``g2[u, v]`` is the independence deviance of the
+    2 x (everything else) subtable of categories ``u`` and ``v``, the same
+    statistic as ``g2_independence(pair_slice(table, dim, u, v))``, and
+    ``df`` the number of other cells minus one.  The array is symmetric
+    (bitwise) with a zero diagonal.  With ``adjacent`` only the ``v = u + 1``
+    entries are computed; the others are then not meaningful.
+
+    With ``x(t) = t ln t`` and ``h(a, b) = x(a) + x(b) - x(a + b)``, a pair
+    with row totals ``r_u, r_v`` loses
+    ``2 [x(r_u + r_v) - x(r_u) - x(r_v) + sum h(a_j, b_j)]``, the sum running
+    over the other-variable columns ``j`` where both categories are nonzero.
+    Cells are sorted by (column, category); offset pass ``t`` pairs each cell
+    with the cell ``t`` places later in the same column, and the active set
+    shrinks as columns run out of partners, so working memory stays
+    O(nnz + r^2) however many pairs share a column.
+    """
+    r = table.shape[dim]
+    other = [k for k in range(table.ndim) if k != dim]
+    df = int(np.prod([table.shape[k] for k in other], dtype=np.int64)) - 1 if other else 0
+    cats = table.coords[:, dim]
+    if other:
+        cols = np.ravel_multi_index(
+            tuple(table.coords[:, k] for k in other),
+            tuple(table.shape[k] for k in other),
+        )
+    else:
+        cols = np.zeros(table.nnz, dtype=np.int64)
+    order = np.argsort(cols * r + cats)
+    cats, cols, vals = cats[order], cols[order], table.counts[order]
+    xvals = vals * np.log(vals)
+    # cells after each one in its column: the offsets it still has partners at
+    remaining = np.searchsorted(cols, cols, side="right") - np.arange(table.nnz) - 1
+
+    shared = np.zeros(r * r)
+    active = np.arange(table.nnz)
+    # a column holds each category at most once, so offsets stop below r
+    for t in range(1, 2 if adjacent else r):
+        active = active[remaining[active] >= t]
+        partner = active + t
+        if adjacent:
+            active = active[cats[partner] == cats[active] + 1]
+            partner = active + 1
+        if active.size == 0:
+            break
+        ab = vals[active] + vals[partner]
+        h = xvals[active] + xvals[partner] - ab * np.log(ab)
+        # within a column categories ascend, so every pair lands above the diagonal
+        shared += np.bincount(cats[active] * r + cats[partner], weights=h, minlength=r * r)
+    shared = shared.reshape(r, r)
+
+    rows = np.bincount(cats, weights=vals, minlength=r)
+    x_rows = _xlogx(rows)
+    g2 = 2.0 * (_xlogx(rows[:, None] + rows[None, :])
+                - (x_rows[:, None] + x_rows[None, :])
+                + (shared + shared.T))
+    np.maximum(g2, 0.0, out=g2)
+    np.fill_diagonal(g2, 0.0)
+    return g2, df
+
+
+def _axis_candidates(table: SparseTable, dim: int, adjacent: bool
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Candidate pairs of one axis in lexicographic ``(u, v)`` order,
+    ``u < v``, with their losses: ``(us, vs, g2, df)``.  All pairs, or only
+    the adjacent ones."""
+    g2, df = _axis_pair_g2(table, dim, adjacent)
+    r = table.shape[dim]
+    if adjacent:
+        us = np.arange(max(r - 1, 0))
+        vs = us + 1
+    else:
+        us, vs = np.triu_indices(r, 1)
+    return us, vs, g2[us, vs], df
+
+
 def pair_loss(table: SparseTable, dim: int, u: int, v: int) -> PairLoss:
     """Loss from merging categories ``u`` and ``v`` on ``dim``: the
-    independence deviance of the 2 x (everything else) subtable."""
-    sub = pair_slice(table, dim, u, v)
-    g2, df = g2_independence(sub)
-    return PairLoss(dim=dim, u=u, v=v, g2=g2, df=df)
+    independence deviance of the 2 x (everything else) subtable.
 
-
-class _DimPairs:
-    """Shared per-dimension machinery for evaluating many category pairs.
-
-    Nonzero cells are grouped by their category on ``dim``; each pair
-    evaluation then merges two short sorted runs instead of re-slicing the
-    whole table.  Results are identical to :func:`pair_loss`.
+    The pair is reported as ``(min(u, v), max(u, v))`` and evaluated by the
+    same kernel as :func:`loss_matrix`, so ``pair_loss(t, d, u, v)`` and
+    ``pair_loss(t, d, v, u)`` are bitwise equal and match the matrix entry.
     """
-
-    def __init__(self, table: SparseTable, dim: int):
-        self.dim = dim
-        self.size = table.shape[dim]
-        other = [k for k in range(table.ndim) if k != dim]
-        self.df = int(np.prod([table.shape[k] for k in other], dtype=np.int64)) - 1 if other else 0
-        cats = table.coords[:, dim]
-        if other:
-            flat = np.ravel_multi_index(
-                tuple(table.coords[:, k] for k in other),
-                tuple(table.shape[k] for k in other),
-            )
-        else:
-            flat = np.zeros(table.nnz, dtype=np.int64)
-        order = np.lexsort((flat, cats))
-        self._cats = cats[order]
-        self._flat = flat[order]
-        self._vals = table.counts[order]
-        self._starts = np.searchsorted(self._cats, np.arange(self.size + 1))
-        self._row_tot = np.bincount(cats, weights=table.counts, minlength=self.size)
-        self._row_nlogn = np.zeros(self.size)
-        for c in range(self.size):
-            s, e = self._starts[c], self._starts[c + 1]
-            self._row_nlogn[c] = _sum_nlogn(self._vals[s:e])
-
-    def _run(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        s, e = self._starts[c], self._starts[c + 1]
-        return self._flat[s:e], self._vals[s:e]
-
-    def g2(self, u: int, v: int) -> float:
-        ku, wu = self._run(u)
-        kv, wv = self._run(v)
-        ru, rv = self._row_tot[u], self._row_tot[v]
-        n = ru + rv
-        if n <= 0:
-            return 0.0
-        keys = np.concatenate([ku, kv])
-        vals = np.concatenate([wu, wv])
-        _, inv = np.unique(keys, return_inverse=True)
-        colsums = np.bincount(inv, weights=vals)
-        g2 = 2.0 * (
-            self._row_nlogn[u]
-            + self._row_nlogn[v]
-            + n * math.log(n)
-            - (ru * math.log(ru) if ru > 0 else 0.0)
-            - (rv * math.log(rv) if rv > 0 else 0.0)
-            - _sum_nlogn(colsums)
-        )
-        return max(g2, 0.0)
-
-    def loss(self, u: int, v: int) -> PairLoss:
-        return PairLoss(dim=self.dim, u=u, v=v, g2=self.g2(u, v), df=self.df)
+    if dim < 0 or dim >= table.ndim:
+        raise InputError(f"dim {dim} out of range")
+    r = table.shape[dim]
+    if u == v:
+        raise InputError("u and v must differ")
+    if not (0 <= u < r and 0 <= v < r):
+        raise InputError(f"categories ({u}, {v}) out of range for size {r}")
+    u, v = min(u, v), max(u, v)
+    g2, df = _axis_pair_g2(table, dim)
+    return PairLoss(dim=dim, u=u, v=v, g2=float(g2[u, v]), df=df)
 
 
 @dataclass(frozen=True)
 class LossMatrix:
     """All pairwise aggregation losses for one variable.
 
-    ``entries`` holds one :class:`PairLoss` per ``u < v`` pair; in
-    ``adjacent-only`` mode only ``v = u + 1`` pairs are present.
+    ``entries`` holds one :class:`PairLoss` per ``u < v`` pair in
+    lexicographic order; in ``adjacent-only`` mode only ``v = u + 1`` pairs
+    are present.
     """
 
     dim: int
@@ -175,10 +212,12 @@ class LossMatrix:
     def get(self, u: int, v: int) -> PairLoss:
         if u > v:
             u, v = v, u
-        for e in self.entries:
-            if (e.u, e.v) == (u, v):
-                return e
-        raise KeyError((u, v))
+        r = self.size
+        if not 0 <= u < v < r or (self.mode == "adjacent-only" and v != u + 1):
+            raise KeyError((u, v))
+        if self.mode == "adjacent-only":
+            return self.entries[u]
+        return self.entries[u * (2 * r - u - 1) // 2 + (v - u - 1)]
 
     def g2(self, u: int, v: int) -> float:
         return self.get(u, v).g2
@@ -197,13 +236,11 @@ def loss_matrix(table: SparseTable, dim: int, treatment: str = NOMINAL) -> LossM
     if treatment not in (NOMINAL, ORDINAL):
         raise InputError(f"unknown treatment {treatment!r}")
     r = table.shape[dim]
-    engine = _DimPairs(table, dim)
-    if treatment == ORDINAL:
-        pairs = [(u, u + 1) for u in range(r - 1)]
-    else:
-        pairs = list(combinations(range(r), 2))
-    entries = tuple(engine.loss(u, v) for u, v in pairs)
-    return LossMatrix(dim=dim, size=r, mode="adjacent-only" if treatment == ORDINAL else "all-pairs",
+    adjacent = treatment == ORDINAL
+    us, vs, g2, df = _axis_candidates(table, dim, adjacent)
+    entries = tuple(PairLoss(dim=dim, u=u, v=v, g2=g, df=df)
+                    for u, v, g in zip(us.tolist(), vs.tolist(), g2.tolist()))
+    return LossMatrix(dim=dim, size=r, mode="adjacent-only" if adjacent else "all-pairs",
                       entries=entries)
 
 

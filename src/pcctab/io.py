@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -122,7 +123,9 @@ def read_counts(path, config: RunConfig | None = None):
                 count = float(row[-1])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: count {row[-1]!r} is not a number") from None
-            if not count >= 0:
+            if not math.isfinite(count):
+                raise InputError(f"{path}:{lineno}: count {row[-1]!r} is not finite")
+            if count < 0:
                 raise InputError(f"{path}:{lineno}: negative count {count}")
             coords = []
             for k, label in enumerate(labels):

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import FeasibilityError, InputError
-from .infoloss import _DimPairs, partition_deviance
+from .infoloss import _axis_candidates, partition_deviance
 from .table import (
     FIXED,
     NOMINAL,
@@ -96,16 +96,12 @@ def select_merge(table: SparseTable, treatments: Sequence[str] | None = None) ->
         other = int(np.prod([s for k, s in enumerate(table.shape) if k != dim], dtype=np.int64))
         if other < 2:
             continue
-        engine = _DimPairs(table, dim)
-        if treatments[dim] == ORDINAL:
-            pairs = [(u, u + 1) for u in range(r - 1)]
-        else:
-            pairs = combinations(range(r), 2)
-        for u, v in pairs:
-            g2 = engine.g2(u, v)
-            q = g2 / engine.df
+        us, vs, g2, df = _axis_candidates(table, dim, treatments[dim] == ORDINAL)
+        # a sequential scan, not an argmin: near-ties chain, and only this
+        # order reproduces the documented rule exactly
+        for u, v, g, q in zip(us.tolist(), vs.tolist(), g2.tolist(), (g2 / df).tolist()):
             if best is None or (q < best.quotient and not _is_tie(q, best.quotient)):
-                best = MergeCandidate(dim, u, v, g2, engine.df, q)
+                best = MergeCandidate(dim, u, v, g, df, q)
     return best
 
 

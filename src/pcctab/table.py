@@ -81,7 +81,8 @@ class SparseTable:
 
     ``coords`` is an ``(nnz, K)`` integer array in lexicographic order and
     ``counts`` the matching positive values.  Duplicate coordinates passed to
-    the constructor are summed; zero cells are dropped.  ``total`` is the sum
+    the constructor are summed; zero cells are dropped; negative, NaN and
+    infinite counts raise :class:`InputError`.  ``total`` is the sum
     of all stored counts (``n``).
     """
 
@@ -104,6 +105,8 @@ class SparseTable:
         if counts.shape[0] != coords.shape[0]:
             raise InputError("coords and counts length mismatch")
         if counts.size:
+            if not np.all(np.isfinite(counts)):
+                raise InputError("non-finite count")
             if np.min(counts) < 0:
                 raise InputError("negative count")
             if any(s == 0 for s in shape):

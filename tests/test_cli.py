@@ -184,6 +184,14 @@ class TestErrorPaths:
     def test_usage_error_is_input_error(self, out, capsys):
         assert run(["explode", "--data", "wermuth_cox", "--out", out]) == 1
 
+    @pytest.mark.parametrize("command", ["pcc", "lossmatrix", "hllm"])
+    def test_infinite_count_exit_1(self, out, tmp_path, capsys, command):
+        data = tmp_path / "inf.csv"
+        data.write_text("x,y,count\na,c,3\na,d,inf\nb,c,2\nb,d,5\n")
+        assert run([command, "--data", data, "--out", out]) == 1
+        assert ":3: count 'inf' is not finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_bad_config_exit_1(self, out, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[]")

@@ -11,9 +11,10 @@ from pcctab import (
     guarded_plogp,
     loss_matrix,
     pair_loss,
+    pair_slice,
     partition_deviance,
 )
-from pcctab.infoloss import _DimPairs
+from pcctab.infoloss import _axis_pair_g2
 
 from oracles import (
     dense_g2_independence,
@@ -65,7 +66,6 @@ class TestG2Independence:
         assert df == 16
 
     def test_two_row_slice(self, wermuth_table):
-        from pcctab import pair_slice
         g2, df = g2_independence(pair_slice(wermuth_table, 0, 0, 1))
         assert g2 == pytest.approx(6.95, abs=5e-3)
         assert df == 4
@@ -144,16 +144,34 @@ class TestPairLoss:
             got = pair_loss(t, d, u, v)
             assert got.g2 == pytest.approx(dense_pair_g2(arr, d, u, v), rel=1e-9, abs=1e-9)
 
-    def test_fast_engine_agrees_with_slice_path(self, rng):
+    def test_kernel_agrees_with_slice_path(self, rng):
         for _ in range(10):
             arr = random_table(rng, (5, 4, 3))
             t = SparseTable.from_dense(arr)
             for d in range(3):
-                engine = _DimPairs(t, d)
-                for u in range(t.shape[d] - 1):
-                    ref = pair_loss(t, d, u, u + 1)
-                    assert engine.g2(u, u + 1) == pytest.approx(ref.g2, rel=1e-12, abs=1e-12)
-                    assert engine.df == ref.df
+                g2, df = _axis_pair_g2(t, d)
+                adjacent, adj_df = _axis_pair_g2(t, d, adjacent=True)
+                assert adj_df == df
+                for u in range(t.shape[d]):
+                    for v in range(u + 1, t.shape[d]):
+                        ref, ref_df = g2_independence(pair_slice(t, d, u, v))
+                        assert g2[u, v] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+                        assert g2[v, u] == g2[u, v]
+                        assert df == ref_df
+                    if u + 1 < t.shape[d]:
+                        assert adjacent[u, u + 1] == g2[u, u + 1]
+
+    def test_canonical_pair_is_bitwise_symmetric(self, wermuth_table):
+        a = pair_loss(wermuth_table, 0, 3, 1)
+        b = pair_loss(wermuth_table, 0, 1, 3)
+        assert a == b
+        assert (a.u, a.v) == (1, 3)
+        assert loss_matrix(wermuth_table, 0).get(1, 3) == a
+
+    def test_invalid_pair_rejected(self, wermuth_table):
+        for dim, u, v in [(2, 0, 1), (0, 1, 1), (0, 0, 5), (0, -1, 2)]:
+            with pytest.raises(InputError):
+                pair_loss(wermuth_table, dim, u, v)
 
 
 class TestLossMatrix:
@@ -184,6 +202,27 @@ class TestLossMatrix:
     def test_symmetric_lookup(self, wermuth_table):
         m = loss_matrix(wermuth_table, 0)
         assert m.g2(3, 1) == m.g2(1, 3)
+
+    def test_get_indexes_every_entry(self, wermuth_table):
+        for treatment in ("nominal", "ordinal"):
+            m = loss_matrix(wermuth_table, 1, treatment=treatment)
+            for e in m.entries:
+                assert m.get(e.u, e.v) is e
+                assert m.get(e.v, e.u) is e
+
+    def test_get_missing_pair_raises(self, wermuth_table):
+        m = loss_matrix(wermuth_table, 1, treatment="ordinal")
+        for u, v in [(0, 2), (1, 1), (4, 5), (-1, 0)]:
+            with pytest.raises(KeyError):
+                m.get(u, v)
+        with pytest.raises(KeyError):
+            loss_matrix(wermuth_table, 1).get(0, 5)
+
+    def test_values_are_plain_floats(self, wermuth_table):
+        m = loss_matrix(wermuth_table, 0)
+        assert all(type(e.g2) is float for e in m.entries)
+        assert type(pair_loss(wermuth_table, 0, 1, 2).g2) is float
+        assert "np.float64" not in repr(m)
 
     def test_fixed_treatment_rejected(self, wermuth_table):
         with pytest.raises(InputError):

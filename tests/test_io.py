@@ -55,6 +55,13 @@ class TestReadCounts:
         with pytest.raises(InputError, match=":3:"):
             read_counts(p)
 
+    @pytest.mark.parametrize("count", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_count_reports_line(self, tmp_path, count):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"a,b,count\nx,y,1\nz,w,{count}\n")
+        with pytest.raises(InputError, match=":3: count .* is not finite"):
+            read_counts(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             read_counts(tmp_path / "nope.csv")

@@ -16,6 +16,7 @@ from pcctab import (
     run_pcc,
     select_merge,
 )
+from pcctab import infoloss
 
 from oracles import (
     brute_force_best_pair,
@@ -100,6 +101,27 @@ class TestSelectMerge:
             want = brute_force_best_pair(arr)
             assert (got.dim, got.u, got.v) == want[:3]
             assert got.quotient == pytest.approx(want[5], rel=1e-9, abs=1e-12)
+
+    def test_chained_near_ties_follow_scan_order(self, monkeypatch, from_dense):
+        # scan order y, x, m with y = m + 1.5 tol and x = m + 0.8 tol: x ties y
+        # and is passed over, m does not tie y and wins; picking the first
+        # pair within tol of the minimum would give x instead
+        m = 5.0
+        tol = 1e-12 * m
+        y, x = m + 1.5 * tol, m + 0.8 * tol
+        losses = {0: (np.array([[0.0, y, x], [y, 0.0, m], [x, m, 0.0]]), 1),
+                  1: (np.array([[0.0, 100.0], [100.0, 0.0]]), 2)}
+        monkeypatch.setattr(infoloss, "_axis_pair_g2", lambda table, dim, adjacent=False: losses[dim])
+        cand = select_merge(from_dense(np.ones((3, 2))))
+        assert (cand.dim, cand.u, cand.v) == (0, 1, 2)
+        assert cand.g2 == m
+
+    def test_values_are_plain_floats(self, wermuth_table):
+        cand = select_merge(wermuth_table)
+        assert type(cand.g2) is float and type(cand.quotient) is float
+        steps = run_pcc(wermuth_table).steps
+        assert all(type(x) is float for s in steps for x in (s.dev, s.dev_term, s.adj_rsq))
+        assert "np.float64" not in repr(cand) + repr(steps)
 
 
 @pytest.fixture(scope="module")

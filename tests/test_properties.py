@@ -1,9 +1,10 @@
 """Property-based checks of the structural invariants."""
 
 import math
+from itertools import combinations
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -18,8 +19,12 @@ from pcctab import (
     model_df,
     pair_loss,
     run_pcc,
+    select_merge,
 )
+from pcctab.infoloss import _axis_pair_g2
 from pcctab.pcc import _contiguous_partitions, _set_partitions
+
+from oracles import brute_force_best_pair, dense_pair_g2
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -82,19 +87,85 @@ def test_expansion_preserves_marginals_and_recollapses(data):
     assert np.allclose(back.todense(), probs.todense(), rtol=1e-12, atol=1e-15)
 
 
-@SETTINGS
-@given(dense_tables(), st.data())
-def test_pair_loss_symmetric_and_nonnegative(arr, data):
-    t = SparseTable.from_dense(arr)
-    dim = data.draw(st.integers(0, t.ndim - 1))
-    u = data.draw(st.integers(0, t.shape[dim] - 1))
-    v = data.draw(st.integers(0, t.shape[dim] - 1))
+@st.composite
+def tables_with_pair(draw):
+    arr = draw(dense_tables())
+    dim = draw(st.integers(0, arr.ndim - 1))
+    u = draw(st.integers(0, arr.shape[dim] - 1))
+    v = draw(st.integers(0, arr.shape[dim] - 1))
     assume(u != v)
+    return arr, dim, u, v
+
+
+def _constant_with_one_bump():
+    arr = np.full((2, 4, 4), 22.0)
+    arr[0, 0, 0] = 30.0
+    return arr
+
+
+@SETTINGS
+@given(tables_with_pair())
+# evaluated in the order given, (0, 1) and (1, 0) differ by 1.6e-12 relative
+# on this table, so only a canonical pair order keeps them within 1e-12
+@example((_constant_with_one_bump(), 0, 0, 1))
+def test_pair_loss_symmetric_and_nonnegative(case):
+    arr, dim, u, v = case
+    t = SparseTable.from_dense(arr)
     a = pair_loss(t, dim, u, v)
     b = pair_loss(t, dim, v, u)
     assert a.g2 >= 0
     assert math.isclose(a.g2, b.g2, rel_tol=1e-12, abs_tol=1e-12)
     assert a.df == b.df
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """Small tables with zeros, size-1 axes, empty categories, and exact ties
+    from constant tables or one slice repeated along an axis."""
+    ndim = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    arr = draw(arrays(np.int64, shape=shape,
+                      elements=st.sampled_from([0, 0, 1, 2, 5, 22, 30]))).astype(float)
+    axis = draw(st.integers(0, ndim - 1))
+    style = draw(st.sampled_from(["plain", "constant", "repeated", "empty"]))
+    if style == "constant":
+        arr[...] = draw(st.sampled_from([1.0, 22.0]))
+    elif style == "repeated":
+        arr = np.repeat(np.take(arr, [0], axis=axis), shape[axis], axis=axis)
+    elif style == "empty":
+        index = [slice(None)] * ndim
+        index[axis] = draw(st.integers(0, shape[axis] - 1))
+        arr[tuple(index)] = 0.0
+    return arr
+
+
+@SETTINGS
+@given(tie_heavy_tables())
+def test_axis_kernel_matches_dense_oracle(arr):
+    t = SparseTable.from_dense(arr)
+    for dim, r in enumerate(t.shape):
+        g2, df = _axis_pair_g2(t, dim)
+        adjacent, _ = _axis_pair_g2(t, dim, adjacent=True)
+        assert df == int(np.prod(t.shape)) // r - 1
+        for u, v in combinations(range(r), 2):
+            # the absolute floor absorbs cancellation noise when the true loss is 0
+            assert math.isclose(g2[u, v], dense_pair_g2(arr, dim, u, v), rel_tol=1e-9, abs_tol=1e-9)
+            assert g2[v, u] == g2[u, v]
+            if v == u + 1:
+                assert adjacent[u, v] == g2[u, v]
+
+
+@SETTINGS
+@given(tie_heavy_tables(), st.data())
+def test_select_merge_matches_brute_force_on_ties(arr, data):
+    treatments = [data.draw(st.sampled_from(["nominal", "ordinal", "fixed"])) for _ in arr.shape]
+    got = select_merge(SparseTable.from_dense(arr), treatments)
+    want = brute_force_best_pair(arr, treatments)
+    if want is None:
+        assert got is None
+    else:
+        assert (got.dim, got.u, got.v, got.df) == (want[0], want[1], want[2], want[4])
+        assert math.isclose(got.g2, want[3], rel_tol=1e-9, abs_tol=1e-9)
 
 
 @SETTINGS

@@ -79,6 +79,11 @@ class TestBuildTable:
         with pytest.raises(InputError):
             build_table(two_var_scheme(), [((0, 0), -1)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_count_rejected(self, bad):
+        with pytest.raises(InputError, match="non-finite"):
+            SparseTable((2, 2), [[0, 0], [0, 1], [1, 0], [1, 1]], [3, bad, 2, 5])
+
     def test_cells_in_lexicographic_order(self, rng):
         arr = random_table(rng, (4, 3, 2))
         t = SparseTable.from_dense(arr)
