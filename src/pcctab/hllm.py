@@ -40,8 +40,8 @@ IPF_MAX_ITER = 1000
 def _canonical_terms(terms) -> tuple[tuple[int, ...], ...]:
     cleaned = {tuple(sorted(set(int(k) for k in t))) for t in terms}
     cleaned.discard(())
-    maximal = [t for t in cleaned
-               if not any(t != o and set(t) <= set(o) for o in cleaned)]
+    sets = {t: frozenset(t) for t in cleaned}
+    maximal = [t for t, st in sets.items() if not any(st < so for so in sets.values())]
     return tuple(sorted(maximal))
 
 
@@ -162,7 +162,12 @@ def model_df(spec: ModelSpec, shape: Sequence[int]) -> int:
 @dataclass(frozen=True)
 class FitResult:
     """A fitted model: expected counts, deviance against the saturated
-    model, and the model/residual df split over the fit's reference shape."""
+    model, and the model/residual df split over the fit's reference shape.
+
+    ``max_residual`` is the largest absolute gap between a fitted and an
+    observed generator marginal (in count units) met in the last IPF
+    cycle; None when the result was not built by the IPF engine.
+    """
 
     spec: ModelSpec
     shape: tuple[int, ...]
@@ -172,6 +177,7 @@ class FitResult:
     dfres: int
     iterations: int
     converged: bool
+    max_residual: float | None = None
 
 
 def _deviance(observed: SparseTable, fitted: np.ndarray) -> float:
@@ -184,6 +190,50 @@ def _deviance(observed: SparseTable, fitted: np.ndarray) -> float:
     return max(dev, 0.0)
 
 
+def _ipf(obs: np.ndarray, n: float, spec: ModelSpec, tol: float, max_iter: int,
+         targets: dict) -> tuple[np.ndarray, int, bool, float]:
+    """The IPF engine: cyclic proportional scaling of a dense fit.
+
+    ``obs`` is the dense observed table and ``n`` its total.  ``targets``
+    maps a generator's complement axes to the observed marginal over them;
+    missing entries are added, so callers fitting several models to one
+    table pass the same dict to share them.  Returns the dense fit, the
+    number of cycles run, whether the worst marginal residual of the last
+    cycle is at most ``tol``, and that residual (0.0 for the grand-mean
+    model, which has no generator to scale).
+    """
+    if n <= 0:
+        raise InputError("cannot fit an empty table")
+    if tol <= 0:
+        raise InputError("tol must be positive")
+    fitted = np.full(obs.shape, n / obs.size)
+    if not spec.generators:
+        return fitted, 0, True, 0.0
+    plan = []
+    for g in spec.generators:
+        axes = tuple(k for k in range(obs.ndim) if k not in g)
+        target = targets.get(axes)
+        if target is None:
+            target = targets[axes] = np.add.reduce(obs, axis=axes, keepdims=True)
+        plan.append((axes, target))
+    iterations = 0
+    worst = 0.0
+    for cycle in range(1, max_iter + 1):
+        worst = 0.0
+        for axes, target in plan:
+            # ufuncs called directly: ndarray.sum/np.max add a Python
+            # wrapper that costs more than the arithmetic on small tables
+            cur = np.add.reduce(fitted, axis=axes, keepdims=True)
+            gap = float(np.maximum.reduce(np.abs(cur - target), axis=None))
+            if gap > worst:
+                worst = gap
+            fitted *= np.divide(target, cur, out=np.zeros(cur.shape), where=cur > 0)
+        iterations = cycle
+        if worst <= tol:
+            return fitted, iterations, True, worst
+    return fitted, iterations, False, worst
+
+
 def ipf_fit(table: SparseTable, spec: ModelSpec, tol: float = IPF_TOL,
             max_iter: int = IPF_MAX_ITER) -> FitResult:
     """Fit a hierarchical model by iterative proportional scaling.
@@ -191,42 +241,18 @@ def ipf_fit(table: SparseTable, spec: ModelSpec, tol: float = IPF_TOL,
     Starting from the uniform table, each cycle rescales the fit to match
     every generator marginal; the fit converges when the largest absolute
     marginal discrepancy (in count units) is at most ``tol``.  A
-    non-converged fit is still returned, flagged.
+    non-converged fit is still returned, flagged.  The expected counts
+    come back as a :class:`SparseTable`; :func:`backward_select` scores its
+    candidate models by deviance alone and builds no such table for them.
     """
-    if table.total <= 0:
-        raise InputError("cannot fit an empty table")
-    if tol <= 0:
-        raise InputError("tol must be positive")
-    shape = table.shape
-    K = table.ndim
-    obs = table.todense()
-    n = table.total
-    fitted = np.full(shape, n / obs.size)
-    iterations = 0
-    converged = True
-    if spec.generators:
-        targets = []
-        for g in spec.generators:
-            axes = tuple(k for k in range(K) if k not in g)
-            targets.append((axes, obs.sum(axis=axes, keepdims=True)))
-        converged = False
-        for cycle in range(1, max_iter + 1):
-            worst = 0.0
-            for axes, target in targets:
-                cur = fitted.sum(axis=axes, keepdims=True)
-                worst = max(worst, float(np.max(np.abs(cur - target))))
-                ratio = np.divide(target, cur, out=np.zeros_like(target), where=cur > 0)
-                fitted = fitted * ratio
-            iterations = cycle
-            if worst <= tol:
-                converged = True
-                break
+    fitted, iterations, converged, residual = _ipf(
+        table.todense(), table.total, spec, tol, max_iter, {})
     dev = _deviance(table, fitted)
-    dfmod = model_df(spec, shape)
-    dfres = int(np.prod(shape, dtype=np.int64)) - 1 - dfmod
-    return FitResult(spec=spec, shape=shape, fitted=SparseTable.from_dense(fitted),
-                     dev=dev, dfmod=dfmod, dfres=dfres,
-                     iterations=iterations, converged=converged)
+    dfmod = model_df(spec, table.shape)
+    dfres = int(np.prod(table.shape, dtype=np.int64)) - 1 - dfmod
+    return FitResult(spec=spec, shape=table.shape, fitted=SparseTable.from_dense(fitted),
+                     dev=dev, dfmod=dfmod, dfres=dfres, iterations=iterations,
+                     converged=converged, max_residual=residual)
 
 
 @dataclass(frozen=True)
@@ -276,11 +302,26 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
     terms are free and removed first.  Main effects are never removed, so
     the trace ends at the mutual-independence model.  Ties go to the
     lexicographically smallest term.
+
+    Each candidate is scored by the deviance of its dense IPF fit only; no
+    :class:`FitResult` or fitted table is built for it.  All fits of one
+    call share the observed generator marginals they need.
     """
     spec = ModelSpec.saturated(table.ndim) if start is None else start
-    fit = ipf_fit(table, spec, tol=tol, max_iter=max_iter)
-    rows = [dict(spec=spec, dev=fit.dev, dfmod=fit.dfmod, dfres=fit.dfres,
-                 dev_term=0.0, df_term=0, converged=fit.converged)]
+    obs = table.todense()
+    targets: dict = {}
+    cells = int(np.prod(table.shape, dtype=np.int64))
+
+    def score(s: ModelSpec) -> tuple[float, bool]:
+        fitted, _, converged, _ = _ipf(obs, table.total, s, tol, max_iter, targets)
+        return _deviance(table, fitted), converged
+
+    def row(s: ModelSpec, dev: float, converged: bool, dev_term: float, df_term: int) -> dict:
+        dfmod = model_df(s, table.shape)
+        return dict(spec=s, dev=dev, dfmod=dfmod, dfres=cells - 1 - dfmod,
+                    dev_term=dev_term, df_term=df_term, converged=converged)
+
+    rows = [row(spec, *score(spec), 0.0, 0)]
     while True:
         removable = [g for g in spec.generators if len(g) >= 2]
         if not removable:
@@ -288,16 +329,15 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
         best = None
         for term in removable:
             cand_spec = spec.remove(term)
-            cand_fit = ipf_fit(table, cand_spec, tol=tol, max_iter=max_iter)
-            ddev = cand_fit.dev - rows[-1]["dev"]
+            dev, converged = score(cand_spec)
+            ddev = dev - rows[-1]["dev"]
             ddf = _term_df(term, table.shape)
             quotient = 0.0 if ddf == 0 else ddev / ddf
             if best is None or (quotient < best[0]
                                 and abs(quotient - best[0]) > 1e-12 * max(1.0, abs(quotient), abs(best[0]))):
-                best = (quotient, term, cand_spec, cand_fit, ddev, ddf)
-        _, term, spec, fit, ddev, ddf = best
-        rows.append(dict(spec=spec, dev=fit.dev, dfmod=fit.dfmod, dfres=fit.dfres,
-                         dev_term=ddev, df_term=ddf, converged=fit.converged))
+                best = (quotient, cand_spec, dev, converged, ddev, ddf)
+        _, spec, dev, converged, ddev, ddf = best
+        rows.append(row(spec, dev, converged, ddev, ddf))
     dev_last = rows[-1]["dev"]
     dfres_last = rows[-1]["dfres"]
     steps = tuple(
@@ -321,18 +361,19 @@ def fit_hllpm(original: SparseTable, partition: Partition, spec: ModelSpec,
     expansion adds none.
     """
     collapsed = apply_partition(original, partition)
-    inner = ipf_fit(collapsed, spec, tol=tol, max_iter=max_iter)
+    fitted, iterations, converged, residual = _ipf(
+        collapsed.todense(), collapsed.total, spec, tol, max_iter, {})
     n = original.total
-    probs = SparseTable(inner.fitted.shape, inner.fitted.coords, inner.fitted.counts / n)
-    expansion = expand_model(probs, partition, original.one_way_marginals())
+    expansion = expand_model(SparseTable.from_dense(fitted / n), partition,
+                             original.one_way_marginals())
     fitted_dense = expansion.todense() * n
     dev = _deviance(original, fitted_dense)
     dfmod = model_df(spec, collapsed.shape)
     dfres = int(np.prod(original.shape, dtype=np.int64)) - 1 - dfmod
     return FitResult(spec=spec, shape=original.shape,
                      fitted=SparseTable.from_dense(fitted_dense), dev=dev,
-                     dfmod=dfmod, dfres=dfres, iterations=inner.iterations,
-                     converged=inner.converged)
+                     dfmod=dfmod, dfres=dfres, iterations=iterations,
+                     converged=converged, max_residual=residual)
 
 
 def independence_expected(table: SparseTable) -> np.ndarray:

@@ -103,9 +103,10 @@ def _axis_pair_g2(table: SparseTable, dim: int, adjacent: bool = False) -> tuple
     Returns ``(g2, df)``: ``g2[u, v]`` is the independence deviance of the
     2 x (everything else) subtable of categories ``u`` and ``v``, the same
     statistic as ``g2_independence(pair_slice(table, dim, u, v))``, and
-    ``df`` the number of other cells minus one.  The array is symmetric
-    (bitwise) with a zero diagonal.  With ``adjacent`` only the ``v = u + 1``
-    entries are computed; the others are then not meaningful.
+    ``df`` the number of other cells minus one (0 when there are none).
+    The array is symmetric (bitwise) with a zero diagonal.  With
+    ``adjacent`` only the ``v = u + 1`` entries are computed; the others are
+    then not meaningful.
 
     With ``x(t) = t ln t`` and ``h(a, b) = x(a) + x(b) - x(a + b)``, a pair
     with row totals ``r_u, r_v`` loses
@@ -118,7 +119,7 @@ def _axis_pair_g2(table: SparseTable, dim: int, adjacent: bool = False) -> tuple
     """
     r = table.shape[dim]
     other = [k for k in range(table.ndim) if k != dim]
-    df = int(np.prod([table.shape[k] for k in other], dtype=np.int64)) - 1 if other else 0
+    df = max(int(np.prod([table.shape[k] for k in other], dtype=np.int64)) - 1, 0)
     cats = table.coords[:, dim]
     if other:
         cols = np.ravel_multi_index(

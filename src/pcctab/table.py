@@ -238,25 +238,37 @@ def compose_partitions(first: Partition, second: Partition) -> Partition:
 def build_table(scheme: CategoryScheme, entries: Iterable[tuple[Sequence[int], float]]) -> SparseTable:
     """Build a table from (coordinates, count) pairs.
 
-    Duplicate coordinates are summed and zero counts dropped.  Out-of-bounds
-    coordinates and negative counts raise :class:`InputError`.
+    Duplicate coordinates are summed and zero counts dropped.  Coordinates
+    of the wrong arity or out of bounds and negative counts raise
+    :class:`InputError` naming the first offending entry.
     """
     shape = scheme.shape
-    coord_rows = []
-    count_rows = []
-    for coords, count in entries:
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != len(shape):
-            raise InputError(f"coordinate {coords} has wrong arity for shape {shape}")
-        if any(c < 0 or c >= s for c, s in zip(coords, shape)):
-            raise InputError(f"coordinate {coords} out of bounds for shape {shape}")
-        if count < 0:
-            raise InputError(f"negative count {count} at {coords}")
-        coord_rows.append(coords)
-        count_rows.append(float(count))
-    if not coord_rows:
+    K = len(shape)
+    rows = list(entries)
+    if not rows:
         return SparseTable(shape)
-    return SparseTable(shape, np.asarray(coord_rows, dtype=np.intp), np.asarray(count_rows))
+    coord_rows, count_rows = zip(*rows)
+    # rows before the first one of the wrong arity stack into an (ok, K) array
+    wrong_arity = np.fromiter(map(len, coord_rows), dtype=np.intp, count=len(rows)) != K
+    ok = _first(wrong_arity)
+    coords = np.asarray(coord_rows[:ok], dtype=np.intp).reshape(ok, K)
+    counts = np.asarray(count_rows, dtype=np.float64)
+    out_of_bounds = _first(np.any((coords < 0) | (coords >= np.asarray(shape)), axis=1))
+    negative = _first(counts[:ok] < 0)
+    first = min(ok, out_of_bounds, negative)
+    if first < len(rows):
+        bad = tuple(int(c) for c in coord_rows[first])
+        if first == ok:
+            raise InputError(f"coordinate {bad} has wrong arity for shape {shape}")
+        if first == out_of_bounds:
+            raise InputError(f"coordinate {bad} out of bounds for shape {shape}")
+        raise InputError(f"negative count {count_rows[first]} at {bad}")
+    return SparseTable(shape, coords, counts)
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in ``mask``, or its length if there is none."""
+    return int(np.argmax(mask)) if mask.any() else mask.shape[0]
 
 
 def marginal(table: SparseTable, dims: Sequence[int]) -> SparseTable:

@@ -173,3 +173,34 @@ def random_table(rng, shape, zero_frac=0.3, max_count=40):
     if arr.sum() == 0:
         arr.flat[0] = 1.0
     return arr
+
+
+def reference_ipf(obs, n, generators, tol=1e-8, max_iter=1000):
+    """Cyclic IPF as the package first shipped it, kept as the oracle for
+    its engine: returns (fitted, iterations, converged).  ``obs`` is the
+    dense observed table, ``n`` its total and ``generators`` the model's
+    maximal terms."""
+    obs = np.asarray(obs, dtype=float)
+    shape = obs.shape
+    K = obs.ndim
+    fitted = np.full(shape, n / obs.size)
+    iterations = 0
+    converged = True
+    if generators:
+        targets = []
+        for g in generators:
+            axes = tuple(k for k in range(K) if k not in g)
+            targets.append((axes, obs.sum(axis=axes, keepdims=True)))
+        converged = False
+        for cycle in range(1, max_iter + 1):
+            worst = 0.0
+            for axes, target in targets:
+                cur = fitted.sum(axis=axes, keepdims=True)
+                worst = max(worst, float(np.max(np.abs(cur - target))))
+                ratio = np.divide(target, cur, out=np.zeros_like(target), where=cur > 0)
+                fitted = fitted * ratio
+            iterations = cycle
+            if worst <= tol:
+                converged = True
+                break
+    return fitted, iterations, converged

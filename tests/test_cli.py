@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -222,3 +223,15 @@ class TestErrorPaths:
         assert run(["hllm", "--data", "wermuth_cox", "--out", out,
                     "--generators", "[s][a]"]) == 3
         assert (out / "hllm_fit.tsv").exists()  # artifacts still written
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("dataset", ["wermuth_cox", "christensen_abortion"])
+@pytest.mark.parametrize("command,report", [("hllm", "hllm_backward.tsv"), ("curve", "curve.csv")])
+def test_report_matches_golden(out, dataset, command, report):
+    """The backward-selection reports stay byte-identical to the ones the
+    first IPF implementation wrote (kept in tests/golden/)."""
+    assert run([command, "--data", dataset, "--out", out]) == 0
+    assert (out / report).read_bytes() == (GOLDEN / f"{dataset}_{report}").read_bytes()

@@ -3,6 +3,7 @@ import pytest
 
 from pcctab import (
     DegeneracyError,
+    FitResult,
     InputError,
     ModelSpec,
     Partition,
@@ -139,6 +140,29 @@ class TestIpfFit:
         assert np.allclose(fit.fitted.todense(), 2.0)
         assert fit.dfmod == 0
         assert fit.dfres == 3
+        assert fit.iterations == 0 and fit.converged
+        assert fit.max_residual == 0.0
+
+    def test_max_residual_of_converged_fit(self, christensen_table):
+        fit = ipf_fit(christensen_table, ModelSpec(((0, 2), (2, 3), (1,))))
+        assert fit.converged
+        assert type(fit.max_residual) is float
+        assert 0.0 <= fit.max_residual <= 1e-8
+
+    def test_max_residual_of_unconverged_fit(self, christensen_table):
+        spec = ModelSpec(((0, 1), (0, 2), (1, 2), (2, 3)))
+        fit = ipf_fit(christensen_table, spec, max_iter=1)
+        assert fit.iterations == 1 and not fit.converged
+        assert fit.max_residual > 1e-8
+        longer = ipf_fit(christensen_table, spec, max_iter=2)
+        assert longer.max_residual < fit.max_residual
+
+    def test_max_residual_defaults_to_none(self, wermuth_table):
+        fit = ipf_fit(wermuth_table, ModelSpec.main_effects(2))
+        built = FitResult(spec=fit.spec, shape=fit.shape, fitted=fit.fitted, dev=fit.dev,
+                          dfmod=fit.dfmod, dfres=fit.dfres, iterations=fit.iterations,
+                          converged=fit.converged)
+        assert built.max_residual is None
 
     def test_nested_specs_monotone(self, christensen_table):
         specs = [
@@ -243,6 +267,14 @@ class TestFitHllpm:
     def test_identity_partition_saturated_is_exact(self, wermuth_table):
         fit = fit_hllpm(wermuth_table, Partition.identity((5, 5)), ModelSpec.saturated(2))
         assert fit.dev == pytest.approx(0.0, abs=1e-9)
+
+    def test_reports_inner_fit_convergence(self, christensen_table):
+        part = Partition(((0, 1), (0, 0), (0, 1, 2), (0, 0, 1, 1, 2, 2)))
+        spec = ModelSpec(((0, 2), (2, 3), (1,)))
+        fit = fit_hllpm(christensen_table, part, spec)
+        inner = ipf_fit(apply_partition(christensen_table, part), spec)
+        assert (fit.iterations, fit.converged, fit.max_residual) == \
+            (inner.iterations, inner.converged, inner.max_residual)
 
     def test_christensen_row4_saturated(self, christensen_table):
         part = Partition(((0, 1), (0, 0), (0, 1, 2), (0, 0, 1, 1, 2, 2)))

@@ -15,6 +15,7 @@ from pcctab import (
     partition_deviance,
 )
 from pcctab.infoloss import _axis_pair_g2
+from pcctab.report import render_loss_matrix
 
 from oracles import (
     dense_g2_independence,
@@ -227,6 +228,13 @@ class TestLossMatrix:
     def test_fixed_treatment_rejected(self, wermuth_table):
         with pytest.raises(InputError):
             loss_matrix(wermuth_table, 0, treatment="fixed")
+
+    def test_df_never_negative_on_empty_axis(self):
+        m = loss_matrix(SparseTable((0, 3)), 1)
+        assert [e.df for e in m.entries] == [0, 0, 0]
+        assert all(e.g2 == 0.0 and e.quotient == 0.0 for e in m.entries)
+        assert str(m.entries[0].quotient) == "0.0"
+        assert render_loss_matrix(m, ["a", "b", "c"], 2).startswith("# mode=all-pairs df=0\n")
 
 
 class TestPartitionDeviance:

@@ -4,27 +4,33 @@ import math
 from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pcctab import (
+    DegeneracyError,
     ModelSpec,
     Partition,
     SparseTable,
+    adjusted_rsq,
     apply_partition,
+    backward_select,
     compose_partitions,
     expand_model,
     guarded_plogp,
+    ipf_fit,
     model_df,
     pair_loss,
     run_pcc,
     select_merge,
 )
+from pcctab.hllm import IPF_TOL, _ipf
 from pcctab.infoloss import _axis_pair_g2
 from pcctab.pcc import _contiguous_partitions, _set_partitions
 
-from oracles import brute_force_best_pair, dense_pair_g2
+from oracles import brute_force_best_pair, dense_pair_g2, reference_ipf
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -242,3 +248,102 @@ def test_guarded_plogp_matches_unguarded_on_positives(p):
         assert guarded_plogp(p) == 0.0
     else:
         assert math.isclose(guarded_plogp(p), p * math.log(p), rel_tol=1e-12, abs_tol=1e-300)
+
+
+@st.composite
+def ipf_problems(draw, min_dims=1, max_dims=4, max_side=3):
+    """A dense table with sampling zeros, size-1 axes and possibly whole
+    zero slices (so some generator marginals are all zero), plus a random
+    hierarchical model, the empty one included."""
+    ndim = draw(st.integers(min_dims, max_dims))
+    shape = tuple(draw(st.integers(1, max_side)) for _ in range(ndim))
+    arr = draw(arrays(np.int64, shape=shape,
+                      elements=st.sampled_from([0, 0, 1, 2, 3, 7, 20]))).astype(float)
+    wide = [k for k in range(ndim) if shape[k] > 1]
+    if wide:
+        for _ in range(draw(st.integers(0, 2))):
+            axis = draw(st.sampled_from(wide))
+            np.moveaxis(arr, axis, 0)[draw(st.integers(0, shape[axis] - 1))] = 0.0
+    assume(arr.sum() > 0)
+    terms = draw(st.lists(st.sets(st.integers(0, ndim - 1), min_size=1, max_size=max(1, ndim - 1)),
+                          max_size=4))
+    return arr, ModelSpec(tuple(tuple(t) for t in terms))
+
+
+@SETTINGS
+@given(ipf_problems(), st.sampled_from([1, 4, 1000]))
+def test_ipf_engine_matches_reference_bitwise(problem, max_iter):
+    arr, spec = problem
+    t = SparseTable.from_dense(arr)
+    obs = t.todense()
+    want, want_iterations, want_converged = reference_ipf(obs, t.total, spec.generators,
+                                                          IPF_TOL, max_iter)
+    fitted, iterations, converged, residual = _ipf(obs, t.total, spec, IPF_TOL, max_iter, {})
+    assert fitted.shape == want.shape and np.array_equal(fitted, want)
+    assert (iterations, converged) == (want_iterations, want_converged)
+    assert (residual <= IPF_TOL) == converged
+    # marginals shared with an earlier fit of another model change nothing
+    targets: dict = {}
+    _ipf(obs, t.total, ModelSpec.main_effects(t.ndim), IPF_TOL, max_iter, targets)
+    _ipf(obs, t.total, ModelSpec.saturated(t.ndim), IPF_TOL, max_iter, targets)
+    shared, *rest = _ipf(obs, t.total, spec, IPF_TOL, max_iter, targets)
+    assert np.array_equal(shared, want) and tuple(rest) == (iterations, converged, residual)
+    fit = ipf_fit(t, spec, max_iter=max_iter)
+    assert np.array_equal(fit.fitted.todense(), want)
+    assert (fit.iterations, fit.converged, fit.max_residual) == (iterations, converged, residual)
+
+
+def reference_backward_walk(t, start, max_iter):
+    """Backward elimination as documented, every fit by ``reference_ipf``:
+    rows of (generators, dev, dev_term, df_term, converged)."""
+    obs = t.todense()
+
+    def score(spec):
+        fitted, _, converged = reference_ipf(obs, t.total, spec.generators, IPF_TOL, max_iter)
+        e = fitted[tuple(t.coords.T)]
+        if np.any(e <= 0):
+            raise DegeneracyError("fitted value is zero on an observed cell")
+        return max(2.0 * float(np.dot(t.counts, np.log(t.counts / e))), 0.0), converged
+
+    spec = start
+    dev, converged = score(spec)
+    rows = [(spec.generators, dev, 0.0, 0, converged)]
+    while True:
+        best = None
+        for term in [g for g in spec.generators if len(g) >= 2]:
+            cand = spec.remove(term)
+            dev, converged = score(cand)
+            ddev = dev - rows[-1][1]
+            ddf = math.prod(t.shape[k] - 1 for k in term)
+            q = 0.0 if ddf == 0 else ddev / ddf
+            if best is None or (q < best[0] and
+                                abs(q - best[0]) > 1e-12 * max(1.0, abs(q), abs(best[0]))):
+                best = (q, cand, dev, ddev, ddf, converged)
+        if best is None:
+            return rows
+        _, spec, dev, ddev, ddf, converged = best
+        rows.append((spec.generators, dev, ddev, ddf, converged))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ipf_problems(min_dims=2), st.booleans(), st.sampled_from([3, 1000]))
+def test_backward_select_matches_reference_walk(problem, saturated, max_iter):
+    arr, spec = problem
+    t = SparseTable.from_dense(arr)
+    start = ModelSpec.saturated(t.ndim) if saturated else spec
+    trace = backward_select(t, start, max_iter=max_iter)
+    got = [(s.spec.generators, s.dev, s.dev_term, s.df_term, s.converged) for s in trace.steps]
+    assert got == reference_backward_walk(t, start, max_iter)
+    cells = math.prod(t.shape)
+    last = trace.steps[-1]
+    for s in trace.steps:
+        assert s.dfmod == model_df(s.spec, t.shape) and s.dfres == cells - 1 - s.dfmod
+        assert s.adj_rsq == adjusted_rsq(s.dev, s.dfres, last.dev, last.dfres)
+
+
+@pytest.mark.parametrize("name", ["wermuth_table", "christensen_table"])
+def test_backward_select_matches_reference_walk_on_bundled_data(name, request):
+    t = request.getfixturevalue(name)
+    trace = backward_select(t)
+    got = [(s.spec.generators, s.dev, s.dev_term, s.df_term, s.converged) for s in trace.steps]
+    assert got == reference_backward_walk(t, ModelSpec.saturated(t.ndim), 1000)

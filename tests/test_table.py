@@ -79,6 +79,36 @@ class TestBuildTable:
         with pytest.raises(InputError):
             build_table(two_var_scheme(), [((0, 0), -1)])
 
+    def test_errors_name_the_first_offending_row(self):
+        scheme = two_var_scheme()
+        with pytest.raises(InputError, match=r"coordinate \(1, -1\) out of bounds"):
+            build_table(scheme, [((0, 0), 1), ((1, -1), 1), ((0, 9), 1)])
+        with pytest.raises(InputError, match=r"negative count -2 at \(1, 0\)"):
+            build_table(scheme, [((0, 0), 1), ((1, 0), -2), ((0, 0), -3)])
+        with pytest.raises(InputError, match=r"coordinate \(0, 0, 0\) has wrong arity"):
+            build_table(scheme, [((0, 0), 1), ((0, 0, 0), 1), ((0, 9), -1)])
+        with pytest.raises(InputError, match=r"coordinate \(0,\) has wrong arity"):
+            build_table(scheme, [((0,), 1), ((0,), 1)])
+
+    def test_earlier_row_error_wins_over_later_arity_error(self):
+        with pytest.raises(InputError, match="negative count -1"):
+            build_table(two_var_scheme(), [((0, 0), -1), ((0, 0, 0), 1)])
+        with pytest.raises(InputError, match="out of bounds"):
+            build_table(two_var_scheme(), [((0, 9), 1), ((0,), 1)])
+
+    def test_bounds_checked_before_sign_within_a_row(self):
+        with pytest.raises(InputError, match="out of bounds"):
+            build_table(two_var_scheme(), [((0, 9), -1)])
+
+    def test_matches_direct_construction(self, rng):
+        scheme = two_var_scheme()
+        coords = rng.integers(0, 2, size=(50, 2))
+        counts = rng.integers(0, 5, size=50).astype(float)
+        t = build_table(scheme, [(tuple(c), n) for c, n in zip(coords.tolist(), counts.tolist())])
+        direct = SparseTable(scheme.shape, coords, counts)
+        assert np.array_equal(t.coords, direct.coords)
+        assert np.array_equal(t.counts, direct.counts)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_count_rejected(self, bad):
         with pytest.raises(InputError, match="non-finite"):
