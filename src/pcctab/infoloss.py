@@ -97,6 +97,80 @@ def _xlogx(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _other_cols(coords: np.ndarray, shape: tuple[int, ...], dim: int) -> np.ndarray:
+    """Flat index of each cell over every axis but ``dim``: its column when
+    ``dim`` is read as the row variable."""
+    other = [k for k in range(len(shape)) if k != dim]
+    if not other:
+        return np.zeros(coords.shape[0], dtype=np.int64)
+    return np.ravel_multi_index(tuple(coords[:, k] for k in other),
+                                tuple(shape[k] for k in other))
+
+
+def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
+               adjacent: bool = False, sign: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Row totals and shared-column sums of one axis: ``(rows, shared)``.
+
+    The cells are given by category ``cats`` (in ``range(r)``), column id
+    ``cols`` and positive count ``vals``, in any order; each (column,
+    category) occurs at most once.  ``shared[u, v]`` for ``u < v`` is
+    ``sum_j h(a_uj, a_vj)`` over the columns holding both categories, with
+    ``h(a, b) = x(a) + x(b) - x(a + b)`` and ``x(t) = t ln t``; entries on
+    and below the diagonal are zero.  With ``adjacent`` only the ``v = u + 1``
+    entries are summed.  ``sign`` (+1 or -1 per cell, equal within a column)
+    weights each column's terms, so one call can add some columns and
+    subtract others.
+
+    Cells are sorted by (column, category); offset pass ``t`` pairs each cell
+    with the cell ``t`` places later in the same column, and the active set
+    shrinks as columns run out of partners, so working memory stays
+    O(nnz + r^2) however many pairs share a column.
+    """
+    n = cats.shape[0]
+    order = np.argsort(cols * r + cats)
+    cats, cols, vals = cats[order], cols[order], vals[order]
+    if sign is not None:
+        sign = sign[order]
+    xvals = vals * np.log(vals)
+    # cells after each one in its column: the offsets it still has partners at
+    ends = np.append(np.flatnonzero(cols[1:] != cols[:-1]) + 1, n)
+    remaining = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n) - 1
+
+    shared = np.zeros(r * r)
+    active = np.arange(n)
+    # a column holds each category at most once, so offsets stop below r
+    for t in range(1, 2 if adjacent else r):
+        active = active[remaining[active] >= t]
+        partner = active + t
+        if adjacent:
+            active = active[cats[partner] == cats[active] + 1]
+            partner = active + 1
+        if active.size == 0:
+            break
+        ab = vals[active] + vals[partner]
+        h = xvals[active] + xvals[partner] - ab * np.log(ab)
+        if sign is not None:
+            h *= sign[active]
+        # within a column categories ascend, so every pair lands above the diagonal
+        shared += np.bincount(cats[active] * r + cats[partner], weights=h, minlength=r * r)
+    rows = np.bincount(cats, weights=vals, minlength=r)
+    return rows, shared.reshape(r, r)
+
+
+def _pair_g2(rows: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Aggregation loss of every category pair from row totals and the
+    symmetric shared-column sums: ``2 [x(r_u + r_v) - x(r_u) - x(r_v) +
+    shared[u, v]]``, clamped at zero, with a zero diagonal."""
+    x_rows = _xlogx(rows)
+    g2 = 2.0 * (_xlogx(rows[:, None] + rows[None, :])
+                - (x_rows[:, None] + x_rows[None, :])
+                + shared)
+    np.maximum(g2, 0.0, out=g2)
+    np.fill_diagonal(g2, 0.0)
+    return g2
+
+
 def _axis_pair_g2(table: SparseTable, dim: int, adjacent: bool = False) -> tuple[np.ndarray, int]:
     """Aggregation loss of every category pair on one axis, in one batch.
 
@@ -111,54 +185,32 @@ def _axis_pair_g2(table: SparseTable, dim: int, adjacent: bool = False) -> tuple
     With ``x(t) = t ln t`` and ``h(a, b) = x(a) + x(b) - x(a + b)``, a pair
     with row totals ``r_u, r_v`` loses
     ``2 [x(r_u + r_v) - x(r_u) - x(r_v) + sum h(a_j, b_j)]``, the sum running
-    over the other-variable columns ``j`` where both categories are nonzero.
-    Cells are sorted by (column, category); offset pass ``t`` pairs each cell
-    with the cell ``t`` places later in the same column, and the active set
-    shrinks as columns run out of partners, so working memory stays
-    O(nnz + r^2) however many pairs share a column.
+    over the other-variable columns ``j`` where both categories are nonzero
+    (see :func:`_axis_sums`).
     """
-    r = table.shape[dim]
-    other = [k for k in range(table.ndim) if k != dim]
-    df = max(int(np.prod([table.shape[k] for k in other], dtype=np.int64)) - 1, 0)
-    cats = table.coords[:, dim]
-    if other:
-        cols = np.ravel_multi_index(
-            tuple(table.coords[:, k] for k in other),
-            tuple(table.shape[k] for k in other),
-        )
-    else:
-        cols = np.zeros(table.nnz, dtype=np.int64)
-    order = np.argsort(cols * r + cats)
-    cats, cols, vals = cats[order], cols[order], table.counts[order]
-    xvals = vals * np.log(vals)
-    # cells after each one in its column: the offsets it still has partners at
-    remaining = np.searchsorted(cols, cols, side="right") - np.arange(table.nnz) - 1
-
-    shared = np.zeros(r * r)
-    active = np.arange(table.nnz)
-    # a column holds each category at most once, so offsets stop below r
-    for t in range(1, 2 if adjacent else r):
-        active = active[remaining[active] >= t]
-        partner = active + t
-        if adjacent:
-            active = active[cats[partner] == cats[active] + 1]
-            partner = active + 1
-        if active.size == 0:
-            break
-        ab = vals[active] + vals[partner]
-        h = xvals[active] + xvals[partner] - ab * np.log(ab)
-        # within a column categories ascend, so every pair lands above the diagonal
-        shared += np.bincount(cats[active] * r + cats[partner], weights=h, minlength=r * r)
-    shared = shared.reshape(r, r)
-
-    rows = np.bincount(cats, weights=vals, minlength=r)
-    x_rows = _xlogx(rows)
-    g2 = 2.0 * (_xlogx(rows[:, None] + rows[None, :])
-                - (x_rows[:, None] + x_rows[None, :])
-                + (shared + shared.T))
-    np.maximum(g2, 0.0, out=g2)
-    np.fill_diagonal(g2, 0.0)
+    other = [s for k, s in enumerate(table.shape) if k != dim]
+    df = max(int(np.prod(other, dtype=np.int64)) - 1, 0)
+    g2 = _band_pair_g2(table.coords, table.counts, table.shape, dim, 0, table.shape[dim] - 1,
+                       adjacent)
     return g2, df
+
+
+def _band_pair_g2(coords: np.ndarray, vals: np.ndarray, shape: tuple[int, ...], dim: int,
+                  lo: int, hi: int, adjacent: bool = False) -> np.ndarray:
+    """Losses of the pairs within categories ``lo..hi`` of ``dim``, for the
+    cells ``coords``/``vals`` of a table of ``shape``.
+
+    Entry ``[u - lo, v - lo]`` equals entry ``[u, v]`` of the whole axis
+    bit for bit: every column keeps all its cells between ``u`` and ``v``,
+    so each ``h`` term lands in the same offset pass, and each row total and
+    pair sum adds the same terms in the same order.
+    """
+    cats = coords[:, dim]
+    if lo > 0 or hi < shape[dim] - 1:
+        band = (cats >= lo) & (cats <= hi)
+        coords, vals, cats = coords[band], vals[band], cats[band] - lo
+    rows, shared = _axis_sums(cats, _other_cols(coords, shape, dim), vals, hi - lo + 1, adjacent)
+    return _pair_g2(rows, shared + shared.T)
 
 
 def _axis_candidates(table: SparseTable, dim: int, adjacent: bool
@@ -167,13 +219,17 @@ def _axis_candidates(table: SparseTable, dim: int, adjacent: bool
     ``u < v``, with their losses: ``(us, vs, g2, df)``.  All pairs, or only
     the adjacent ones."""
     g2, df = _axis_pair_g2(table, dim, adjacent)
-    r = table.shape[dim]
+    us, vs = _candidate_pairs(table.shape[dim], adjacent)
+    return us, vs, g2[us, vs], df
+
+
+def _candidate_pairs(r: int, adjacent: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(us, vs)``: the pairs ``u < v`` of ``r`` categories in
+    lexicographic order, all of them or only the adjacent ones."""
     if adjacent:
         us = np.arange(max(r - 1, 0))
-        vs = us + 1
-    else:
-        us, vs = np.triu_indices(r, 1)
-    return us, vs, g2[us, vs], df
+        return us, us + 1
+    return np.triu_indices(r, 1)
 
 
 def pair_loss(table: SparseTable, dim: int, u: int, v: int) -> PairLoss:

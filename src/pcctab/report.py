@@ -2,16 +2,20 @@
 
 All numbers use fixed decimal precision (deviances default to 2 places,
 adjusted R^2 and ratios to 3), so a report is byte-identical across runs.
+A value that is not finite (counts so large that a statistic overflows)
+raises :class:`PcctabError` instead of being printed as ``nan`` or ``inf``.
 Composite cells such as key vectors and shapes are space-separated inside a
 single tab-separated column.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
+from .errors import PcctabError
 from .hllm import BackwardTrace, FitResult
 from .infoloss import LossMatrix
 from .pcc import PccTrace
@@ -29,11 +33,14 @@ __all__ = [
 
 
 def _dev(x: float, precision: int) -> str:
+    if not math.isfinite(x):
+        raise PcctabError(f"cannot report the non-finite value {x}: "
+                          "the counts are too large for double precision")
     return f"{x:.{precision}f}"
 
 
 def _rsq(x: float, precision: int) -> str:
-    return f"{x:.{precision + 1}f}"
+    return _dev(x, precision + 1)
 
 
 def render_pcc_trace(trace: PccTrace, precision: int = 2) -> str:
@@ -104,18 +111,17 @@ def render_ratios(ratios: np.ndarray, scheme: CategoryScheme, precision: int = 2
     """Two-way tables render as a labelled grid; higher-way tables in long
     format with one labelled row per cell."""
     ratios = np.asarray(ratios)
-    rp = precision + 1
     if ratios.ndim == 2:
         rows_v, cols_v = scheme.variables[0], scheme.variables[1]
         lines = ["\t".join([""] + list(cols_v.categories))]
         for i, label in enumerate(rows_v.categories):
-            lines.append("\t".join([label] + [f"{ratios[i, j]:.{rp}f}"
+            lines.append("\t".join([label] + [_rsq(ratios[i, j], precision)
                                               for j in range(ratios.shape[1])]))
         return "\n".join(lines) + "\n"
     lines = ["\t".join(list(scheme.names) + ["ratio"])]
     for idx in np.ndindex(*ratios.shape):
         labels = [scheme.variables[k].categories[c] for k, c in enumerate(idx)]
-        lines.append("\t".join(labels + [f"{ratios[idx]:.{rp}f}"]))
+        lines.append("\t".join(labels + [_rsq(ratios[idx], precision)]))
     return "\n".join(lines) + "\n"
 
 
@@ -125,7 +131,7 @@ def render_curve(series: Sequence[tuple[str, Sequence[tuple[int, float]]]],
     lines = ["series,dfmod,dev"]
     for name, points in series:
         for dfmod, dev in points:
-            lines.append(f"{name},{dfmod},{dev:.{precision}f}")
+            lines.append(f"{name},{dfmod},{_dev(dev, precision)}")
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pcctab import FitResult
@@ -193,6 +194,16 @@ class TestErrorPaths:
         assert ":3: count 'inf' is not finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["pcc", "lossmatrix", "hllm", "curve", "ratios", "oracle"])
+    def test_overflowing_counts_exit_1(self, out, tmp_path, capsys, command):
+        # finite counts whose sums overflow: the statistics come out nan
+        data = tmp_path / "huge.csv"
+        data.write_text("x,y,count\na,c,1e308\na,d,3e307\nb,c,2e307\nb,d,1.5e308\n")
+        with np.errstate(all="ignore"):
+            assert run([command, "--data", data, "--out", out]) == 1
+        assert "non-finite value" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_bad_config_exit_1(self, out, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[]")
@@ -235,3 +246,34 @@ def test_report_matches_golden(out, dataset, command, report):
     first IPF implementation wrote (kept in tests/golden/)."""
     assert run([command, "--data", dataset, "--out", out]) == 0
     assert (out / report).read_bytes() == (GOLDEN / f"{dataset}_{report}").read_bytes()
+
+
+def _seeded_four_way(tmp_path):
+    """A 15 x 13 x 10 x 9 table of 6,000 draws from two latent classes
+    (fixed seed), with variable c ordinal: its collapse takes 42 merges."""
+    rng = np.random.default_rng(4242)
+    shape = (15, 13, 10, 9)
+    profiles = [[rng.dirichlet(np.full(s, 0.7)) for s in shape] for _ in range(2)]
+    cells: dict = {}
+    for _ in range(6000):
+        prof = profiles[int(rng.random() < 0.35)]
+        cell = tuple(int(rng.choice(s, p=p)) for s, p in zip(shape, prof))
+        cells[cell] = cells.get(cell, 0) + 1
+    data, cfg = tmp_path / "seeded.csv", tmp_path / "seeded.json"
+    with open(data, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["a", "b", "c", "d", "count"])
+        for cell in sorted(cells):
+            w.writerow([f"{n}{i}" for n, i in zip("abcd", cell)] + [cells[cell]])
+    cfg.write_text(json.dumps({"variables": [
+        {"name": "c", "treatment": "ordinal", "categories": [f"c{i}" for i in range(10)]},
+    ]}))
+    return data, cfg
+
+
+def test_long_collapse_matches_golden(out, tmp_path):
+    """A 42-merge collapse stays byte-identical to the trace the stateless
+    per-step loop wrote (kept in tests/golden/)."""
+    data, cfg = _seeded_four_way(tmp_path)
+    assert run(["pcc", "--data", data, "--config", cfg, "--out", out]) == 0
+    assert (out / "pcc_trace.tsv").read_bytes() == (GOLDEN / "seeded4_pcc_trace.tsv").read_bytes()

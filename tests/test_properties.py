@@ -13,6 +13,7 @@ from pcctab import (
     DegeneracyError,
     ModelSpec,
     Partition,
+    PccStep,
     SparseTable,
     adjusted_rsq,
     apply_partition,
@@ -26,9 +27,10 @@ from pcctab import (
     run_pcc,
     select_merge,
 )
+from pcctab import pcc
 from pcctab.hllm import IPF_TOL, _ipf
-from pcctab.infoloss import _axis_pair_g2
-from pcctab.pcc import _contiguous_partitions, _set_partitions
+from pcctab.infoloss import _axis_pair_g2, _band_pair_g2
+from pcctab.pcc import _contiguous_partitions, _set_partitions, normalize_treatments
 
 from oracles import brute_force_best_pair, dense_pair_g2, reference_ipf
 
@@ -125,11 +127,11 @@ def test_pair_loss_symmetric_and_nonnegative(case):
 
 
 @st.composite
-def tie_heavy_tables(draw):
+def tie_heavy_tables(draw, max_dims=3, max_side=4):
     """Small tables with zeros, size-1 axes, empty categories, and exact ties
     from constant tables or one slice repeated along an axis."""
-    ndim = draw(st.integers(1, 3))
-    shape = tuple(draw(st.integers(1, 4)) for _ in range(ndim))
+    ndim = draw(st.integers(1, max_dims))
+    shape = tuple(draw(st.integers(1, max_side)) for _ in range(ndim))
     arr = draw(arrays(np.int64, shape=shape,
                       elements=st.sampled_from([0, 0, 1, 2, 5, 22, 30]))).astype(float)
     axis = draw(st.integers(0, ndim - 1))
@@ -347,3 +349,123 @@ def test_backward_select_matches_reference_walk_on_bundled_data(name, request):
     trace = backward_select(t)
     got = [(s.spec.generators, s.dev, s.dev_term, s.df_term, s.converged) for s in trace.steps]
     assert got == reference_backward_walk(t, ModelSpec.saturated(t.ndim), 1000)
+
+
+@st.composite
+def collapse_problems(draw):
+    """A tie-heavy table of up to four axes with integer, non-integer or
+    1e6-scaled counts, random treatments and maybe a stop quotient."""
+    arr = draw(tie_heavy_tables(max_dims=4, max_side=5))
+    counts = draw(st.sampled_from(["integer", "per-cell", "scalar", "scaled"]))
+    if counts == "per-cell":
+        arr = arr * draw(arrays(np.float64, arr.shape, elements=st.floats(0.01, 3.0)))
+    elif counts == "scalar":
+        arr = arr * 0.37  # keeps the exact ties of repeated slices
+    elif counts == "scaled":
+        arr = arr * 1e6
+    assume(arr.sum() > 0)
+    treatments = [draw(st.sampled_from(["nominal", "ordinal", "fixed"])) for _ in arr.shape]
+    stop = draw(st.one_of(st.none(), st.floats(0.0, 20.0)))
+    return arr, treatments, stop
+
+
+def reference_pcc_walk(t, treatments, stop_quotient=None):
+    """The collapse as documented, one stateless ``select_merge`` and
+    ``apply_partition`` per step: ``(steps, partitions)``."""
+    treatments = normalize_treatments(t.ndim, treatments)
+    current, cumulative = t, Partition.identity(t.shape)
+    rows = [(None, None, t.shape, 0.0, 0, 0.0, 0, False)]
+    partitions = [cumulative]
+    dev, dfres = 0.0, 0
+    while True:
+        cand = select_merge(current, treatments)
+        if cand is None:
+            break
+        if stop_quotient is not None and cand.quotient > stop_quotient:
+            break
+        keys = [tuple(range(s)) for s in current.shape]
+        keys[cand.dim] = tuple(cand.u if c == cand.v else c - (c > cand.v)
+                               for c in range(current.shape[cand.dim]))
+        step = Partition(tuple(keys))
+        current = apply_partition(current, step)
+        cumulative = compose_partitions(cumulative, step)
+        dev += cand.g2
+        dfres += cand.df
+        rows.append((cand.dim, cumulative.keys[cand.dim], current.shape, dev, dfres,
+                     cand.g2, cand.df, False))
+        partitions.append(cumulative)
+    nonfixed = [k for k in range(t.ndim) if treatments[k] != "fixed"]
+    if (cand is None) and nonfixed:
+        d0 = nonfixed[0]
+        df_term = math.prod(s for k, s in enumerate(current.shape) if k != d0) - 1
+        rows.append((d0, cumulative.keys[d0], current.shape, dev, dfres, 0.0,
+                     max(df_term, 0), True))
+        partitions.append(cumulative)
+    cells_minus_one = math.prod(t.shape) - 1
+    dev_last, dfres_last = rows[-1][3], rows[-1][4]
+    steps = tuple(
+        PccStep(r=r, d=d, key=key, shape=shape, dev=dv, dfmod=cells_minus_one - dr, dfres=dr,
+                dev_term=term, df_term=dft, adj_rsq=adjusted_rsq(dv, dr, dev_last, dfres_last),
+                terminal=terminal)
+        for r, (d, key, shape, dv, dr, term, dft, terminal) in enumerate(rows))
+    return steps, tuple(partitions)
+
+
+@SETTINGS
+@given(collapse_problems())
+def test_run_pcc_matches_stateless_walk(problem):
+    arr, treatments, stop = problem
+    t = SparseTable.from_dense(arr)
+    trace = run_pcc(t, treatments, stop_quotient=stop)
+    assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments, stop)
+
+
+@pytest.mark.parametrize("name", ["wermuth_table", "christensen_table"])
+@pytest.mark.parametrize("treatment", ["nominal", "ordinal", "fixed-first"])
+def test_run_pcc_matches_stateless_walk_on_bundled_data(name, treatment, request):
+    t = request.getfixturevalue(name)
+    treatments = (["fixed"] + ["nominal"] * (t.ndim - 1) if treatment == "fixed-first"
+                  else [treatment] * t.ndim)
+    trace = run_pcc(t, treatments)
+    assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments)
+
+
+@SETTINGS
+@given(tie_heavy_tables(max_dims=4, max_side=6), st.booleans(), st.data())
+def test_band_losses_equal_full_axis_bitwise(arr, adjacent, data):
+    arr = arr * data.draw(arrays(np.float64, arr.shape, elements=st.floats(0.01, 3.0)))
+    assume(arr.sum() > 0)
+    t = SparseTable.from_dense(arr)
+    dim = data.draw(st.integers(0, t.ndim - 1))
+    r = t.shape[dim]
+    assume(r >= 2)
+    lo = data.draw(st.integers(0, r - 2))
+    hi = data.draw(st.integers(lo + 1, r - 1))
+    full, _ = _axis_pair_g2(t, dim, adjacent)
+    # the collapse keeps its cells in no particular order
+    order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(t.nnz)
+    band = _band_pair_g2(t.coords[order], t.counts[order], t.shape, dim, lo, hi, adjacent)
+    for u, v in combinations(range(lo, hi + 1), 2):
+        if not adjacent or v == u + 1:
+            assert band[u - lo, v - lo].hex() == full[u, v].hex()
+
+
+@SETTINGS
+@given(collapse_problems(), st.integers(0, 2**32 - 1))
+def test_carried_drift_inside_window_changes_nothing(problem, seed):
+    """Carried sums perturbed by up to 2e-10 n move each carried quotient by
+    less than half the window, so the exact rescore, not the carried value,
+    still decides every merge and every loss."""
+    arr, treatments, stop = problem
+    t = SparseTable.from_dense(arr)
+    rng = np.random.default_rng(seed)
+    exact = pcc._pair_g2
+
+    def drifted(rows, shared):
+        noise = rng.uniform(-1.0, 1.0, shared.shape) * 2e-10 * rows.sum()
+        return exact(rows, shared + (noise + noise.T) / 2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pcc, "_pair_g2", drifted)
+        trace = run_pcc(t, treatments, stop_quotient=stop)
+    assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments, stop)
