@@ -10,9 +10,10 @@ cyclic iterative proportional scaling against the generator marginals.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -106,16 +107,17 @@ class ModelSpec:
     @classmethod
     def from_brackets(cls, text: str, names: Sequence[str]) -> "ModelSpec":
         """Parse bracket notation; tokens may be variable names or their
-        unique first letters, e.g. ``[oa][ro][s]`` or ``[opinion,age]``."""
+        unique first letters, e.g. ``[oa][ro][s]``, ``[oa] [s]`` or
+        ``[opinion,age]``."""
         text = text.strip()
         if not text:
             return cls(())
-        if text.count("[") != text.count("]") or not text.startswith("["):
+        if not re.fullmatch(r"\[[^\[\]]*\](\s*\[[^\[\]]*\])*", text):
             raise InputError(f"malformed generator list {text!r}")
         letters = _letter_map(names)
         by_name = {n.lower(): k for k, n in enumerate(names)}
         terms = []
-        for chunk in text.strip("[]").split("]["):
+        for chunk in re.findall(r"\[([^\[\]]*)\]", text):
             chunk = chunk.strip()
             if not chunk:
                 continue
@@ -190,48 +192,113 @@ def _deviance(observed: SparseTable, fitted: np.ndarray) -> float:
     return max(dev, 0.0)
 
 
-def _ipf(obs: np.ndarray, n: float, spec: ModelSpec, tol: float, max_iter: int,
-         targets: dict) -> tuple[np.ndarray, int, bool, float]:
-    """The IPF engine: cyclic proportional scaling of a dense fit.
+# A batch of fits shares one (C, *shape) float64 stack of at most this
+# many cells (32 MB); larger batches run in chunks.
+_BATCH_CELLS = 2 ** 22
+
+
+def _ipf_batch(obs: np.ndarray, n: float, specs: Sequence[ModelSpec], tol: float,
+               max_iter: int, targets: dict) -> Iterator[tuple[np.ndarray, int, bool, float]]:
+    """The IPF engine: cyclic proportional scaling of a batch of dense fits.
 
     ``obs`` is the dense observed table and ``n`` its total.  ``targets``
     maps a generator's complement axes to the observed marginal over them;
     missing entries are added, so callers fitting several models to one
-    table pass the same dict to share them.  Returns the dense fit, the
-    number of cycles run, whether the worst marginal residual of the last
-    cycle is at most ``tol``, and that residual (0.0 for the grand-mean
-    model, which has no generator to scale).
+    table pass the same dict to share them.  Yields, per spec and in
+    order, the dense fit, the number of cycles run, whether the worst
+    marginal residual of the last cycle is at most ``tol``, and that
+    residual (0.0 for the grand-mean model, which has no generator to
+    scale).  Each fit is bitwise the one a batch of one gives.
     """
     if n <= 0:
         raise InputError("cannot fit an empty table")
     if tol <= 0:
         raise InputError("tol must be positive")
-    fitted = np.full(obs.shape, n / obs.size)
-    if not spec.generators:
-        return fitted, 0, True, 0.0
-    plan = []
-    for g in spec.generators:
+    if max_iter < 1:
+        raise InputError("max_iter must be at least 1")
+    chunk = max(1, _BATCH_CELLS // obs.size)
+    for first in range(0, len(specs), chunk):
+        yield from _ipf_chunk(obs, n, specs[first:first + chunk], tol, max_iter, targets)
+
+
+def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
+    """Fit ``specs`` together, stacked along a new leading axis.
+
+    The cycle walks the sorted union of the specs' generators; as each
+    spec's own sorted generators are a subsequence of it, every fit is
+    scaled in exactly its single-fit order.  A generator shared by every
+    live fit scales the whole stack in place; otherwise its members' rows
+    are scaled alone.  The reductions run over the cell axes only, so
+    each row sums in the order a lone fit would.  A fit leaves the stack
+    at the end of the cycle in which it converged and is frozen there.
+    """
+    results: list = [None] * len(specs)
+    ids = []  # the specs still being fitted, one per row of the stack
+    for i, s in enumerate(specs):
+        if s.generators:
+            ids.append(i)
+        else:
+            results[i] = (np.full(obs.shape, n / obs.size), 0, True, 0.0)
+    if not ids:
+        return results
+    cell_axes = tuple(range(1, obs.ndim + 1))
+    steps = []
+    for g in sorted({g for s in specs for g in s.generators}):
         axes = tuple(k for k in range(obs.ndim) if k not in g)
         target = targets.get(axes)
         if target is None:
             target = targets[axes] = np.add.reduce(obs, axis=axes, keepdims=True)
-        plan.append((axes, target))
-    iterations = 0
-    worst = 0.0
+        owners = {i for i, s in enumerate(specs) if g in s.generators}
+        steps.append((tuple(k + 1 for k in axes), target[np.newaxis], owners))
+    stack = np.full((len(ids),) + obs.shape, n / obs.size)
+    plan, gaps = _batch_plan(steps, ids)
     for cycle in range(1, max_iter + 1):
-        worst = 0.0
-        for axes, target in plan:
+        for j, (axes, target, rows) in enumerate(plan):
             # ufuncs called directly: ndarray.sum/np.max add a Python
             # wrapper that costs more than the arithmetic on small tables
-            cur = np.add.reduce(fitted, axis=axes, keepdims=True)
-            gap = float(np.maximum.reduce(np.abs(cur - target), axis=None))
-            if gap > worst:
-                worst = gap
-            fitted *= np.divide(target, cur, out=np.zeros(cur.shape), where=cur > 0)
-        iterations = cycle
-        if worst <= tol:
-            return fitted, iterations, True, worst
-    return fitted, iterations, False, worst
+            block = stack[rows]
+            cur = np.add.reduce(block, axis=axes, keepdims=True)
+            gaps[j, rows] = np.maximum.reduce(np.abs(cur - target), axis=cell_axes)
+            block *= np.divide(target, cur, out=np.zeros(cur.shape), where=cur > 0)
+            if not isinstance(rows, slice):  # a gathered copy
+                stack[rows] = block
+        # fmax skips a NaN gap, as ``if gap > worst`` did
+        worst = np.fmax.reduce(gaps, axis=0, initial=0.0).tolist()
+        done = [w <= tol for w in worst]
+        leaving = [row for row, d in enumerate(done) if d or cycle == max_iter]
+        if not leaving:
+            continue
+        frozen = stack if len(leaving) == len(ids) else stack[leaving]
+        for fit, row in zip(frozen, leaving):
+            results[ids[row]] = (fit, cycle, done[row], worst[row])
+        if len(leaving) == len(ids):
+            break
+        staying = [row for row, d in enumerate(done) if not d]
+        stack, ids = stack[staying], [ids[row] for row in staying]
+        plan, gaps = _batch_plan(steps, ids)
+    return results
+
+
+def _batch_plan(steps, ids) -> tuple[list, np.ndarray]:
+    """The steps that scale some of the live fits ``ids`` (the rows of the
+    stack), each with those rows: a slice when they are one contiguous run
+    (a view, scaled in place), else an index array (a gathered copy).
+    Also a zeroed array for each step's gap on each live fit; a fit
+    outside a step keeps 0 there, the start of a lone fit's worst gap."""
+    plan = []
+    for axes, target, owners in steps:
+        rows = [row for row, i in enumerate(ids) if i in owners]
+        if rows:
+            contiguous = rows[-1] - rows[0] + 1 == len(rows)
+            plan.append((axes, target,
+                         slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows)))
+    return plan, np.zeros((len(plan), len(ids)))
+
+
+def _ipf(obs: np.ndarray, n: float, spec: ModelSpec, tol: float, max_iter: int,
+         targets: dict) -> tuple[np.ndarray, int, bool, float]:
+    """One fit through :func:`_ipf_batch`, as a batch of one."""
+    return next(_ipf_batch(obs, n, (spec,), tol, max_iter, targets))
 
 
 def ipf_fit(table: SparseTable, spec: ModelSpec, tol: float = IPF_TOL,
@@ -257,6 +324,11 @@ def ipf_fit(table: SparseTable, spec: ModelSpec, tol: float = IPF_TOL,
 
 @dataclass(frozen=True)
 class BackwardStep:
+    """One row of a backward trace.  ``converged`` is the IPF flag of the
+    row's own fit; ``candidates_converged`` is False when any candidate
+    fitted at that step (at row 0, the starting model) did not converge.
+    The trace report renders neither."""
+
     r: int
     spec: ModelSpec
     dev: float
@@ -266,6 +338,7 @@ class BackwardStep:
     df_term: int
     adj_rsq: float
     converged: bool
+    candidates_converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -303,33 +376,38 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
     the trace ends at the mutual-independence model.  Ties go to the
     lexicographically smallest term.
 
-    Each candidate is scored by the deviance of its dense IPF fit only; no
-    :class:`FitResult` or fitted table is built for it.  All fits of one
-    call share the observed generator marginals they need.
+    All candidates of a step are fitted together in one batched IPF
+    sweep, each bitwise as a lone fit would be, and scored by the deviance
+    of its dense fit only; no :class:`FitResult` or fitted table is built
+    for them.  All fits of one call share the observed generator marginals
+    they need.
     """
     spec = ModelSpec.saturated(table.ndim) if start is None else start
     obs = table.todense()
     targets: dict = {}
     cells = int(np.prod(table.shape, dtype=np.int64))
 
-    def score(s: ModelSpec) -> tuple[float, bool]:
-        fitted, _, converged, _ = _ipf(obs, table.total, s, tol, max_iter, targets)
-        return _deviance(table, fitted), converged
+    def score(specs: list[ModelSpec]) -> list[tuple[float, bool]]:
+        return [(_deviance(table, fitted), converged) for fitted, _, converged, _
+                in _ipf_batch(obs, table.total, specs, tol, max_iter, targets)]
 
-    def row(s: ModelSpec, dev: float, converged: bool, dev_term: float, df_term: int) -> dict:
+    def row(s: ModelSpec, dev: float, converged: bool, dev_term: float, df_term: int,
+            candidates_converged: bool) -> dict:
         dfmod = model_df(s, table.shape)
         return dict(spec=s, dev=dev, dfmod=dfmod, dfres=cells - 1 - dfmod,
-                    dev_term=dev_term, df_term=df_term, converged=converged)
+                    dev_term=dev_term, df_term=df_term, converged=converged,
+                    candidates_converged=candidates_converged)
 
-    rows = [row(spec, *score(spec), 0.0, 0)]
+    (dev, converged), = score([spec])
+    rows = [row(spec, dev, converged, 0.0, 0, converged)]
     while True:
         removable = [g for g in spec.generators if len(g) >= 2]
         if not removable:
             break
+        cand_specs = [spec.remove(term) for term in removable]
+        scored = score(cand_specs)
         best = None
-        for term in removable:
-            cand_spec = spec.remove(term)
-            dev, converged = score(cand_spec)
+        for term, cand_spec, (dev, converged) in zip(removable, cand_specs, scored):
             ddev = dev - rows[-1]["dev"]
             ddf = _term_df(term, table.shape)
             quotient = 0.0 if ddf == 0 else ddev / ddf
@@ -337,14 +415,15 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
                                 and abs(quotient - best[0]) > 1e-12 * max(1.0, abs(quotient), abs(best[0]))):
                 best = (quotient, cand_spec, dev, converged, ddev, ddf)
         _, spec, dev, converged, ddev, ddf = best
-        rows.append(row(spec, dev, converged, ddev, ddf))
+        rows.append(row(spec, dev, converged, ddev, ddf, all(c for _, c in scored)))
     dev_last = rows[-1]["dev"]
     dfres_last = rows[-1]["dfres"]
     steps = tuple(
         BackwardStep(r=i, spec=row["spec"], dev=row["dev"], dfmod=row["dfmod"],
                      dfres=row["dfres"], dev_term=row["dev_term"], df_term=row["df_term"],
                      adj_rsq=adjusted_rsq(row["dev"], row["dfres"], dev_last, dfres_last),
-                     converged=row["converged"])
+                     converged=row["converged"],
+                     candidates_converged=row["candidates_converged"])
         for i, row in enumerate(rows)
     )
     return BackwardTrace(steps=steps, shape=table.shape)

@@ -175,17 +175,19 @@ def random_table(rng, shape, zero_frac=0.3, max_count=40):
     return arr
 
 
-def reference_ipf(obs, n, generators, tol=1e-8, max_iter=1000):
+def reference_ipf(obs, n, generators, tol=1e-8, max_iter=1000, with_residual=False):
     """Cyclic IPF as the package first shipped it, kept as the oracle for
-    its engine: returns (fitted, iterations, converged).  ``obs`` is the
-    dense observed table, ``n`` its total and ``generators`` the model's
-    maximal terms."""
+    its engine: returns (fitted, iterations, converged), plus the last
+    cycle's worst marginal residual when ``with_residual`` is set.
+    ``obs`` is the dense observed table, ``n`` its total and
+    ``generators`` the model's maximal terms."""
     obs = np.asarray(obs, dtype=float)
     shape = obs.shape
     K = obs.ndim
     fitted = np.full(shape, n / obs.size)
     iterations = 0
     converged = True
+    worst = 0.0
     if generators:
         targets = []
         for g in generators:
@@ -203,4 +205,6 @@ def reference_ipf(obs, n, generators, tol=1e-8, max_iter=1000):
             if worst <= tol:
                 converged = True
                 break
+    if with_residual:
+        return fitted, iterations, converged, worst
     return fitted, iterations, converged

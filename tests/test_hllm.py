@@ -18,6 +18,7 @@ from pcctab import (
     pearson_ratios,
     run_pcc,
 )
+from pcctab import hllm
 
 from oracles import (
     conditional_independence_fit,
@@ -70,6 +71,17 @@ class TestModelSpec:
 
     def test_empty_brackets_is_grand_mean(self):
         assert ModelSpec.from_brackets("", ("a", "b")).generators == ()
+
+    def test_whitespace_between_brackets(self):
+        names = ("sex", "age")
+        assert ModelSpec.from_brackets("[s] [a]", names) == ModelSpec.from_brackets("[s][a]", names)
+        assert ModelSpec.from_brackets(" [s]\t [a]  [sa] ", names).generators == ((0, 1),)
+
+    @pytest.mark.parametrize("text", ["[s", "s]", "[s] a]", "[s]]", "[s]x[a]", "[s] [q]",
+                                      "[[s][a]]", "[[s]]"])
+    def test_malformed_brackets_rejected(self, text):
+        with pytest.raises(InputError):
+            ModelSpec.from_brackets(text, ("sex", "age"))
 
 
 class TestModelDf:
@@ -179,6 +191,21 @@ class TestIpfFit:
         with pytest.raises(InputError):
             ipf_fit(SparseTable((2, 2)), ModelSpec.saturated(2))
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_max_iter_below_one_rejected(self, christensen_table, max_iter):
+        # zero cycles would return the uniform start as a fit never checked
+        t = christensen_table
+        spec = ModelSpec(((0, 2), (2, 3), (1,)))
+        calls = [
+            lambda: ipf_fit(t, spec, max_iter=max_iter),
+            lambda: ipf_fit(t, ModelSpec(()), max_iter=max_iter),
+            lambda: backward_select(t, max_iter=max_iter),
+            lambda: fit_hllpm(t, Partition.identity(t.shape), spec, max_iter=max_iter),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="max_iter"):
+                call()
+
     def test_zero_cells_keep_df(self, from_dense):
         t = from_dense([[0, 3, 1], [2, 0, 4], [1, 2, 0]])
         fit = ipf_fit(t, ModelSpec.main_effects(2))
@@ -253,6 +280,21 @@ class TestBackwardSelect:
         trace = backward_select(SparseTable.from_dense(arr))
         for s in trace.steps:
             assert s.dev == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("name", ["wermuth_table", "christensen_table"])
+    def test_candidates_converged_on_bundled_data(self, name, request):
+        trace = backward_select(request.getfixturevalue(name))
+        assert all(s.converged and s.candidates_converged for s in trace.steps)
+
+    def test_candidates_converged_false_after_one_cycle(self, christensen_table):
+        trace = backward_select(christensen_table, max_iter=1)
+        assert len(trace.steps) > 1
+        assert not any(s.candidates_converged for s in trace.steps)
+
+    def test_chunked_candidates_give_the_same_trace(self, christensen_table, monkeypatch):
+        want = backward_select(christensen_table)
+        monkeypatch.setattr(hllm, "_BATCH_CELLS", 2)  # one candidate per chunk
+        assert backward_select(christensen_table) == want
 
 
 class TestFitHllpm:

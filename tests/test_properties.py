@@ -27,8 +27,8 @@ from pcctab import (
     run_pcc,
     select_merge,
 )
-from pcctab import pcc
-from pcctab.hllm import IPF_TOL, _ipf
+from pcctab import hllm, pcc
+from pcctab.hllm import IPF_TOL, _ipf, _ipf_batch
 from pcctab.infoloss import _axis_pair_g2, _band_pair_g2
 from pcctab.pcc import _contiguous_partitions, _set_partitions, normalize_treatments
 
@@ -349,6 +349,66 @@ def test_backward_select_matches_reference_walk_on_bundled_data(name, request):
     trace = backward_select(t)
     got = [(s.spec.generators, s.dev, s.dev_term, s.df_term, s.converged) for s in trace.steps]
     assert got == reference_backward_walk(t, ModelSpec.saturated(t.ndim), 1000)
+
+
+def model_specs(ndim):
+    """Random hierarchical models on ``ndim`` variables, drawn as
+    :func:`ipf_problems` draws its one, and the empty model."""
+    terms = st.lists(st.sets(st.integers(0, ndim - 1), min_size=1, max_size=max(1, ndim - 1)),
+                     max_size=4)
+    return st.one_of(st.just(ModelSpec(())),
+                     terms.map(lambda ts: ModelSpec(tuple(tuple(t) for t in ts))))
+
+
+@st.composite
+def ipf_batches(draw, max_dims=4, max_side=3):
+    """A table from :func:`ipf_problems`, its counts possibly scaled to
+    non-integers or to millions, with a batch of 1 to 8 models."""
+    arr, spec = draw(ipf_problems(max_dims=max_dims, max_side=max_side))
+    arr = arr * draw(st.sampled_from([1.0, 0.37, 1e6]))
+    return arr, [spec, *draw(st.lists(model_specs(arr.ndim), max_size=7))]
+
+
+def check_batch_against_reference(arr, batch, max_iter):
+    """Every member of the batched fit equals its lone ``reference_ipf``
+    fit bitwise; so does the batch with shared targets and in chunks."""
+    t = SparseTable.from_dense(arr)
+    obs = t.todense()
+    got = list(_ipf_batch(obs, t.total, batch, IPF_TOL, max_iter, {}))
+    assert len(got) == len(batch)
+    for spec, (fitted, *rest) in zip(batch, got):
+        want, *want_rest = reference_ipf(obs, t.total, spec.generators, IPF_TOL, max_iter,
+                                         with_residual=True)
+        assert fitted.shape == want.shape and np.array_equal(fitted, want)
+        assert tuple(rest) == tuple(want_rest)
+
+    def same(other):
+        assert len(other) == len(got)
+        for (a, *a_rest), (b, *b_rest) in zip(other, got):
+            assert np.array_equal(a, b) and a_rest == b_rest
+
+    targets: dict = {}
+    list(_ipf_batch(obs, t.total, [ModelSpec.main_effects(t.ndim), ModelSpec.saturated(t.ndim)],
+                    IPF_TOL, max_iter, targets))
+    same(list(_ipf_batch(obs, t.total, batch, IPF_TOL, max_iter, targets)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hllm, "_BATCH_CELLS", 2)  # chunks of one fit
+        same(list(_ipf_batch(obs, t.total, batch, IPF_TOL, max_iter, {})))
+        mp.setattr(hllm, "_BATCH_CELLS", 3 * obs.size)  # chunks of three
+        same(list(_ipf_batch(obs, t.total, batch, IPF_TOL, max_iter, {})))
+
+
+@SETTINGS
+@given(ipf_batches(), st.sampled_from([1, 4, 1000]))
+def test_batched_ipf_matches_reference_bitwise(problem, max_iter):
+    check_batch_against_reference(*problem, max_iter)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ipf_batches(max_dims=3, max_side=10), st.sampled_from([1, 4, 1000]))
+def test_batched_ipf_matches_reference_bitwise_on_wide_axes(problem, max_iter):
+    # runs of 8 or more cells reduce through numpy's pairwise blocks
+    check_batch_against_reference(*problem, max_iter)
 
 
 @st.composite
