@@ -1,23 +1,31 @@
 """Reading and writing long-format count files and run configuration.
 
-The count format is a UTF-8 CSV whose header names the variables followed
-by a literal ``count`` column; each row carries one category label per
-variable and a nonnegative number.  Category order is first appearance in
-the file unless a config supplies an explicit order.
+The count format is a UTF-8 CSV, with or without a byte-order mark, whose
+header names the variables followed by a literal ``count`` column; each
+row carries one category label per variable and a nonnegative number.
+Category order is first appearance in the file unless a config supplies an
+explicit order.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 from .errors import InputError
-from .table import NOMINAL, TREATMENTS, CategoryScheme, SparseTable, VariableDef, build_table
+from .table import NOMINAL, TREATMENTS, CategoryScheme, SparseTable, VariableDef, _first
 
 __all__ = ["VariableConfig", "RunConfig", "read_config", "read_counts", "write_counts", "load_table"]
+
+# csv records parsed and checked at a time.  A block's raw fields stay alive
+# until it is coded, so a smaller block holds less memory; below about a
+# hundred records the per-block numpy calls start to cost time.
+_READ_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -41,12 +49,15 @@ class RunConfig:
 def read_config(path) -> RunConfig:
     """Parse a JSON config: ``{"variables": [{"name": ..., "categories":
     [...], "treatment": "nominal"}, ...]}``; categories and treatment are
-    optional."""
+    optional.  The file is UTF-8, with or without a byte-order mark."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise InputError(
+            f"config {path} is not valid UTF-8 text ({_first_undecodable(path)})") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("variables"), list):
@@ -77,78 +88,25 @@ def read_config(path) -> RunConfig:
 def read_counts(path, config: RunConfig | None = None):
     """Read a long-format counts CSV.
 
-    Returns ``(names, categories, entries)`` where ``categories`` holds the
-    ordered label list per variable and ``entries`` the indexed
-    ``(coordinates, count)`` pairs.  Errors carry the offending line number.
+    The file is UTF-8, with or without a byte-order mark.  Labels and the
+    header are stripped of surrounding whitespace; blank and whitespace-only
+    lines are skipped.  Returns ``(names, categories, entries)`` where
+    ``categories`` holds the ordered label list per variable and ``entries``
+    the ``(coordinates, count)`` pairs, one per data record, as tuples of
+    Python ints and a Python float.  Errors are :class:`InputError`; a bad
+    data record is named by its record number (the header is record 1), and
+    text that is not UTF-8 by its line.
     """
-    path = Path(path)
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file (no header)") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[-1] != "count":
-            raise InputError(f"{path}: header must be variable names followed by 'count'")
-        names = header[:-1]
-        if len(set(names)) != len(names):
-            raise InputError(f"{path}: duplicate variable names in header")
-
-        fixed_order: list[dict[str, int] | None] = [None] * len(names)
-        if config is not None:
-            cfg = config.by_name()
-            unknown = set(n.name for n in config.variables) - set(names)
-            if unknown:
-                raise InputError(f"{path}: config names unknown variables {sorted(unknown)}")
-            for k, name in enumerate(names):
-                vc = cfg.get(name)
-                if vc is not None and vc.categories is not None:
-                    fixed_order[k] = {c: i for i, c in enumerate(vc.categories)}
-
-        index: list[dict[str, int]] = [dict(f) if f else {} for f in fixed_order]
-        entries: list[tuple[tuple[int, ...], float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(names) + 1:
-                raise InputError(
-                    f"{path}:{lineno}: expected {len(names) + 1} fields, got {len(row)}")
-            labels = [c.strip() for c in row[:-1]]
-            try:
-                count = float(row[-1])
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: count {row[-1]!r} is not a number") from None
-            if not math.isfinite(count):
-                raise InputError(f"{path}:{lineno}: count {row[-1]!r} is not finite")
-            if count < 0:
-                raise InputError(f"{path}:{lineno}: negative count {count}")
-            coords = []
-            for k, label in enumerate(labels):
-                if label not in index[k]:
-                    if fixed_order[k] is not None:
-                        raise InputError(
-                            f"{path}:{lineno}: label {label!r} not in configured "
-                            f"categories of {names[k]!r}")
-                    index[k][label] = len(index[k])
-                coords.append(index[k][label])
-            entries.append((tuple(coords), count))
-
-    categories = []
-    for k in range(len(names)):
-        ordered = sorted(index[k].items(), key=lambda kv: kv[1])
-        categories.append([label for label, _ in ordered])
+    names, categories, coords, counts = _read_columns(path, config)
+    entries = list(zip(map(tuple, coords.tolist()), counts.tolist()))
     return names, categories, entries
 
 
 def load_table(path, config: RunConfig | None = None) -> tuple[CategoryScheme, SparseTable]:
-    """Read a counts file into a scheme and table, applying the config's
-    category orders and treatments."""
-    names, categories, entries = read_counts(path, config)
+    """Read a counts file (the format of :func:`read_counts`) into a scheme
+    and table, applying the config's category orders and treatments.
+    Duplicate records are summed and zero counts dropped."""
+    names, categories, coords, counts = _read_columns(path, config)
     cfg = config.by_name() if config is not None else {}
     variables = []
     for k, name in enumerate(names):
@@ -159,7 +117,184 @@ def load_table(path, config: RunConfig | None = None) -> tuple[CategoryScheme, S
             raise InputError(f"{path}: variable {name!r} has no categories (empty data)")
         variables.append(VariableDef(name=name, categories=tuple(cats), treatment=treatment))
     scheme = CategoryScheme(tuple(variables))
-    return scheme, build_table(scheme, entries)
+    return scheme, SparseTable(scheme.shape, coords, counts)
+
+
+def _read_columns(path, config: RunConfig | None):
+    """Parse a counts CSV into ``(names, categories, coords, counts)``: the
+    variable names, the ordered labels of each variable, an ``(n, K)`` intp
+    array of category codes and the ``n`` float64 counts, one row per data
+    record.
+
+    Records are read ``_READ_BLOCK_ROWS`` at a time and checked a block at a
+    time, so memory stays bounded by the arrays plus one block.
+    """
+    path = Path(path)
+    try:
+        fh = open(path, encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        try:
+            reader = csv.reader(fh)
+            columns = _Columns(path, *_read_header(path, reader, config))
+            record = 2
+            while rows := list(islice(reader, _READ_BLOCK_ROWS)):
+                columns.add(rows, record)
+                record += len(rows)
+        except UnicodeDecodeError:
+            raise InputError(
+                f"{path}: not valid UTF-8 text ({_first_undecodable(path)})") from None
+    return columns.finish()
+
+
+def _read_header(path, reader, config):
+    """The variable names and, per variable, the configured label -> code
+    map or ``None`` when its order is first appearance."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file (no header)") from None
+    header = [h.strip() for h in header]
+    if len(header) < 2 or header[-1] != "count":
+        raise InputError(f"{path}: header must be variable names followed by 'count'")
+    names = header[:-1]
+    if len(set(names)) != len(names):
+        raise InputError(f"{path}: duplicate variable names in header")
+
+    fixed_order: list[dict[str, int] | None] = [None] * len(names)
+    if config is not None:
+        cfg = config.by_name()
+        unknown = set(n.name for n in config.variables) - set(names)
+        if unknown:
+            raise InputError(f"{path}: config names unknown variables {sorted(unknown)}")
+        for k, name in enumerate(names):
+            vc = cfg.get(name)
+            if vc is not None and vc.categories is not None:
+                fixed_order[k] = {c: i for i, c in enumerate(vc.categories)}
+    return names, fixed_order
+
+
+class _Columns:
+    """Category codes and counts of the records read so far.
+
+    Each column is coded through a map from raw field to code that lives
+    across blocks, so ``str.strip`` and the label lookup run once per
+    distinct raw field of the file, in first-appearance order.
+    """
+
+    def __init__(self, path, names, fixed_order):
+        self.path = path
+        self.names = names
+        self.fixed = [f is not None for f in fixed_order]
+        # stripped label -> code; insertion order is code order
+        self.index = [dict(f) if f else {} for f in fixed_order]
+        self.raw_codes: list[dict[str, int]] = [{} for _ in names]
+        self.code_blocks: list[list[np.ndarray]] = [[] for _ in names]
+        self.count_blocks: list[np.ndarray] = []
+
+    def add(self, rows, first):
+        """Check and code one block of csv records; ``first`` is the record
+        number of ``rows[0]``.  Raises the error of the first offending
+        record, checked in the order arity, count parse, finite, sign,
+        labels left to right."""
+        width = len(self.names) + 1
+        records = range(first, first + len(rows))
+        stop = len(rows)
+        if set(map(len, rows)) != {width}:
+            kept = [i for i, row in enumerate(rows) if row and (len(row) > 1 or row[0].strip())]
+            rows = [rows[i] for i in kept]
+            records = [first + i for i in kept]
+            stop = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+            if stop < len(rows):
+                stop_error = f"expected {width} fields, got {len(rows[stop])}"
+        fields = list(zip(*rows[:stop])) or [()] * width
+        try:
+            counts = np.fromiter(map(float, fields[-1]), np.float64, stop)
+        except ValueError:
+            stop = next(i for i, text in enumerate(fields[-1]) if not _is_float(text))
+            stop_error = f"count {fields[-1][stop]!r} is not a number"
+            fields = [f[:stop] for f in fields]
+            counts = np.fromiter(map(float, fields[-1]), np.float64, stop)
+
+        bad, error = stop, None
+        nonfinite = _first(~np.isfinite(counts))
+        if nonfinite < bad:
+            bad, error = nonfinite, f"count {fields[-1][nonfinite]!r} is not finite"
+        negative = _first(counts < 0)
+        if negative < bad:
+            bad, error = negative, f"negative count {float(counts[negative])}"
+        codes = []
+        for k, col in enumerate(fields[:-1]):
+            code = self.raw_codes[k].__getitem__
+            try:
+                codes.append(np.fromiter(map(code, col), np.intp, stop))
+            except KeyError:
+                # the block holds raw fields not seen before: code them, retry
+                unknown = self._code_labels(k, col)
+                if not unknown:
+                    codes.append(np.fromiter(map(code, col), np.intp, stop))
+                    continue
+                row = next(i for i, text in enumerate(col) if text in unknown)
+                if row < bad:
+                    bad, error = row, (f"label {col[row].strip()!r} not in configured "
+                                       f"categories of {self.names[k]!r}")
+        if error is not None:
+            raise self._error(records[bad], error)
+        if stop < len(rows):
+            raise self._error(records[stop], stop_error)
+        for blocks, column in zip(self.code_blocks, codes):
+            blocks.append(column)
+        self.count_blocks.append(counts)
+
+    def _code_labels(self, k, col) -> set[str]:
+        """Give a code to every new raw field of column ``k``; return those
+        whose label is not among the variable's configured categories."""
+        raw_codes, index = self.raw_codes[k], self.index[k]
+        unknown = set()
+        for text in dict.fromkeys(col):
+            if text in raw_codes:
+                continue
+            label = text.strip()
+            code = index.get(label)
+            if code is None:
+                if self.fixed[k]:
+                    unknown.add(text)
+                    continue
+                code = index[label] = len(index)
+            raw_codes[text] = code
+        return unknown
+
+    def _error(self, record, message) -> InputError:
+        return InputError(f"{self.path}:{record}: {message}")
+
+    def finish(self):
+        categories = [list(index) for index in self.index]
+        if not self.count_blocks:
+            return self.names, categories, np.zeros((0, len(self.names)), np.intp), np.zeros(0)
+        coords = np.stack([np.concatenate(blocks) for blocks in self.code_blocks], axis=1)
+        return self.names, categories, coords, np.concatenate(self.count_blocks)
+
+
+def _is_float(text) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_undecodable(path) -> str:
+    """Where ``path`` first fails to decode as UTF-8, as ``line N, byte 0xXX``.
+    UTF-8 never uses the newline byte inside a character, so each line
+    decodes on its own."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"line {lineno}, byte 0x{raw[exc.start]:02x}"
+    return "undecodable bytes"
 
 
 def write_counts(path, scheme: CategoryScheme, table: SparseTable) -> None:

@@ -119,10 +119,11 @@ class SparseTable:
             order = np.argsort(flat, kind="stable")
             flat = flat[order]
             vals = counts[order]
-            uniq, starts = np.unique(flat, return_index=True)
+            # flat indices are nonnegative, so -1 marks the first as a run start
+            starts = np.flatnonzero(np.diff(flat, prepend=-1))
             merged = np.add.reduceat(vals, starts)
             keep = merged > 0
-            coords = np.stack(np.unravel_index(uniq[keep], shape), axis=1).astype(np.intp)
+            coords = np.stack(np.unravel_index(flat[starts[keep]], shape), axis=1).astype(np.intp)
             counts = merged[keep]
         else:
             coords = np.zeros((0, K), dtype=np.intp)

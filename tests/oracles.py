@@ -1,14 +1,18 @@
 """Independent reference implementations used to check the library.
 
-Everything here works on dense numpy arrays with plain Python loops and
-shares no code with the package, so a bug in the fast paths cannot hide
-behind an identical bug here.
+Everything here works on dense numpy arrays or plain Python loops and
+shares no code with the package apart from its exception type, so a bug in
+the fast paths cannot hide behind an identical bug here.
 """
 
+import csv
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
+
+from pcctab.errors import InputError
 
 
 def dense_g2_independence(arr):
@@ -208,3 +212,70 @@ def reference_ipf(obs, n, generators, tol=1e-8, max_iter=1000, with_residual=Fal
     if with_residual:
         return fitted, iterations, converged, worst
     return fitted, iterations, converged
+
+
+def reference_read_counts(path, config=None):
+    """Row-at-a-time counts CSV reader: ``(names, categories, entries)`` with
+    the same errors, record numbers and precedence as ``read_counts``."""
+    path = Path(path)
+    try:
+        fh = open(path, encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file (no header)") from None
+        header = [h.strip() for h in header]
+        if len(header) < 2 or header[-1] != "count":
+            raise InputError(f"{path}: header must be variable names followed by 'count'")
+        names = header[:-1]
+        if len(set(names)) != len(names):
+            raise InputError(f"{path}: duplicate variable names in header")
+
+        fixed_order = [None] * len(names)
+        if config is not None:
+            cfg = config.by_name()
+            unknown = set(n.name for n in config.variables) - set(names)
+            if unknown:
+                raise InputError(f"{path}: config names unknown variables {sorted(unknown)}")
+            for k, name in enumerate(names):
+                vc = cfg.get(name)
+                if vc is not None and vc.categories is not None:
+                    fixed_order[k] = {c: i for i, c in enumerate(vc.categories)}
+
+        index = [dict(f) if f else {} for f in fixed_order]
+        entries = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(names) + 1:
+                raise InputError(
+                    f"{path}:{lineno}: expected {len(names) + 1} fields, got {len(row)}")
+            labels = [c.strip() for c in row[:-1]]
+            try:
+                count = float(row[-1])
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: count {row[-1]!r} is not a number") from None
+            if not math.isfinite(count):
+                raise InputError(f"{path}:{lineno}: count {row[-1]!r} is not finite")
+            if count < 0:
+                raise InputError(f"{path}:{lineno}: negative count {count}")
+            coords = []
+            for k, label in enumerate(labels):
+                if label not in index[k]:
+                    if fixed_order[k] is not None:
+                        raise InputError(
+                            f"{path}:{lineno}: label {label!r} not in configured "
+                            f"categories of {names[k]!r}")
+                    index[k][label] = len(index[k])
+                coords.append(index[k][label])
+            entries.append((tuple(coords), count))
+
+    categories = []
+    for k in range(len(names)):
+        ordered = sorted(index[k].items(), key=lambda kv: kv[1])
+        categories.append([label for label, _ in ordered])
+    return names, categories, entries

@@ -47,6 +47,30 @@ def dense_tables(draw, min_dims=2, max_dims=3, max_side=4, max_count=30):
 
 
 @st.composite
+def cell_lists(draw):
+    """Coordinates with many duplicates and zero counts on shapes that
+    include size-1 axes; counts are multiples of 1/4, so every sum is exact."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    n = draw(st.integers(0, 30))
+    coords = [[draw(st.integers(0, s - 1)) for s in shape] for _ in range(n)]
+    counts = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    return shape, np.array(coords, dtype=np.intp).reshape(n, len(shape)), np.array(counts) / 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_lists())
+def test_sparse_table_sums_duplicates_like_dense_oracle(cells):
+    shape, coords, counts = cells
+    dense = np.zeros(shape)
+    np.add.at(dense, tuple(coords.T), counts)
+    t = SparseTable(shape, coords, counts)
+    want = np.argwhere(dense > 0)
+    assert t.coords.dtype == np.intp
+    assert np.array_equal(t.coords, want)
+    assert np.array_equal(t.counts, dense[tuple(want.T)])
+
+
+@st.composite
 def tables_with_partitions(draw):
     arr = draw(dense_tables())
     keys = tuple(
