@@ -18,8 +18,6 @@ from .hllm import (
 from .infoloss import (
     LossMatrix,
     PairLoss,
-    g2_independence,
-    guarded_plogp,
     loss_matrix,
     pair_loss,
     partition_deviance,
@@ -50,7 +48,6 @@ from .table import (
     compose_partitions,
     expand_model,
     marginal,
-    pair_slice,
 )
 
 __version__ = "0.1.0"
@@ -59,9 +56,9 @@ __all__ = [
     "PcctabError", "InputError", "FeasibilityError", "DegeneracyError",
     "NOMINAL", "ORDINAL", "FIXED",
     "VariableDef", "CategoryScheme", "SparseTable", "Partition",
-    "build_table", "marginal", "apply_partition", "pair_slice", "expand_model",
+    "build_table", "marginal", "apply_partition", "expand_model",
     "compose_partitions",
-    "guarded_plogp", "g2_independence", "pair_loss", "loss_matrix",
+    "pair_loss", "loss_matrix",
     "partition_deviance", "PairLoss", "LossMatrix",
     "MergeCandidate", "PccStep", "PccTrace", "select_merge", "run_pcc",
     "adjusted_rsq", "penalized_scores", "info_concentration",

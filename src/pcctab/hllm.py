@@ -18,8 +18,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DegeneracyError, InputError
+from .infoloss import _deviance, _expanded_deviance
 from .pcc import adjusted_rsq
-from .table import Partition, SparseTable, apply_partition, expand_model
+from .table import Partition, SparseTable, apply_partition
 
 __all__ = [
     "ModelSpec",
@@ -166,6 +167,10 @@ class FitResult:
     """A fitted model: expected counts, deviance against the saturated
     model, and the model/residual df split over the fit's reference shape.
 
+    ``fitted`` holds the expected counts on the table the model was fitted
+    to: for :func:`fit_hllpm` the collapsed table, which
+    :func:`~pcctab.expand_model` spreads back to the original shape.
+
     ``max_residual`` is the largest absolute gap between a fitted and an
     observed generator marginal (in count units) met in the last IPF
     cycle; None when the result was not built by the IPF engine.
@@ -180,16 +185,6 @@ class FitResult:
     iterations: int
     converged: bool
     max_residual: float | None = None
-
-
-def _deviance(observed: SparseTable, fitted: np.ndarray) -> float:
-    if observed.nnz == 0:
-        return 0.0
-    e = fitted[tuple(observed.coords.T)]
-    if np.any(e <= 0):
-        raise DegeneracyError("fitted value is zero on an observed cell")
-    dev = 2.0 * float(np.dot(observed.counts, np.log(observed.counts / e)))
-    return max(dev, 0.0)
 
 
 # A batch of fits shares one (C, *shape) float64 stack of at most this
@@ -314,7 +309,7 @@ def ipf_fit(table: SparseTable, spec: ModelSpec, tol: float = IPF_TOL,
     """
     fitted, iterations, converged, residual = _ipf(
         table.todense(), table.total, spec, tol, max_iter, {})
-    dev = _deviance(table, fitted)
+    dev = _deviance(table, fitted[tuple(table.coords.T)])
     dfmod = model_df(spec, table.shape)
     dfres = int(np.prod(table.shape, dtype=np.int64)) - 1 - dfmod
     return FitResult(spec=spec, shape=table.shape, fitted=SparseTable.from_dense(fitted),
@@ -384,11 +379,12 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
     """
     spec = ModelSpec.saturated(table.ndim) if start is None else start
     obs = table.todense()
+    observed = tuple(table.coords.T)
     targets: dict = {}
     cells = int(np.prod(table.shape, dtype=np.int64))
 
     def score(specs: list[ModelSpec]) -> list[tuple[float, bool]]:
-        return [(_deviance(table, fitted), converged) for fitted, _, converged, _
+        return [(_deviance(table, fitted[observed]), converged) for fitted, _, converged, _
                 in _ipf_batch(obs, table.total, specs, tol, max_iter, targets)]
 
     def row(s: ModelSpec, dev: float, converged: bool, dev_term: float, df_term: int,
@@ -436,22 +432,19 @@ def fit_hllpm(original: SparseTable, partition: Partition, spec: ModelSpec,
     The model is fitted on ``apply_partition(original, partition)``, its
     probabilities expanded back to the original shape in proportion to the
     original one-way marginals, and the deviance taken against the original
-    table.  The parameter count is the model's on the collapsed shape;
-    expansion adds none.
+    table at its observed cells, as :func:`~pcctab.partition_deviance` does.
+    The parameter count is the model's on the collapsed shape; expansion
+    adds none.  ``fitted`` is the fit on the collapsed table; ``shape``,
+    ``dev`` and ``dfres`` refer to the original one.
     """
     collapsed = apply_partition(original, partition)
     fitted, iterations, converged, residual = _ipf(
         collapsed.todense(), collapsed.total, spec, tol, max_iter, {})
-    n = original.total
-    expansion = expand_model(SparseTable.from_dense(fitted / n), partition,
-                             original.one_way_marginals())
-    fitted_dense = expansion.todense() * n
-    dev = _deviance(original, fitted_dense)
+    dev = _expanded_deviance(original, partition, fitted / original.total)
     dfmod = model_df(spec, collapsed.shape)
     dfres = int(np.prod(original.shape, dtype=np.int64)) - 1 - dfmod
-    return FitResult(spec=spec, shape=original.shape,
-                     fitted=SparseTable.from_dense(fitted_dense), dev=dev,
-                     dfmod=dfmod, dfres=dfres, iterations=iterations,
+    return FitResult(spec=spec, shape=original.shape, fitted=SparseTable.from_dense(fitted),
+                     dev=dev, dfmod=dfmod, dfres=dfres, iterations=iterations,
                      converged=converged, max_residual=residual)
 
 

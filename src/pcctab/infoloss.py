@@ -14,61 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DegeneracyError, InputError
 from .table import FIXED, NOMINAL, ORDINAL, Partition, SparseTable, apply_partition, group_weights
 
 __all__ = [
     "PairLoss",
     "LossMatrix",
-    "guarded_plogp",
-    "g2_independence",
     "pair_loss",
     "loss_matrix",
     "partition_deviance",
 ]
-
-
-def guarded_plogp(p: float) -> float:
-    """``p * ln(p)`` with the 0 * ln(0) = 0 guard."""
-    if p < 0:
-        raise InputError(f"p must be nonnegative, got {p}")
-    if p == 0:
-        return 0.0
-    return p * math.log(p)
-
-
-def _sum_nlogn(values: np.ndarray) -> float:
-    # values are strictly positive by table construction
-    if values.size == 0:
-        return 0.0
-    return float(np.dot(values, np.log(values)))
-
-
-def g2_independence(table: SparseTable) -> tuple[float, int]:
-    """Independence deviance of a two-way R x C table.
-
-    Returns ``(g2, df)`` with ``df = (R-1)(C-1)`` taken from the full shape,
-    with no adjustment for empty rows or columns.  An all-zero table is
-    degenerate and returns ``(0.0, df)``.
-    """
-    if table.ndim != 2:
-        raise InputError(f"need a 2-way table, got {table.ndim} dims (flatten first)")
-    R, C = table.shape
-    df = (R - 1) * (C - 1)
-    if table.total <= 0:
-        return 0.0, df
-    n = table.total
-    rows = np.bincount(table.coords[:, 0], weights=table.counts, minlength=R)
-    cols = np.bincount(table.coords[:, 1], weights=table.counts, minlength=C)
-    # 2 * sum n_ij ln(n_ij n / (R_i C_j)), expanded into entropy terms so
-    # zero rows/columns drop out of the sums naturally
-    g2 = 2.0 * (
-        _sum_nlogn(table.counts)
-        + n * math.log(n)
-        - _sum_nlogn(rows[rows > 0])
-        - _sum_nlogn(cols[cols > 0])
-    )
-    return max(g2, 0.0), df
 
 
 @dataclass(frozen=True)
@@ -175,12 +130,12 @@ def _axis_pair_g2(table: SparseTable, dim: int, adjacent: bool = False) -> tuple
     """Aggregation loss of every category pair on one axis, in one batch.
 
     Returns ``(g2, df)``: ``g2[u, v]`` is the independence deviance of the
-    2 x (everything else) subtable of categories ``u`` and ``v``, the same
-    statistic as ``g2_independence(pair_slice(table, dim, u, v))``, and
-    ``df`` the number of other cells minus one (0 when there are none).
-    The array is symmetric (bitwise) with a zero diagonal.  With
-    ``adjacent`` only the ``v = u + 1`` entries are computed; the others are
-    then not meaningful.
+    2 x (everything else) subtable of categories ``u`` and ``v`` (checked
+    against ``g2_independence(pair_slice(table, dim, u, v))`` in
+    ``tests/oracles.py``), and ``df`` the number of other cells minus one
+    (0 when there are none).  The array is symmetric (bitwise) with a zero
+    diagonal.  With ``adjacent`` only the ``v = u + 1`` entries are
+    computed; the others are then not meaningful.
 
     With ``x(t) = t ln t`` and ``h(a, b) = x(a) + x(b) - x(a + b)``, a pair
     with row totals ``r_u, r_v`` loses
@@ -305,28 +260,35 @@ def partition_deviance(table: SparseTable, partition: Partition) -> float:
     """Deviance of the expanded partition model against the table.
 
     The model is the collapsed table's probabilities expanded back to the
-    original shape in proportion to the original one-way marginals; this is
-    evaluated directly on the nonzero cells without materialising the
-    expansion.
+    original shape in proportion to the original one-way marginals, as
+    :func:`~pcctab.expand_model` builds it densely; here it is evaluated at
+    the observed cells only.
     """
-    if partition.source_shape != table.shape:
-        raise InputError(
-            f"partition is for shape {partition.source_shape}, table is {table.shape}"
-        )
+    collapsed = apply_partition(table, partition)
     if table.total <= 0:
         return 0.0
-    n = table.total
-    collapsed = apply_partition(table, partition)
-    dense_col = collapsed.todense()
-    weights = group_weights(partition, table.one_way_marginals())
-    # model probability of each nonzero original cell
-    group_coords = tuple(
-        np.asarray(partition.keys[k], dtype=np.intp)[table.coords[:, k]]
-        for k in range(table.ndim)
-    )
-    pi = dense_col[group_coords] / n
-    for k, w in enumerate(weights):
-        pi = pi * w[table.coords[:, k]]
-    # observed cells always sit in groups with positive mass, so pi > 0 here
-    dev = 2.0 * float(np.dot(table.counts, np.log(table.counts / (n * pi))))
+    return _expanded_deviance(table, partition, collapsed.todense() / table.total)
+
+
+def _expanded_deviance(table: SparseTable, partition: Partition, probs: np.ndarray) -> float:
+    """Deviance against ``table`` of the dense collapsed probabilities
+    ``probs`` expanded to its shape: at each observed cell, the group's
+    probability times each category's weight within its group, times n."""
+    coords = table.coords
+    e = probs[tuple(np.asarray(key, dtype=np.intp)[coords[:, k]]
+                    for k, key in enumerate(partition.keys))]
+    for k, w in enumerate(group_weights(partition, table.one_way_marginals())):
+        e = e * w[coords[:, k]]
+    return _deviance(table, e * table.total)
+
+
+def _deviance(observed: SparseTable, expected: np.ndarray) -> float:
+    """``2 sum n ln(n / e)`` over the observed cells, ``expected`` holding
+    one ``e`` per stored cell; clamped at zero, 0.0 for an empty table.  An
+    ``e <= 0`` raises :class:`DegeneracyError`."""
+    if observed.nnz == 0:
+        return 0.0
+    if np.any(expected <= 0):
+        raise DegeneracyError("fitted value is zero on an observed cell")
+    dev = 2.0 * float(np.dot(observed.counts, np.log(observed.counts / expected)))
     return max(dev, 0.0)

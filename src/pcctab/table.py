@@ -82,8 +82,9 @@ class SparseTable:
     ``coords`` is an ``(nnz, K)`` integer array in lexicographic order and
     ``counts`` the matching positive values.  Duplicate coordinates passed to
     the constructor are summed; zero cells are dropped; negative, NaN and
-    infinite counts raise :class:`InputError`.  ``total`` is the sum
-    of all stored counts (``n``).
+    infinite counts and cells whose duplicates sum past the float range
+    raise :class:`InputError`.  ``total`` is the sum of all stored counts
+    (``n``).
     """
 
     __slots__ = ("shape", "coords", "counts", "total")
@@ -121,7 +122,10 @@ class SparseTable:
             vals = counts[order]
             # flat indices are nonnegative, so -1 marks the first as a run start
             starts = np.flatnonzero(np.diff(flat, prepend=-1))
-            merged = np.add.reduceat(vals, starts)
+            with np.errstate(over="ignore"):  # checked just below
+                merged = np.add.reduceat(vals, starts)
+            if not np.all(np.isfinite(merged)):
+                raise InputError("the counts of one cell sum to a non-finite value")
             keep = merged > 0
             coords = np.stack(np.unravel_index(flat[starts[keep]], shape), axis=1).astype(np.intp)
             counts = merged[keep]
@@ -294,32 +298,6 @@ def apply_partition(table: SparseTable, partition: Partition) -> SparseTable:
     cols = [np.asarray(partition.keys[k], dtype=np.intp)[table.coords[:, k]]
             for k in range(table.ndim)]
     return SparseTable(partition.group_counts, np.stack(cols, axis=1), table.counts)
-
-
-def pair_slice(table: SparseTable, dim: int, u: int, v: int) -> SparseTable:
-    """The 2 x (product of the other dims) subtable holding only categories
-    ``u`` and ``v`` on ``dim``; ``dim`` becomes the first axis, the remaining
-    axes are flattened in their original order."""
-    if dim < 0 or dim >= table.ndim:
-        raise InputError(f"dim {dim} out of range")
-    r = table.shape[dim]
-    if u == v:
-        raise InputError("u and v must differ")
-    if not (0 <= u < r and 0 <= v < r):
-        raise InputError(f"categories ({u}, {v}) out of range for size {r}")
-    other = [k for k in range(table.ndim) if k != dim]
-    width = int(np.prod([table.shape[k] for k in other], dtype=np.int64)) if other else 1
-    cats = table.coords[:, dim]
-    mask = (cats == u) | (cats == v)
-    rows = (cats[mask] == v).astype(np.intp)
-    if other:
-        cols = np.ravel_multi_index(
-            tuple(table.coords[mask][:, k] for k in other),
-            tuple(table.shape[k] for k in other),
-        ).astype(np.intp)
-    else:
-        cols = np.zeros(rows.shape[0], dtype=np.intp)
-    return SparseTable((2, width), np.stack([rows, cols], axis=1), table.counts[mask])
 
 
 def group_weights(partition: Partition, original_marginals: Sequence[np.ndarray]) -> list[np.ndarray]:

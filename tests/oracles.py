@@ -2,7 +2,11 @@
 
 Everything here works on dense numpy arrays or plain Python loops and
 shares no code with the package apart from its exception type, so a bug in
-the fast paths cannot hide behind an identical bug here.
+the fast paths cannot hide behind an identical bug here.  The exceptions
+are ``pair_slice`` and ``g2_independence``: the slice-by-slice pair-loss
+path the package first shipped, kept as a second reference for its batched
+kernel.  They take and return the package's ``SparseTable`` but call none
+of its statistics.
 """
 
 import csv
@@ -13,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from pcctab.errors import InputError
+from pcctab.table import SparseTable
 
 
 def dense_g2_independence(arr):
@@ -40,6 +45,65 @@ def dense_pair_g2(arr, dim, u, v):
     return dense_g2_independence(sub)
 
 
+def pair_slice(table, dim, u, v):
+    """The 2 x (product of the other dims) subtable holding only categories
+    ``u`` and ``v`` on ``dim``; ``dim`` becomes the first axis, the remaining
+    axes are flattened in their original order."""
+    if dim < 0 or dim >= table.ndim:
+        raise InputError(f"dim {dim} out of range")
+    r = table.shape[dim]
+    if u == v:
+        raise InputError("u and v must differ")
+    if not (0 <= u < r and 0 <= v < r):
+        raise InputError(f"categories ({u}, {v}) out of range for size {r}")
+    other = [k for k in range(table.ndim) if k != dim]
+    width = int(np.prod([table.shape[k] for k in other], dtype=np.int64)) if other else 1
+    cats = table.coords[:, dim]
+    mask = (cats == u) | (cats == v)
+    rows = (cats[mask] == v).astype(np.intp)
+    if other:
+        cols = np.ravel_multi_index(
+            tuple(table.coords[mask][:, k] for k in other),
+            tuple(table.shape[k] for k in other),
+        ).astype(np.intp)
+    else:
+        cols = np.zeros(rows.shape[0], dtype=np.intp)
+    return SparseTable((2, width), np.stack([rows, cols], axis=1), table.counts[mask])
+
+
+def _sum_nlogn(values):
+    # values are strictly positive by table construction
+    if values.size == 0:
+        return 0.0
+    return float(np.dot(values, np.log(values)))
+
+
+def g2_independence(table):
+    """Independence deviance of a two-way R x C ``SparseTable``, summed as
+    entropy terms so zero rows and columns drop out.
+
+    Returns ``(g2, df)`` with ``df = (R-1)(C-1)`` taken from the full shape,
+    with no adjustment for empty rows or columns.  An all-zero table is
+    degenerate and returns ``(0.0, df)``.
+    """
+    if table.ndim != 2:
+        raise InputError(f"need a 2-way table, got {table.ndim} dims (flatten first)")
+    R, C = table.shape
+    df = (R - 1) * (C - 1)
+    if table.total <= 0:
+        return 0.0, df
+    n = table.total
+    rows = np.bincount(table.coords[:, 0], weights=table.counts, minlength=R)
+    cols = np.bincount(table.coords[:, 1], weights=table.counts, minlength=C)
+    g2 = 2.0 * (
+        _sum_nlogn(table.counts)
+        + n * math.log(n)
+        - _sum_nlogn(rows[rows > 0])
+        - _sum_nlogn(cols[cols > 0])
+    )
+    return max(g2, 0.0), df
+
+
 def dense_collapse(arr, keys):
     arr = np.asarray(arr, dtype=float)
     out = np.zeros(tuple(max(k) + 1 for k in keys))
@@ -48,24 +112,27 @@ def dense_collapse(arr, keys):
     return out
 
 
-def dense_expand_probs(arr, keys):
+def dense_expand_probs(arr, keys, collapsed_probs=None):
     """Probabilities of the collapsed model spread back over the original
-    cells in proportion to the one-way marginals."""
+    cells in proportion to the one-way marginals.  The collapsed model is
+    the collapsed table's proportions, or ``collapsed_probs`` (dense, on the
+    collapsed shape) when given."""
     arr = np.asarray(arr, dtype=float)
     n = arr.sum()
     K = arr.ndim
-    collapsed = dense_collapse(arr, keys)
+    if collapsed_probs is None:
+        collapsed_probs = dense_collapse(arr, keys) / n
     marg = [arr.sum(axis=tuple(k for k in range(K) if k != d)) for d in range(K)]
     mass = []
     for d in range(K):
-        m = np.zeros(collapsed.shape[d])
+        m = np.zeros(collapsed_probs.shape[d])
         for c, g in enumerate(keys[d]):
             m[g] += marg[d][c]
         mass.append(m)
     probs = np.zeros(arr.shape)
     for idx in np.ndindex(arr.shape):
         j = tuple(keys[k][idx[k]] for k in range(K))
-        p = collapsed[j] / n
+        p = collapsed_probs[j]
         for k in range(K):
             denom = mass[k][j[k]]
             p = p * (marg[k][idx[k]] / denom) if denom > 0 else 0.0

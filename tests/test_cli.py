@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,16 @@ class TestErrorPaths:
         data.write_text("x,y,count\na,c,3\na,d,inf\nb,c,2\nb,d,5\n")
         assert run([command, "--data", data, "--out", out]) == 1
         assert ":3: count 'inf' is not finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_duplicate_records_overflowing_exit_1_without_warnings(self, out, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        data.write_text("x,y,count\na,c,1e308\na,c,1e308\nb,c,1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["pcc", "--data", data, "--out", out]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("command", ["pcc", "lossmatrix", "hllm", "curve", "ratios", "oracle"])

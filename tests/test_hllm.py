@@ -15,6 +15,7 @@ from pcctab import (
     independence_expected,
     ipf_fit,
     model_df,
+    partition_deviance,
     pearson_ratios,
     run_pcc,
 )
@@ -342,6 +343,25 @@ class TestFitHllpm:
         fit = fit_hllpm(t, part, ModelSpec.saturated(2))
         assert fit.dev == pytest.approx(dense_mutual_independence_g2(arr), rel=1e-9)
 
+    def test_fitted_is_on_the_collapsed_shape(self, christensen_table, line4_table):
+        part = Partition(((0, 1), (0, 0), (0, 1, 2), (0, 0, 1, 1, 2, 2)))
+        spec = ModelSpec(((0, 2), (2, 3), (1,)))
+        fit = fit_hllpm(christensen_table, part, spec)
+        assert fit.shape == christensen_table.shape
+        assert fit.fitted.shape == line4_table.shape
+        assert np.array_equal(fit.fitted.todense(), ipf_fit(line4_table, spec).fitted.todense())
+
+    def test_original_shape_beyond_memory(self, rng):
+        # 10^15 cells: only an evaluator that never expands densely can run
+        shape = (100_000,) * 3
+        coords = rng.integers(0, 100_000, size=(40, 3))
+        t = SparseTable(shape, coords, rng.integers(1, 30, size=40).astype(float))
+        part = Partition(tuple(tuple(c % 4 for c in range(s)) for s in shape))
+        fit = fit_hllpm(t, part, ModelSpec.saturated(3))
+        assert fit.fitted.shape == (4, 4, 4)
+        assert fit.dfres == 10 ** 15 - 1 - 63
+        assert fit.dev == pytest.approx(partition_deviance(t, part), rel=1e-12)
+
 
 # observed-over-independence ratios for the 5x5 table, first row, and the
 # expanded two-group model from the fourth collapse step
@@ -392,3 +412,9 @@ class TestPearsonRatios:
     def test_shape_mismatch_rejected(self, wermuth_table, from_dense):
         with pytest.raises(InputError):
             pearson_ratios(wermuth_table, from_dense(np.ones((2, 2))))
+
+    def test_partition_model_fit_is_not_on_the_original_shape(self, wermuth_table):
+        part = Partition(((0, 0, 1, 1, 1), (0, 1, 2, 3, 3)))
+        fit = fit_hllpm(wermuth_table, part, ModelSpec.saturated(2))
+        with pytest.raises(InputError, match="does not match observed"):
+            pearson_ratios(wermuth_table, fit)

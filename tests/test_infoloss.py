@@ -1,26 +1,24 @@
-import math
-
 import numpy as np
 import pytest
 
 from pcctab import (
+    DegeneracyError,
     InputError,
     Partition,
     SparseTable,
-    g2_independence,
-    guarded_plogp,
     loss_matrix,
     pair_loss,
-    pair_slice,
     partition_deviance,
 )
-from pcctab.infoloss import _axis_pair_g2
+from pcctab.infoloss import _axis_pair_g2, _deviance
 from pcctab.report import render_loss_matrix
 
 from oracles import (
     dense_g2_independence,
     dense_pair_g2,
     dense_partition_deviance,
+    g2_independence,
+    pair_slice,
     random_table,
 )
 
@@ -43,21 +41,6 @@ ABORTION_AGE_LOSSES = {
     (2, 3): 4.58, (2, 4): 9.87, (2, 5): 19.60,
     (3, 4): 3.43, (3, 5): 9.59, (4, 5): 2.19,
 }
-
-
-class TestGuardedPlogp:
-    def test_zero(self):
-        assert guarded_plogp(0.0) == 0.0
-
-    def test_one(self):
-        assert guarded_plogp(1.0) == 0.0
-
-    def test_e(self):
-        assert guarded_plogp(math.e) == pytest.approx(math.e, rel=1e-15)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InputError):
-            guarded_plogp(-0.1)
 
 
 class TestG2Independence:
@@ -257,3 +240,25 @@ class TestPartitionDeviance:
             got = partition_deviance(t, part)
             want = dense_partition_deviance(arr, [list(k) for k in keys])
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_empty_table_loses_nothing(self):
+        assert partition_deviance(SparseTable((2, 3)), Partition(((0, 0), (0, 1, 1)))) == 0.0
+
+    def test_partition_for_another_shape_rejected(self, wermuth_table):
+        with pytest.raises(InputError):
+            partition_deviance(wermuth_table, Partition(((0, 1), (0, 1, 2, 3, 4))))
+
+
+class TestDeviance:
+    def test_zero_expectation_on_observed_cell_is_degenerate(self, from_dense):
+        t = from_dense([[2.0, 0.0], [1.0, 3.0]])
+        with pytest.raises(DegeneracyError):
+            _deviance(t, np.array([2.0, 0.0, 3.0]))
+
+    def test_empty_table_is_zero(self):
+        assert _deviance(SparseTable((2, 2)), np.zeros(0)) == 0.0
+
+    def test_clamped_at_zero(self, from_dense):
+        # a rounding-level negative sum reports as 0
+        t = from_dense([[1.0, 1.0]])
+        assert _deviance(t, np.array([1.0, 1.0 + 2e-16])) == 0.0

@@ -102,6 +102,12 @@ class TestReadCounts:
         with pytest.raises(InputError):
             read_counts(tmp_path / "nope.csv")
 
+    def test_duplicate_records_summing_past_float_range(self, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("a,b,count\nx,y,1e308\nx,y,1e308\nz,y,1\n")
+        with pytest.raises(InputError, match="non-finite"):
+            load_table(p)
+
     def test_first_appearance_order(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("a,b,count\nzed,one,1\nalpha,two,2\nzed,two,3\n")

@@ -20,7 +20,7 @@ from pcctab import (
     backward_select,
     compose_partitions,
     expand_model,
-    guarded_plogp,
+    fit_hllpm,
     ipf_fit,
     model_df,
     pair_loss,
@@ -32,7 +32,14 @@ from pcctab.hllm import IPF_TOL, _ipf, _ipf_batch
 from pcctab.infoloss import _axis_pair_g2, _band_pair_g2
 from pcctab.pcc import _contiguous_partitions, _set_partitions, normalize_treatments
 
-from oracles import brute_force_best_pair, dense_pair_g2, reference_ipf
+from oracles import (
+    brute_force_best_pair,
+    dense_collapse,
+    dense_deviance,
+    dense_expand_probs,
+    dense_pair_g2,
+    reference_ipf,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -268,14 +275,6 @@ def test_saturated_model_df_is_cells_minus_one(shape):
     assert model_df(ModelSpec.saturated(len(shape)), shape) == int(np.prod(shape)) - 1
 
 
-@given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
-def test_guarded_plogp_matches_unguarded_on_positives(p):
-    if p == 0:
-        assert guarded_plogp(p) == 0.0
-    else:
-        assert math.isclose(guarded_plogp(p), p * math.log(p), rel_tol=1e-12, abs_tol=1e-300)
-
-
 @st.composite
 def ipf_problems(draw, min_dims=1, max_dims=4, max_side=3):
     """A dense table with sampling zeros, size-1 axes and possibly whole
@@ -317,6 +316,37 @@ def test_ipf_engine_matches_reference_bitwise(problem, max_iter):
     fit = ipf_fit(t, spec, max_iter=max_iter)
     assert np.array_equal(fit.fitted.todense(), want)
     assert (fit.iterations, fit.converged, fit.max_residual) == (iterations, converged, residual)
+
+
+@st.composite
+def partition_model_problems(draw):
+    """An :func:`ipf_problems` table, scaled so its counts need not be
+    integers, with a random partition and a saturated, main-effects or
+    random model."""
+    arr, spec = draw(ipf_problems())
+    arr = arr * draw(st.sampled_from([1.0, 0.37, 2.5e6]))
+    keys = tuple(tuple(draw(st.lists(st.integers(0, s - 1), min_size=s, max_size=s)))
+                 for s in arr.shape)
+    spec = draw(st.sampled_from([spec, ModelSpec.saturated(arr.ndim),
+                                 ModelSpec.main_effects(arr.ndim)]))
+    return arr, Partition(keys), spec
+
+
+@SETTINGS
+@given(partition_model_problems())
+def test_fit_hllpm_matches_dense_expansion_oracle(problem):
+    arr, part, spec = problem
+    fit = fit_hllpm(SparseTable.from_dense(arr), part, spec)
+    collapsed = dense_collapse(arr, part.keys)
+    fitted, iterations, converged = reference_ipf(collapsed, collapsed.sum(), spec.generators)
+    probs = dense_expand_probs(arr, part.keys, fitted / arr.sum())
+    # the oracle is not clamped at zero; rounding scales with the total
+    want = max(dense_deviance(arr, probs), 0.0)
+    assert fit.dev == pytest.approx(want, rel=1e-9, abs=1e-12 * arr.sum())
+    assert (fit.iterations, fit.converged) == (iterations, converged)
+    assert fit.shape == arr.shape and fit.fitted.shape == collapsed.shape
+    assert fit.dfmod == model_df(spec, collapsed.shape)
+    assert fit.dfres == arr.size - 1 - fit.dfmod
 
 
 def reference_backward_walk(t, start, max_iter):

@@ -12,10 +12,9 @@ from pcctab import (
     compose_partitions,
     expand_model,
     marginal,
-    pair_slice,
 )
 
-from oracles import dense_collapse, dense_expand_probs, random_table
+from oracles import dense_collapse, dense_expand_probs, pair_slice, random_table
 
 
 def two_var_scheme(r0=5, r1=5):
@@ -113,6 +112,11 @@ class TestBuildTable:
     def test_non_finite_count_rejected(self, bad):
         with pytest.raises(InputError, match="non-finite"):
             SparseTable((2, 2), [[0, 0], [0, 1], [1, 0], [1, 1]], [3, bad, 2, 5])
+
+    def test_duplicates_summing_past_float_range_rejected(self):
+        # each record is finite; their sum is not
+        with pytest.raises(InputError, match="non-finite"):
+            SparseTable((2, 1), [[0, 0], [0, 0], [1, 0]], [1e308, 1e308, 1.0])
 
     def test_cells_in_lexicographic_order(self, rng):
         arr = random_table(rng, (4, 3, 2))
