@@ -1,0 +1,443 @@
+"""The running state of a collapse: what :func:`~pcctab.pcc.run_pcc` carries
+from step to step so that a merge touches only the cells it changes.
+
+``run_pcc`` imports this module on first use, so a process that never
+collapses does not load it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .infoloss import _axis_sums, _candidate_pairs, _pair_g2, _xlogx
+from .pcc import MergeCandidate, _eligible, _scan
+from .table import ORDINAL, SparseTable
+
+
+class _Collapse:
+    """The table of a running collapse, with each eligible axis's row totals
+    and symmetric shared-column sums carried from step to step (see
+    :func:`~pcctab.pcc.run_pcc`).
+
+    Cells live at fixed positions in buffers that grow by appending.  Each
+    holds its coordinates in original category ids, its count, whether it
+    is alive and, per axis that can merge, its column key: the flat index of
+    its other coordinates over the original shape, computed once.  On every
+    axis a current category is named by the smallest original id it holds
+    (``rep`` maps current ids to names, ``cur`` back), so names increase
+    with the current ids and sorting cells by column key sorts them by
+    current column.  A merge of ``v`` into ``u`` renumbers no cell: ``u``'s
+    cells stay put with their merged counts, ``v``'s die, and those of
+    ``v``'s columns that ``u`` lacked come back as new cells under ``u``'s
+    name.
+
+    Per axis that can merge, one index of int32 cell positions, sorted by
+    category name and then column key (the compound keys kept alongside),
+    gives the cells of a category or of a range of categories as one run
+    and finds the cells of given categories in given columns by binary
+    search.  It takes in the appended cells when it is next read and skips
+    dead cells; the dead leave the buffers and the indexes together once the
+    buffers are full, after at least a quarter table's worth of appends.
+    """
+
+    def __init__(self, table: SparseTable, treatments: tuple[str, ...]):
+        shape = self.shape = table.shape
+        self.n = table.total
+        self.treatments = treatments
+        self.adjacent = tuple(t == ORDINAL for t in treatments)
+        self.eligible = _eligible(shape, treatments)
+        self.pairs: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
+        # the axes that can ever merge, each with a slot in the key and index arrays
+        self.axes = [dim for dim, _ in self.eligible]
+        self.slot = {dim: a for a, dim in enumerate(self.axes)}
+        K, A, nnz = len(shape), len(self.axes), table.nnz
+        # column key of slot a = coords @ strides[:, a], below offset[a]
+        self.strides = np.zeros((K, A), dtype=np.int64)
+        self.offset = []
+        for a, dim in enumerate(self.axes):
+            step = 1
+            for k in reversed(range(K)):
+                if k != dim:
+                    self.strides[k, a] = step
+                    step *= shape[k]
+            self.offset.append(step)
+        self.rep = [np.arange(s) for s in shape]
+        self.cur = [np.arange(s) for s in shape]
+
+        cap = nnz + max(nnz // 4, 16)
+        # every key, with its category name in front too, stays below the
+        # number of cells of the original shape
+        self.key_type = np.int32 if math.prod(shape) <= np.iinfo(np.int32).max else np.int64
+        # category ids are int16 unless an axis has more categories than that holds
+        code = np.int16 if max(shape) <= np.iinfo(np.int16).max else np.int32
+        self.coords = np.empty((K, cap), dtype=code)
+        self.coords[:, :nnz] = table.coords.T
+        self.keys = np.empty((A, cap), dtype=self.key_type)
+        for a in range(A):
+            self.keys[a, :nnz] = table.coords @ self.strides[:, a]
+        self.vals = np.empty(cap)
+        self.vals[:nnz] = table.counts
+        self.alive = np.zeros(cap, dtype=bool)
+        self.alive[:nnz] = True
+        self.size = nnz
+        # per slot: the index, cell positions sorted by category name and then
+        # column key, with those compound keys, and how many stored cells it has
+        # taken in
+        self.index_key = [np.empty(0, dtype=self.key_type) for _ in self.axes]
+        self.index_pos = [_NO_CELLS for _ in self.axes]
+        self.indexed = [0] * A
+
+        self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for a, dim in enumerate(self.axes):
+            rows, shared = _axis_sums(table.coords[:, dim], self.keys[a, :nnz], table.counts,
+                                      shape[dim], self.adjacent[dim])
+            self.sums[dim] = (rows, shared + shared.T)
+
+    def select(self) -> MergeCandidate | None:
+        """What :func:`~pcctab.pcc.select_merge` returns on the current table.
+
+        Candidates whose carried quotient lies within the window of the
+        carried minimum are rescored exactly on their axis's category band;
+        all of them are when any carried quotient is not finite.
+        """
+        if not self.eligible:
+            return None
+        pairs = [self._candidate_pairs(dim) for dim, _ in self.eligible]
+        sums = [self.sums[dim] for dim, _ in self.eligible]
+        sizes = [us.size for us, _ in pairs]
+        carried = _carried_g2(
+            np.concatenate([rows[us] for (rows, _), (us, _) in zip(sums, pairs)]),
+            np.concatenate([rows[vs] for (rows, _), (_, vs) in zip(sums, pairs)]),
+            np.concatenate([shared[us, vs] for (_, shared), (us, vs) in zip(sums, pairs)]))
+        carried /= np.repeat([df for _, df in self.eligible], sizes)
+        if np.all(np.isfinite(carried)):
+            q_min = float(carried.min())
+            df_min = min(df for _, df in self.eligible)
+            window = q_min + 1e-7 * max(1.0, abs(q_min)) + 1e-9 * self.n / df_min
+        else:
+            window = math.inf
+        shortlist = ~(carried > window)  # nan stays in
+        best: MergeCandidate | None = None
+        start = 0
+        for (dim, df), (us, vs), size in zip(self.eligible, pairs, sizes):
+            keep = shortlist[start:start + size]
+            start += size
+            if not keep.any():
+                continue
+            us, vs = us[keep], vs[keep]
+            lo, hi = int(us.min()), int(vs.max())
+            cats, keys, vals = self._band_cells(dim, us, vs, lo, hi)
+            rows, shared = _axis_sums(cats - lo, keys, vals, hi - lo + 1, self.adjacent[dim])
+            g2 = _pair_g2(rows, shared + shared.T)
+            best = _scan(best, dim, us, vs, g2[us - lo, vs - lo], df)
+        return best
+
+    def _band_cells(self, dim: int, us: np.ndarray, vs: np.ndarray, lo: int, hi: int
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Categories, column keys and counts of the cells of band ``lo..hi``
+        on ``dim`` that the losses of the pairs ``(us, vs)`` depend on: every
+        cell of their categories, and every band cell of a column holding
+        two of them.  A pair's row totals add its own cells in column order,
+        and its shared sum only its columns holding both, each term in the
+        offset pass set by the band cells between the two; so the pair's
+        entry of the band's loss matrix is the full axis's bit for bit (see
+        :func:`~pcctab.pcc.run_pcc`)."""
+        a = self.slot[dim]
+        band = self._cells_of(a, lo, hi)
+        cats, keys = self.cur[dim][self.coords[dim, band]], self.keys[a, band]
+        ends = np.zeros(self.shape[dim], dtype=bool)
+        ends[us] = ends[vs] = True
+        keep = ends[cats]
+        if 2 * np.count_nonzero(keep) > keep.size:
+            # the pairs' own cells are most of the band: leaving out the rest
+            # would cost more than it saves
+            return cats, keys, self.vals[band]
+        end_keys = np.sort(keys[keep])
+        shared = _distinct(end_keys[1:][end_keys[1:] == end_keys[:-1]])
+        if shared.size:
+            keep |= _member(keys, shared)
+        return cats[keep], keys[keep], self.vals[band[keep]]
+
+    def merge(self, dim: int, u: int, v: int) -> None:
+        """Merge category ``v`` into ``u < v`` on ``dim`` and update the
+        carried sums of every axis that stays eligible."""
+        new_shape = tuple(s - (k == dim) for k, s in enumerate(self.shape))
+        a = self.slot[dim]
+        # the two runs of the index, each sorted by column key; a column holding
+        # both gets the count a + b, as apply_partition forms it
+        u_cells, v_cells = self._cells_of(a, u, u), self._cells_of(a, v, v)
+        u_keys, v_keys = self.keys[a, u_cells], self.keys[a, v_cells]
+        u_vals, v_vals = self.vals[u_cells], self.vals[v_cells]
+        at = np.minimum(np.searchsorted(u_keys, v_keys), max(u_keys.size - 1, 0))
+        both = u_keys[at] == v_keys if u_keys.size else np.zeros(v_keys.size, dtype=bool)
+        merged_vals = u_vals.copy()
+        merged_vals[at[both]] += v_vals[both]
+        # v's cells die; those of columns u lacks come back under u's name, which
+        # changes their key on every other axis
+        moved = v_cells[~both]
+        rep_u, rep_v = int(self.rep[dim][u]), int(self.rep[dim][v])
+        shift = (rep_u - rep_v) * self.strides[dim]
+        self.alive[v_cells] = False
+
+        others = np.arange(self.shape[dim]) != v
+        self.rep[dim] = self.rep[dim][others]
+        self.cur[dim][self.rep[dim]] = np.arange(new_shape[dim])
+        self.eligible = _eligible(new_shape, self.treatments)
+        new = np.concatenate([u_cells, moved])
+        new_vals = np.concatenate([merged_vals, v_vals[~both]])
+        deltas = self._deltas([k for k, _ in self.eligible if k != dim],
+                              np.concatenate([u_cells, v_cells]), np.concatenate([u_vals, v_vals]),
+                              new, new_vals, moved.size, shift)
+        sums = {}
+        for k, _ in self.eligible:
+            rows, shared = self.sums[k]
+            if k == dim:
+                if self.adjacent[dim]:
+                    row = self._neighbour_row(dim, u, np.concatenate([u_keys, v_keys[~both]]),
+                                              new_vals)
+                else:
+                    row = self._merged_row(dim, u, v, shared, v_keys[both], u_vals[at[both]],
+                                           v_vals[both])
+                merged_rows = rows[others]
+                merged_rows[u] += rows[v]
+                rows = merged_rows
+                shared = shared[np.ix_(others, others)]
+                shared[u, :] = row
+                shared[:, u] = row
+            else:
+                shared = shared + (deltas[k] + deltas[k].T)
+            sums[k] = (rows, shared)
+        self.sums = sums
+        self.shape = new_shape
+
+        self.vals[u_cells] = merged_vals
+        coords = self.coords[:, moved]
+        coords[dim] = rep_u
+        self._append(coords, self.keys[:, moved] + shift[:, None], v_vals[~both])
+
+    def _deltas(self, axes: list[int], old: np.ndarray, old_vals: np.ndarray, new: np.ndarray,
+                new_vals: np.ndarray, moved: int, shift: np.ndarray) -> dict[int, np.ndarray]:
+        """Change of the shared-column sums of the other eligible ``axes``
+        when the cells ``old`` give way to the cells ``new`` with counts
+        ``new_vals``, the last ``moved`` of which move to another category
+        of the merged axis, shifting their keys by ``shift``: signed kernel
+        passes take the old columns out and the new ones in.
+
+        The new keys are shifted past the old ones so the two never pair.
+        Axes of one treatment share a pass, each with its own range of
+        categories and column ids, so no two cells pair across axes and each
+        axis's block of the result adds the terms its own pass would, in the
+        same order; a pass takes at most ``_PASS_CELLS`` cells unless one
+        axis alone has more, and keeps its sort keys ``column * categories +
+        category`` below 2**62."""
+        cells = old.size + new.size
+        vals = np.concatenate([old_vals, new_vals])
+        sign = np.concatenate([np.full(old.size, -1.0), np.ones(new.size)])
+        both = np.concatenate([old, new])
+        groups: list[list[int]] = []
+        for adjacent in (False, True):
+            r = col = 0
+            for k in axes:
+                if self.adjacent[k] != adjacent:
+                    continue
+                r_k, col_k = self.shape[k], 2 * self.offset[self.slot[k]]
+                if r == 0 or (cells * (len(groups[-1]) + 1) > _PASS_CELLS
+                              or (col + col_k) * (r + r_k) >= 2**62):
+                    groups.append([])
+                    r = col = 0
+                groups[-1].append(k)
+                r, col = r + r_k, col + col_k
+        out = {}
+        for group in groups:
+            cats, cols = [], []
+            r = col = 0
+            for k in group:
+                b = self.slot[k]
+                cats.append(self.cur[k][self.coords[k, both]] + r)
+                keys = self.keys[b, both].astype(np.int64)
+                keys[old.size:] += self.offset[b] + col
+                keys[cells - moved:] += shift[b]
+                keys[:old.size] += col
+                cols.append(keys)
+                r += self.shape[k]
+                col += 2 * self.offset[b]
+            _, delta = _axis_sums(np.concatenate(cats), np.concatenate(cols),
+                                  np.tile(vals, len(group)), r, self.adjacent[group[0]],
+                                  np.tile(sign, len(group)))
+            lo = 0
+            for k in group:
+                hi = lo + self.shape[k]
+                out[k] = delta[lo:hi, lo:hi]
+                lo = hi
+        return out
+
+    def _merged_row(self, dim: int, u: int, v: int, shared: np.ndarray, keys: np.ndarray,
+                    x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Shared-column sums of the category merged from ``u < v`` against
+        every other category of the nominal axis ``dim``, in the new ids.
+        ``shared`` holds the sums before the merge; the columns with the
+        ascending ``keys`` held both, with counts ``x`` and ``y``.
+
+        The merged row is u's and v's rows added, which is right wherever a
+        column holds only one of them; in a column holding both, each other
+        cell's two terms give way to one against ``x + y``."""
+        row = (shared[u] + shared[v])[np.arange(self.shape[dim]) != v]
+        row[u] = 0.0
+        if keys.size == 0:
+            return row
+        names = np.delete(self.rep[dim], u)
+        cells, w, which = self._cells_at(self.slot[dim], names, keys)
+        x, y, z = x[which], y[which], self.vals[cells]
+        # h(x + y, z) - h(x, z) - h(y, z), with h(a, b) = a ln a + b ln b - (a + b) ln(a + b)
+        t = np.array([x + y, x + z, y + z, x, y, z, x + y + z])
+        gain = _GAIN_SIGNS @ (t * np.log(t))
+        w += w >= u
+        return row + np.bincount(w, weights=gain, minlength=row.size)
+
+    def _neighbour_row(self, dim: int, u: int, keys: np.ndarray, vals: np.ndarray
+                       ) -> np.ndarray:
+        """Shared-column sums of the category merged into ``u`` on the
+        ordinal axis ``dim``, in the new ids, whose cells have the column
+        ``keys`` and counts ``vals``.  The axis carries adjacent pairs only,
+        so the merged category's two neighbour pairs are scored afresh."""
+        a = self.slot[dim]
+        r = self.shape[dim] - 1
+        row = np.zeros(r)
+        near = [self._cells_of(a, c, c) if 0 <= c < r else _NO_CELLS for c in (u - 1, u + 1)]
+        _, sums = _axis_sums(
+            np.repeat(np.arange(3), [near[0].size, keys.size, near[1].size]),
+            np.concatenate([self.keys[a, near[0]], keys, self.keys[a, near[1]]]),
+            np.concatenate([self.vals[near[0]], vals, self.vals[near[1]]]), 3, True)
+        if u > 0:
+            row[u - 1] = sums[0, 1]
+        if u < r - 1:
+            row[u + 1] = sums[1, 2]
+        return row
+
+    def _candidate_pairs(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        at = (self.shape[dim], self.adjacent[dim])
+        pairs = self.pairs.get(at)
+        if pairs is None:
+            pairs = self.pairs[at] = _candidate_pairs(*at)
+        return pairs
+
+    def _cells_of(self, a: int, lo: int, hi: int) -> np.ndarray:
+        """Live cells of current categories ``lo..hi`` on slot ``a``'s axis:
+        one run of the index, since the names between two current names
+        hold dead cells only."""
+        self._index(a)
+        rep, off = self.rep[self.axes[a]], self.offset[a]
+        start, stop = np.searchsorted(self.index_key[a], [rep[lo] * off, (rep[hi] + 1) * off])
+        cells = self.index_pos[a][start:stop]
+        return cells[self.alive[cells]]
+
+    def _cells_at(self, a: int, names: np.ndarray, keys: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells of slot ``a``'s axis that lie in one of the categories
+        with the current ``names`` and in one of the current columns
+        ``keys``: their positions, and for each the index of its name and of
+        its column.  Only live cells match: a dead cell holds the name of a
+        category merged away on some axis, in its own name or in its key."""
+        self._index(a)
+        index = self.index_key[a]
+        want = (names[:, None] * self.offset[a] + keys[None, :]).ravel()
+        at = np.minimum(np.searchsorted(index, want), index.size - 1)
+        hit = np.flatnonzero(index[at] == want)
+        return self.index_pos[a][at[hit]], hit // keys.size, hit % keys.size
+
+    def _append(self, coords: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
+        m = vals.size
+        if self.size + m > self.vals.size:
+            self._compact()
+        lo, hi = self.size, self.size + m
+        self.coords[:, lo:hi] = coords
+        self.keys[:, lo:hi] = keys
+        self.vals[lo:hi] = vals
+        self.alive[lo:hi] = True
+        self.size = hi
+
+    def _index(self, a: int) -> None:
+        """Bring slot ``a``'s index up to the stored cells."""
+        lo, hi = self.indexed[a], self.size
+        if lo == hi:
+            return
+        names = self.coords[self.axes[a], lo:hi].astype(np.int64)
+        keys = names * self.offset[a] + self.keys[a, lo:hi]
+        order = np.argsort(keys)
+        keys = keys[order]
+        self.index_key[a], self.index_pos[a] = _insert_sorted(
+            (self.index_key[a], self.index_pos[a]),
+            np.searchsorted(self.index_key[a], keys, "right"), (keys, order.astype(np.int32) + lo))
+        self.indexed[a] = hi
+
+    def _compact(self) -> None:
+        """Drop the dead cells from the buffers and the indexes, keeping the
+        order of the live ones."""
+        n = self.size
+        alive = self.alive[:n].copy()
+        # kept[i]: live cells before position i, so the new position of a live cell
+        kept = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(alive, out=kept[1:])
+        live = np.flatnonzero(alive)
+        self.coords[:, :live.size] = np.take(self.coords, live, axis=1)
+        self.keys[:, :live.size] = np.take(self.keys, live, axis=1)
+        self.vals[:live.size] = self.vals[live]
+        self.alive[:live.size] = True
+        self.alive[live.size:n] = False
+        for a in range(len(self.axes)):
+            cells = self.index_pos[a]
+            keep = alive[cells]
+            self.index_pos[a] = kept[cells[keep]]
+            self.index_key[a] = self.index_key[a][keep]
+            self.indexed[a] = int(kept[self.indexed[a]])
+        self.size = live.size
+
+
+def _carried_g2(rows_u: np.ndarray, rows_v: np.ndarray, shared: np.ndarray) -> np.ndarray:
+    """Losses of candidate pairs from their carried row totals and shared
+    sums, by the formula and in the operation order of :func:`_pair_g2`."""
+    x = _xlogx(np.concatenate([rows_u + rows_v, rows_u, rows_v]))
+    n = rows_u.size
+    g2 = 2.0 * (x[:n] - (x[n:2 * n] + x[2 * n:]) + shared)
+    return np.maximum(g2, 0.0, out=g2)
+
+
+_NO_CELLS = np.empty(0, dtype=np.int32)
+_GAIN_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+
+# most cells one kernel pass of _Collapse._deltas takes for several axes:
+# sharing a call saves its per-offset numpy calls, which dominate on small
+# slices, while large slices gain nothing and would only add memory
+_PASS_CELLS = 1 << 13
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of the ascending ``values``."""
+    if values.size == 0:
+        return values
+    return values[np.append(True, values[1:] != values[:-1])]
+
+
+def _member(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """Whether each of ``values`` is in the nonempty ascending ``sorted_set``."""
+    at = np.minimum(np.searchsorted(sorted_set, values), sorted_set.size - 1)
+    return sorted_set[at] == values
+
+
+def _insert_sorted(arrays: tuple[np.ndarray, ...], at: np.ndarray,
+                   values: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Each of ``arrays`` with the matching ``values`` inserted before the
+    non-decreasing positions ``at``, as ``np.insert`` would, sharing one
+    mask."""
+    to = at + np.arange(at.size)
+    keep = np.ones(arrays[0].size + at.size, dtype=bool)
+    keep[to] = False
+    out = []
+    for arr, val in zip(arrays, values):
+        new = np.empty(keep.size, dtype=arr.dtype)
+        new[to] = val
+        new[keep] = arr
+        out.append(new)
+    return out

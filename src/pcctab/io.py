@@ -190,8 +190,11 @@ class _Columns:
         # stripped label -> code; insertion order is code order
         self.index = [dict(f) if f else {} for f in fixed_order]
         self.raw_codes: list[dict[str, int]] = [{} for _ in names]
-        self.code_blocks: list[list[np.ndarray]] = [[] for _ in names]
-        self.count_blocks: list[np.ndarray] = []
+        # one buffer each for the codes and the counts, doubled when full;
+        # finish() returns views of the rows filled
+        self.codes = np.empty((_READ_BLOCK_ROWS, len(names)), dtype=np.intp)
+        self.counts = np.empty(_READ_BLOCK_ROWS)
+        self.rows = 0
 
     def add(self, rows, first):
         """Check and code one block of csv records; ``first`` is the record
@@ -224,16 +227,19 @@ class _Columns:
         negative = _first(counts < 0)
         if negative < bad:
             bad, error = negative, f"negative count {float(counts[negative])}"
-        codes = []
+        lo, hi = self.rows, self.rows + stop
+        if hi > self.counts.shape[0]:
+            cap = max(hi, 2 * self.counts.shape[0])
+            self.codes, self.counts = _grown(self.codes, lo, cap), _grown(self.counts, lo, cap)
         for k, col in enumerate(fields[:-1]):
             code = self.raw_codes[k].__getitem__
             try:
-                codes.append(np.fromiter(map(code, col), np.intp, stop))
+                self.codes[lo:hi, k] = np.fromiter(map(code, col), np.intp, stop)
             except KeyError:
                 # the block holds raw fields not seen before: code them, retry
                 unknown = self._code_labels(k, col)
                 if not unknown:
-                    codes.append(np.fromiter(map(code, col), np.intp, stop))
+                    self.codes[lo:hi, k] = np.fromiter(map(code, col), np.intp, stop)
                     continue
                 row = next(i for i, text in enumerate(col) if text in unknown)
                 if row < bad:
@@ -243,9 +249,8 @@ class _Columns:
             raise self._error(records[bad], error)
         if stop < len(rows):
             raise self._error(records[stop], stop_error)
-        for blocks, column in zip(self.code_blocks, codes):
-            blocks.append(column)
-        self.count_blocks.append(counts)
+        self.counts[lo:hi] = counts
+        self.rows = hi
 
     def _code_labels(self, k, col) -> set[str]:
         """Give a code to every new raw field of column ``k``; return those
@@ -270,10 +275,14 @@ class _Columns:
 
     def finish(self):
         categories = [list(index) for index in self.index]
-        if not self.count_blocks:
-            return self.names, categories, np.zeros((0, len(self.names)), np.intp), np.zeros(0)
-        coords = np.stack([np.concatenate(blocks) for blocks in self.code_blocks], axis=1)
-        return self.names, categories, coords, np.concatenate(self.count_blocks)
+        return self.names, categories, self.codes[:self.rows], self.counts[:self.rows]
+
+
+def _grown(buf: np.ndarray, rows: int, cap: int) -> np.ndarray:
+    """A ``cap``-row copy of ``buf`` holding its first ``rows`` rows."""
+    out = np.empty((cap,) + buf.shape[1:], dtype=buf.dtype)
+    out[:rows] = buf[:rows]
+    return out
 
 
 def _is_float(text) -> bool:

@@ -22,15 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import FeasibilityError, InputError
-from .infoloss import (
-    _axis_candidates,
-    _axis_sums,
-    _band_pair_g2,
-    _candidate_pairs,
-    _other_cols,
-    _pair_g2,
-    partition_deviance,
-)
+from .infoloss import _axis_candidates, partition_deviance
 from .table import FIXED, NOMINAL, ORDINAL, TREATMENTS, Partition, SparseTable
 
 __all__ = [
@@ -95,7 +87,7 @@ def _eligible(shape: Sequence[int], treatments: Sequence[str]) -> list[tuple[int
     categories, and at least two cells in the rest of the table."""
     out = []
     for dim, r in enumerate(shape):
-        other = int(np.prod([s for k, s in enumerate(shape) if k != dim], dtype=np.int64))
+        other = math.prod(s for k, s in enumerate(shape) if k != dim)
         if treatments[dim] != FIXED and r >= 2 and other >= 2:
             out.append((dim, other - 1))
     return out
@@ -115,123 +107,6 @@ def select_merge(table: SparseTable, treatments: Sequence[str] | None = None) ->
         us, vs, g2, df = _axis_candidates(table, dim, treatments[dim] == ORDINAL)
         best = _scan(best, dim, us, vs, g2, df)
     return best
-
-
-class _Collapse:
-    """The table of a running collapse as plain cell arrays, with each
-    eligible axis's row totals and symmetric shared-column sums carried from
-    step to step (see :func:`run_pcc`)."""
-
-    def __init__(self, table: SparseTable, treatments: tuple[str, ...]):
-        self.shape = table.shape
-        self.coords = table.coords
-        self.vals = table.counts
-        self.n = table.total
-        self.treatments = treatments
-        self.adjacent = tuple(t == ORDINAL for t in treatments)
-        self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for dim, _ in _eligible(self.shape, treatments):
-            rows, shared = _axis_sums(self.coords[:, dim], _other_cols(self.coords, self.shape, dim),
-                                      self.vals, self.shape[dim], self.adjacent[dim])
-            self.sums[dim] = (rows, shared + shared.T)
-
-    def select(self) -> MergeCandidate | None:
-        """What :func:`select_merge` returns on the current table.
-
-        Candidates whose carried quotient lies within the window of the
-        carried minimum are rescored exactly on their axis's category band;
-        all of them are when any carried quotient is not finite.
-        """
-        axes = []
-        for dim, df in _eligible(self.shape, self.treatments):
-            us, vs = _candidate_pairs(self.shape[dim], self.adjacent[dim])
-            axes.append((dim, df, us, vs, _pair_g2(*self.sums[dim])[us, vs] / df))
-        if not axes:
-            return None
-        carried = np.concatenate([q for *_, q in axes])
-        if np.all(np.isfinite(carried)):
-            q_min = float(carried.min())
-            df_min = min(df for _, df, *_ in axes)
-            window = q_min + 1e-7 * max(1.0, abs(q_min)) + 1e-9 * self.n / df_min
-        else:
-            window = math.inf
-        best: MergeCandidate | None = None
-        for dim, df, us, vs, q in axes:
-            keep = ~(q > window)  # nan stays in
-            us, vs = us[keep], vs[keep]
-            if us.size == 0:
-                continue
-            lo, hi = int(us.min()), int(vs.max())
-            g2 = _band_pair_g2(self.coords, self.vals, self.shape, dim, lo, hi, self.adjacent[dim])
-            best = _scan(best, dim, us, vs, g2[us - lo, vs - lo], df)
-        return best
-
-    def merge(self, dim: int, u: int, v: int) -> None:
-        """Merge category ``v`` into ``u < v`` on ``dim`` and update the
-        carried sums of every axis that stays eligible."""
-        shape = self.shape
-        new_shape = tuple(s - (k == dim) for k, s in enumerate(shape))
-        cats = self.coords[:, dim]
-        in_slice = (cats == u) | (cats == v)
-        old, old_vals = self.coords[in_slice], self.vals[in_slice]
-        rest, rest_vals = self.coords[~in_slice], self.vals[~in_slice]
-        rest[:, dim] -= rest[:, dim] > v
-        # the merged slice: cells sharing a column add up, a + b as in apply_partition
-        moved = old.copy()
-        moved[:, dim] = u
-        key = _other_cols(moved, shape, dim)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        merged, merged_vals = moved[order][starts], np.add.reduceat(old_vals[order], starts)
-
-        eligible = {k for k, _ in _eligible(new_shape, self.treatments)}
-        sums = {}
-        for k, (rows, shared) in self.sums.items():
-            if k not in eligible:
-                continue
-            if k == dim:
-                merged_rows = np.delete(rows, v)
-                merged_rows[u] += rows[v]
-                rows = merged_rows
-                shared = np.delete(np.delete(shared, v, axis=0), v, axis=1)
-                row = _merged_row(dim, key[starts], merged_vals, rest, rest_vals, shape)
-                shared[u, :] = row
-                shared[:, u] = row
-            else:
-                # one signed pass: the slice's old columns out, its merged columns in;
-                # merged column ids are shifted past the old ones so the two never pair
-                offset = int(np.prod([s for j, s in enumerate(shape) if j != k], dtype=np.int64))
-                _, delta = _axis_sums(
-                    np.concatenate([old[:, k], merged[:, k]]),
-                    np.concatenate([_other_cols(old, shape, k),
-                                    _other_cols(merged, new_shape, k) + offset]),
-                    np.concatenate([old_vals, merged_vals]),
-                    shape[k], self.adjacent[k],
-                    np.concatenate([np.full(old.shape[0], -1.0), np.ones(merged.shape[0])]))
-                shared = shared + (delta + delta.T)
-            sums[k] = (rows, shared)
-        self.sums = sums
-        self.shape = new_shape
-        self.coords = np.concatenate([rest, merged])
-        self.vals = np.concatenate([rest_vals, merged_vals])
-
-
-def _merged_row(dim: int, merged_cols: np.ndarray, merged_vals: np.ndarray,
-                rest: np.ndarray, rest_vals: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Shared-column sums of a merged category against every other category
-    of ``dim``.  ``shape`` is the table's shape before the merge, ``rest``
-    the cells outside the merged slice with their new category ids, and
-    ``merged_cols`` the merged cells' column ids in ascending order."""
-    r = shape[dim] - 1
-    if merged_cols.size == 0:
-        return np.zeros(r)
-    cols = _other_cols(rest, shape, dim)
-    pos = np.minimum(np.searchsorted(merged_cols, cols), merged_cols.size - 1)
-    hit = merged_cols[pos] == cols
-    a, b = merged_vals[pos[hit]], rest_vals[hit]
-    h = a * np.log(a) + b * np.log(b) - (a + b) * np.log(a + b)
-    return np.bincount(rest[hit, dim], weights=h, minlength=r)
 
 
 @dataclass(frozen=True)
@@ -320,26 +195,34 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
 
     - Each eligible axis carries its row totals and shared-column sums
       ``S[u, v] = sum_j h(a_uj, a_vj)`` from step to step.  A merge of
-      ``(u, v)`` on axis ``d`` changes ``S`` of another axis only in columns
-      with ``d`` in ``{u, v}``: one signed kernel pass subtracts those old
-      columns and adds the merged ones.  On ``d`` itself row and column
-      ``v`` are dropped and the merged category's row is recomputed.  The
-      table is kept as cell arrays and only the merged slice is
-      re-aggregated, each merged count ``a + b`` as ``apply_partition``
-      forms it.
-    - Carried sums drift by rounding (at most about 1e-15 n over a 60-step
-      collapse of 15,000 cells), so they only shortlist.  Every candidate
-      whose carried quotient lies within
+      ``(u, v)`` on axis ``d`` changes ``S`` of another axis only in the
+      columns of u's and v's cells: one signed kernel pass, shared by the
+      axes of one treatment, subtracts those old columns and adds the
+      merged ones.  On ``d`` itself row and column ``v`` are dropped; on a
+      nominal axis the merged category's row is u's and v's rows added and
+      corrected in the columns that held both, on an ordinal axis its two
+      neighbour pairs are scored afresh.
+    - The table is kept as cells in original category ids with per-axis
+      indexes (see :class:`~pcctab.collapse._Collapse`), so a merge reads
+      and writes only u's and v's cells and the cells sharing their
+      columns, and renumbers nothing.  Each merged count is ``a + b`` as
+      ``apply_partition`` forms it.
+    - Carried sums drift by rounding (measured at most 1.5e-15 n over the
+      60-merge collapse of a 15,000-cell table and 3.6e-15 n over the
+      142-merge collapse of a 60,000-cell census-shape table), so they only
+      shortlist.  Every candidate whose carried quotient lies within
       ``W = 1e-7 max(1, |q_min|) + 1e-9 n / df`` of the carried minimum
       ``q_min`` (``n`` the table total, ``df`` the smallest of the eligible
       axes, so W bounds the drift of every quotient) is rescored by the
       kernel on its axis's category band, from the lowest to the highest
       shortlisted category.  A column keeps all its cells between ``u`` and
       ``v`` in the band, so the band entry equals the full-axis entry bit
-      for bit.  The sequential 1e-12 tie scan then runs over the rescored
-      candidates; W is 1e5 times wider than a tie, so a chain of ties would
-      need about 1e5 links to reach past it.  If any carried quotient is
-      not finite, every candidate is rescored.
+      for bit; the band may leave out the cells that no shortlisted pair's
+      entry reads (see ``collapse._Collapse._band_cells``).  The sequential
+      1e-12 tie scan then runs over the rescored candidates; W is 1e5 times
+      wider than a tie, so a chain of ties would need about 1e5 links to
+      reach past it.  If any carried quotient is not finite, every
+      candidate is rescored.
     """
     if table.total <= 0:
         raise InputError("cannot collapse an empty table")
@@ -347,7 +230,10 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
     if stop_quotient is not None and stop_quotient < 0:
         raise InputError("stop_quotient must be nonnegative")
 
-    cells_minus_one = int(np.prod(table.shape, dtype=np.int64)) - 1
+    # imported on first use: a process that never collapses need not load it
+    from .collapse import _Collapse
+
+    cells_minus_one = math.prod(table.shape) - 1
     state = _Collapse(table, treatments)
     cumulative = Partition.identity(table.shape)
 
@@ -382,8 +268,7 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
         nonfixed = [k for k in range(table.ndim) if treatments[k] != FIXED]
         if nonfixed:
             d0 = nonfixed[0]
-            df_term = int(np.prod([s for k, s in enumerate(state.shape) if k != d0],
-                                  dtype=np.int64)) - 1
+            df_term = math.prod(s for k, s in enumerate(state.shape) if k != d0) - 1
             raw.append(dict(r=r + 1, d=d0, key=cumulative.keys[d0], shape=state.shape,
                             dev=dev, dfres=dfres, dev_term=0.0, df_term=max(df_term, 0),
                             terminal=True))

@@ -36,7 +36,9 @@ def _dev(x: float, precision: int) -> str:
     if not math.isfinite(x):
         raise PcctabError(f"cannot report the non-finite value {x}: "
                           "the counts are too large for double precision")
-    return f"{x:.{precision}f}"
+    text = f"{x:.{precision}f}"
+    # a rounding residue such as -6.7e-16 reads as zero, without a sign
+    return text[1:] if text.startswith("-") and float(text) == 0 else text
 
 
 def _rsq(x: float, precision: int) -> str:

@@ -127,7 +127,8 @@ class SparseTable:
             if not np.all(np.isfinite(merged)):
                 raise InputError("the counts of one cell sum to a non-finite value")
             keep = merged > 0
-            coords = np.stack(np.unravel_index(flat[starts[keep]], shape), axis=1).astype(np.intp)
+            # the first record of each cell holds its coordinates
+            coords = coords[order[starts[keep]]]
             counts = merged[keep]
         else:
             coords = np.zeros((0, K), dtype=np.intp)

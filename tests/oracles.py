@@ -6,7 +6,10 @@ the fast paths cannot hide behind an identical bug here.  The exceptions
 are ``pair_slice`` and ``g2_independence``: the slice-by-slice pair-loss
 path the package first shipped, kept as a second reference for its batched
 kernel.  They take and return the package's ``SparseTable`` but call none
-of its statistics.
+of its statistics.  And ``reference_pcc_walk`` is the collapse as
+documented, one stateless ``select_merge`` and ``apply_partition`` per step:
+it checks that ``run_pcc``'s carried state picks the same merges with the
+same losses, bit for bit.
 """
 
 import csv
@@ -16,7 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
+from pcctab import (
+    Partition,
+    PccStep,
+    adjusted_rsq,
+    apply_partition,
+    compose_partitions,
+    select_merge,
+)
 from pcctab.errors import InputError
+from pcctab.pcc import normalize_treatments
 from pcctab.table import SparseTable
 
 
@@ -346,3 +358,45 @@ def reference_read_counts(path, config=None):
         ordered = sorted(index[k].items(), key=lambda kv: kv[1])
         categories.append([label for label, _ in ordered])
     return names, categories, entries
+
+
+def reference_pcc_walk(t, treatments, stop_quotient=None):
+    """The collapse as documented, one stateless ``select_merge`` and
+    ``apply_partition`` per step: ``(steps, partitions)``."""
+    treatments = normalize_treatments(t.ndim, treatments)
+    current, cumulative = t, Partition.identity(t.shape)
+    rows = [(None, None, t.shape, 0.0, 0, 0.0, 0, False)]
+    partitions = [cumulative]
+    dev, dfres = 0.0, 0
+    while True:
+        cand = select_merge(current, treatments)
+        if cand is None:
+            break
+        if stop_quotient is not None and cand.quotient > stop_quotient:
+            break
+        keys = [tuple(range(s)) for s in current.shape]
+        keys[cand.dim] = tuple(cand.u if c == cand.v else c - (c > cand.v)
+                               for c in range(current.shape[cand.dim]))
+        step = Partition(tuple(keys))
+        current = apply_partition(current, step)
+        cumulative = compose_partitions(cumulative, step)
+        dev += cand.g2
+        dfres += cand.df
+        rows.append((cand.dim, cumulative.keys[cand.dim], current.shape, dev, dfres,
+                     cand.g2, cand.df, False))
+        partitions.append(cumulative)
+    nonfixed = [k for k in range(t.ndim) if treatments[k] != "fixed"]
+    if (cand is None) and nonfixed:
+        d0 = nonfixed[0]
+        df_term = math.prod(s for k, s in enumerate(current.shape) if k != d0) - 1
+        rows.append((d0, cumulative.keys[d0], current.shape, dev, dfres, 0.0,
+                     max(df_term, 0), True))
+        partitions.append(cumulative)
+    cells_minus_one = math.prod(t.shape) - 1
+    dev_last, dfres_last = rows[-1][3], rows[-1][4]
+    steps = tuple(
+        PccStep(r=r, d=d, key=key, shape=shape, dev=dv, dfmod=cells_minus_one - dr, dfres=dr,
+                dev_term=term, df_term=dft, adj_rsq=adjusted_rsq(dv, dr, dev_last, dfres_last),
+                terminal=terminal)
+        for r, (d, key, shape, dv, dr, term, dft, terminal) in enumerate(rows))
+    return steps, tuple(partitions)

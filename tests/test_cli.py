@@ -113,6 +113,17 @@ class TestHllmCommand:
         assert cells[1] == "357.15"
         assert cells[5] == "true"
 
+    def test_conditional_independence_prints_no_signed_zero(self, out, tmp_path):
+        # a is independent of b given c, so [ac][bc] fits exactly; its
+        # dev_term is a rounding residue of -6.7e-16
+        data = tmp_path / "ci.csv"
+        data.write_text("a,b,c,count\na0,b0,c0,10\na0,b0,c1,4\na0,b1,c0,5\na0,b1,c1,4\n"
+                        "a1,b0,c0,6\na1,b0,c1,2\na1,b1,c0,3\na1,b1,c1,2\n")
+        assert run(["hllm", "--data", data, "--out", out]) == 0
+        text = (out / "hllm_backward.tsv").read_text()
+        assert text.splitlines()[3] == "2\t[ac][bc]\t0.00\t5\t2\t0.00\t1\t1.000"
+        assert "-0.0" not in text
+
     def test_bad_generators_exit_1(self, out, capsys):
         assert run(["hllm", "--data", "wermuth_cox", "--out", out,
                     "--generators", "[zq]"]) == 1

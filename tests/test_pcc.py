@@ -16,7 +16,7 @@ from pcctab import (
     run_pcc,
     select_merge,
 )
-from pcctab import infoloss
+from pcctab import collapse, infoloss
 
 from oracles import (
     brute_force_best_pair,
@@ -24,6 +24,7 @@ from oracles import (
     dense_deviance,
     dense_mutual_independence_g2,
     random_table,
+    reference_pcc_walk,
 )
 
 # published 5x5 schooling-by-age collapsing trace
@@ -311,6 +312,50 @@ class TestRunPccGeneral:
         assert last.df_term == other - 1
         assert last.dev_term == 0.0
         assert last.dfres == trace.steps[-2].dfres
+
+
+def skewed_sparse_table(seed, shape, nnz):
+    """``nnz`` distinct cells drawn with skewed category frequencies and
+    counts 1 to 8: on a large shape nearly every column is a singleton."""
+    rng = np.random.default_rng(seed)
+    probs = [rng.dirichlet(np.full(s, 0.7)) for s in shape]
+    cells = np.empty((0, len(shape)), dtype=np.intp)
+    while len(cells) < nnz:
+        draw = np.stack([rng.choice(s, size=nnz, p=p) for s, p in zip(shape, probs)], axis=1)
+        cells = np.unique(np.concatenate([cells, draw]), axis=0)
+    cells = cells[rng.permutation(len(cells))[:nnz]]
+    return SparseTable(shape, cells, rng.integers(1, 9, nnz).astype(float))
+
+
+class TestCarriedCollapse:
+    """``run_pcc`` against the stateless per-step walk, ``==`` on every
+    step and partition, in the regimes its carried state and cell indexes
+    were built for."""
+
+    @pytest.mark.parametrize("treatments", [
+        ["nominal"] * 7,
+        ["nominal", "ordinal", "fixed", "nominal", "ordinal", "nominal", "fixed"],
+        ["ordinal"] * 4 + ["nominal"] * 3,
+    ], ids=["nominal", "mixed", "ordinal-first"])
+    def test_census_shaped_sparse_table(self, treatments):
+        t = skewed_sparse_table(7, (12, 12, 12, 12, 5, 5, 5), 2500)
+        trace = run_pcc(t, treatments)
+        assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments)
+
+    def test_long_collapse_compacts_its_cells(self, monkeypatch):
+        compactions = []
+        compact = collapse._Collapse._compact
+
+        def counted(state):
+            compactions.append(state.size)
+            compact(state)
+
+        monkeypatch.setattr(collapse._Collapse, "_compact", counted)
+        t = skewed_sparse_table(11, (16, 14, 12, 10), 3000)
+        trace = run_pcc(t)
+        assert len(trace.steps) > 45
+        assert compactions
+        assert (trace.steps, trace.partitions) == reference_pcc_walk(t, None)
 
 
 class TestAdjustedRsq:

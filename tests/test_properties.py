@@ -1,6 +1,7 @@
 """Property-based checks of the structural invariants."""
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from pcctab import (
+    CategoryScheme,
     DegeneracyError,
     ModelSpec,
     Partition,
-    PccStep,
     SparseTable,
+    VariableDef,
     adjusted_rsq,
     apply_partition,
     backward_select,
@@ -24,13 +26,21 @@ from pcctab import (
     ipf_fit,
     model_df,
     pair_loss,
+    pearson_ratios,
     run_pcc,
     select_merge,
 )
-from pcctab import hllm, pcc
+from pcctab import collapse, hllm, report
+from pcctab.report import (
+    render_backward_trace,
+    render_curve,
+    render_fit,
+    render_pcc_trace,
+    render_ratios,
+)
 from pcctab.hllm import IPF_TOL, _ipf, _ipf_batch
 from pcctab.infoloss import _axis_pair_g2, _band_pair_g2
-from pcctab.pcc import _contiguous_partitions, _set_partitions, normalize_treatments
+from pcctab.pcc import _contiguous_partitions, _set_partitions
 
 from oracles import (
     brute_force_best_pair,
@@ -39,6 +49,7 @@ from oracles import (
     dense_expand_probs,
     dense_pair_g2,
     reference_ipf,
+    reference_pcc_walk,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -483,54 +494,32 @@ def collapse_problems(draw):
     return arr, treatments, stop
 
 
-def reference_pcc_walk(t, treatments, stop_quotient=None):
-    """The collapse as documented, one stateless ``select_merge`` and
-    ``apply_partition`` per step: ``(steps, partitions)``."""
-    treatments = normalize_treatments(t.ndim, treatments)
-    current, cumulative = t, Partition.identity(t.shape)
-    rows = [(None, None, t.shape, 0.0, 0, 0.0, 0, False)]
-    partitions = [cumulative]
-    dev, dfres = 0.0, 0
-    while True:
-        cand = select_merge(current, treatments)
-        if cand is None:
-            break
-        if stop_quotient is not None and cand.quotient > stop_quotient:
-            break
-        keys = [tuple(range(s)) for s in current.shape]
-        keys[cand.dim] = tuple(cand.u if c == cand.v else c - (c > cand.v)
-                               for c in range(current.shape[cand.dim]))
-        step = Partition(tuple(keys))
-        current = apply_partition(current, step)
-        cumulative = compose_partitions(cumulative, step)
-        dev += cand.g2
-        dfres += cand.df
-        rows.append((cand.dim, cumulative.keys[cand.dim], current.shape, dev, dfres,
-                     cand.g2, cand.df, False))
-        partitions.append(cumulative)
-    nonfixed = [k for k in range(t.ndim) if treatments[k] != "fixed"]
-    if (cand is None) and nonfixed:
-        d0 = nonfixed[0]
-        df_term = math.prod(s for k, s in enumerate(current.shape) if k != d0) - 1
-        rows.append((d0, cumulative.keys[d0], current.shape, dev, dfres, 0.0,
-                     max(df_term, 0), True))
-        partitions.append(cumulative)
-    cells_minus_one = math.prod(t.shape) - 1
-    dev_last, dfres_last = rows[-1][3], rows[-1][4]
-    steps = tuple(
-        PccStep(r=r, d=d, key=key, shape=shape, dev=dv, dfmod=cells_minus_one - dr, dfres=dr,
-                dev_term=term, df_term=dft, adj_rsq=adjusted_rsq(dv, dr, dev_last, dfres_last),
-                terminal=terminal)
-        for r, (d, key, shape, dv, dr, term, dft, terminal) in enumerate(rows))
-    return steps, tuple(partitions)
-
-
 @SETTINGS
 @given(collapse_problems())
 def test_run_pcc_matches_stateless_walk(problem):
     arr, treatments, stop = problem
     t = SparseTable.from_dense(arr)
     trace = run_pcc(t, treatments, stop_quotient=stop)
+    assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments, stop)
+
+
+def shuffled(t, seed):
+    """``t`` with its cells in a random order, which the constructor would
+    sort: the collapse must not depend on the order it is handed."""
+    order = np.random.default_rng(seed).permutation(t.nnz)
+    out = object.__new__(SparseTable)
+    for name, value in (("shape", t.shape), ("coords", t.coords[order]),
+                        ("counts", t.counts[order]), ("total", t.total)):
+        object.__setattr__(out, name, value)
+    return out
+
+
+@SETTINGS
+@given(collapse_problems(), st.integers(0, 2**32 - 1))
+def test_run_pcc_ignores_cell_order(problem, seed):
+    arr, treatments, stop = problem
+    t = SparseTable.from_dense(arr)
+    trace = run_pcc(shuffled(t, seed), treatments, stop_quotient=stop)
     assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments, stop)
 
 
@@ -573,13 +562,55 @@ def test_carried_drift_inside_window_changes_nothing(problem, seed):
     arr, treatments, stop = problem
     t = SparseTable.from_dense(arr)
     rng = np.random.default_rng(seed)
-    exact = pcc._pair_g2
+    exact = collapse._carried_g2
 
-    def drifted(rows, shared):
-        noise = rng.uniform(-1.0, 1.0, shared.shape) * 2e-10 * rows.sum()
-        return exact(rows, shared + (noise + noise.T) / 2)
+    def drifted(rows_u, rows_v, shared):
+        noise = rng.uniform(-1.0, 1.0, shared.shape) * 2e-10 * t.total
+        return exact(rows_u, rows_v, shared + noise)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pcc, "_pair_g2", drifted)
+        mp.setattr(collapse, "_carried_g2", drifted)
         trace = run_pcc(t, treatments, stop_quotient=stop)
     assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments, stop)
+
+
+@st.composite
+def conditional_independence_tables(draw):
+    """Integer 3-way tables in which a is independent of b given c: every
+    c-slice is an outer product, so ``[ac][bc]`` fits exactly and its
+    deviance is a rounding residue of either sign."""
+    na, nb, nc = (draw(st.integers(2, 3)) for _ in range(3))
+    slices = [np.outer(draw(arrays(np.int64, na, elements=st.integers(1, 6))),
+                       draw(arrays(np.int64, nb, elements=st.integers(1, 6))))
+              for _ in range(nc)]
+    return np.stack(slices, axis=2).astype(float)
+
+
+SIGNED_ZERO = re.compile(r"-0(\.0*)?")
+
+
+@settings(max_examples=40, deadline=None)
+@given(conditional_independence_tables())
+def test_reports_print_no_signed_zero(arr):
+    t = SparseTable.from_dense(arr)
+    names = ("a", "b", "c")
+    scheme = CategoryScheme(tuple(VariableDef(n, tuple(f"{n}{i}" for i in range(s)))
+                                  for n, s in zip(names, arr.shape)))
+    fit = ipf_fit(t, ModelSpec.from_brackets("[ac][bc]", names))
+    reports = [render_backward_trace(backward_select(t), names),
+               render_pcc_trace(run_pcc(t)),
+               render_fit(fit, names),
+               render_ratios(pearson_ratios(t, fit), scheme),
+               render_curve([("hllm", backward_select(t).curve())])]
+    for text in reports:
+        for field in re.split(r"[\t\n,]", text):
+            assert not SIGNED_ZERO.fullmatch(field), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-0.02, 0.02) | st.sampled_from([-0.0, -6.7e-16, -0.0049, -0.005, -0.0051]),
+       st.integers(0, 4))
+def test_rendered_value_has_no_signed_zero(x, precision):
+    text = report._dev(x, precision)
+    assert not SIGNED_ZERO.fullmatch(text)
+    assert float(text) == float(f"{x:.{precision}f}")
