@@ -8,10 +8,11 @@ collapses does not load it.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .infoloss import _axis_sums, _candidate_pairs, _pair_g2, _xlogx
+from .infoloss import _axis_sums, _candidate_pairs, _one_pair_g2, _xlogx
 from .pcc import MergeCandidate, _eligible, _scan
 from .table import ORDINAL, SparseTable
 
@@ -35,11 +36,13 @@ class _Collapse:
 
     Per axis that can merge, one index of int32 cell positions, sorted by
     category name and then column key (the compound keys kept alongside),
-    gives the cells of a category or of a range of categories as one run
-    and finds the cells of given categories in given columns by binary
-    search.  It takes in the appended cells when it is next read and skips
-    dead cells; the dead leave the buffers and the indexes together once the
-    buffers are full, after at least a quarter table's worth of appends.
+    gives the cells of a category as one run and finds the cells of given
+    categories in given columns by binary search; :meth:`select` reads
+    each shortlisted pair through it once and :meth:`merge` works from the
+    winner's read.  It takes in the appended cells when it is next read and
+    skips dead cells; the dead leave the buffers and the indexes together
+    once the buffers are full, after at least a quarter table's worth of
+    appends.
     """
 
     def __init__(self, table: SparseTable, treatments: tuple[str, ...]):
@@ -89,6 +92,8 @@ class _Collapse:
         self.index_pos = [_NO_CELLS for _ in self.axes]
         self.indexed = [0] * A
 
+        # the read of the pair select last returned, which merge consumes
+        self.chosen: _PairRead | None = None
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for a, dim in enumerate(self.axes):
             rows, shared = _axis_sums(table.coords[:, dim], self.keys[a, :nnz], table.counts,
@@ -99,9 +104,11 @@ class _Collapse:
         """What :func:`~pcctab.pcc.select_merge` returns on the current table.
 
         Candidates whose carried quotient lies within the window of the
-        carried minimum are rescored exactly on their axis's category band;
-        all of them are when any carried quotient is not finite.
+        carried minimum are rescored exactly, pair by pair, from their own
+        cells (:meth:`_read`); all of them are when any carried quotient is
+        not finite.  The winner's read is kept for :meth:`merge`.
         """
+        self.chosen = None
         if not self.eligible:
             return None
         pairs = [self._candidate_pairs(dim) for dim, _ in self.eligible]
@@ -120,6 +127,7 @@ class _Collapse:
             window = math.inf
         shortlist = ~(carried > window)  # nan stays in
         best: MergeCandidate | None = None
+        reads = {}
         start = 0
         for (dim, df), (us, vs), size in zip(self.eligible, pairs, sizes):
             keep = shortlist[start:start + size]
@@ -127,51 +135,46 @@ class _Collapse:
             if not keep.any():
                 continue
             us, vs = us[keep], vs[keep]
-            lo, hi = int(us.min()), int(vs.max())
-            cats, keys, vals = self._band_cells(dim, us, vs, lo, hi)
-            rows, shared = _axis_sums(cats - lo, keys, vals, hi - lo + 1, self.adjacent[dim])
-            g2 = _pair_g2(rows, shared + shared.T)
-            best = _scan(best, dim, us, vs, g2[us - lo, vs - lo], df)
+            g2 = np.empty(us.size)
+            for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
+                read = reads[dim, u, v] = self._read(dim, u, v)
+                g2[i] = read.g2
+            best = _scan(best, dim, us, vs, g2, df)
+        if best is not None:
+            self.chosen = reads[best.dim, best.u, best.v]
         return best
 
-    def _band_cells(self, dim: int, us: np.ndarray, vs: np.ndarray, lo: int, hi: int
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Categories, column keys and counts of the cells of band ``lo..hi``
-        on ``dim`` that the losses of the pairs ``(us, vs)`` depend on: every
-        cell of their categories, and every band cell of a column holding
-        two of them.  A pair's row totals add its own cells in column order,
-        and its shared sum only its columns holding both, each term in the
-        offset pass set by the band cells between the two; so the pair's
-        entry of the band's loss matrix is the full axis's bit for bit (see
-        :func:`~pcctab.pcc.run_pcc`)."""
+    def _read(self, dim: int, u: int, v: int) -> _PairRead:
+        """Read the cells that the loss of merging ``v`` into ``u < v`` on
+        ``dim`` depends on, and score it by :func:`_one_pair_g2`: u's and
+        v's runs of the index and, on a nominal axis, the other categories'
+        cells in the columns holding both.  Those between u and v set each
+        column's offset pass; all of them enter the merged row."""
         a = self.slot[dim]
-        band = self._cells_of(a, lo, hi)
-        cats, keys = self.cur[dim][self.coords[dim, band]], self.keys[a, band]
-        ends = np.zeros(self.shape[dim], dtype=bool)
-        ends[us] = ends[vs] = True
-        keep = ends[cats]
-        if 2 * np.count_nonzero(keep) > keep.size:
-            # the pairs' own cells are most of the band: leaving out the rest
-            # would cost more than it saves
-            return cats, keys, self.vals[band]
-        end_keys = np.sort(keys[keep])
-        shared = _distinct(end_keys[1:][end_keys[1:] == end_keys[:-1]])
-        if shared.size:
-            keep |= _member(keys, shared)
-        return cats[keep], keys[keep], self.vals[band[keep]]
-
-    def merge(self, dim: int, u: int, v: int) -> None:
-        """Merge category ``v`` into ``u < v`` on ``dim`` and update the
-        carried sums of every axis that stays eligible."""
-        new_shape = tuple(s - (k == dim) for k, s in enumerate(self.shape))
-        a = self.slot[dim]
-        # the two runs of the index, each sorted by column key; a column holding
-        # both gets the count a + b, as apply_partition forms it
-        u_cells, v_cells = self._cells_of(a, u, u), self._cells_of(a, v, v)
+        # the two runs of the index, each sorted by column key
+        u_cells, v_cells = self._cells_of(a, u), self._cells_of(a, v)
         u_keys, v_keys = self.keys[a, u_cells], self.keys[a, v_cells]
         u_vals, v_vals = self.vals[u_cells], self.vals[v_cells]
         at = np.minimum(np.searchsorted(u_keys, v_keys), max(u_keys.size - 1, 0))
         both = u_keys[at] == v_keys if u_keys.size else np.zeros(v_keys.size, dtype=bool)
+        shared = v_keys[both]
+        others = (_NO_VALS, _NO_CELLS, _NO_CELLS)
+        between = np.zeros(shared.size, dtype=np.intp)
+        if shared.size and not self.adjacent[dim]:
+            cells, w, which = self._cells_at(a, np.delete(self.rep[dim], [u, v]), shared)
+            others = (self.vals[cells], w, which)
+            # w counts the other categories skipping u and v, so u <= w < v - 1 lie between
+            between = np.bincount(which[(w >= u) & (w < v - 1)], minlength=shared.size)
+        g2 = _one_pair_g2(u_vals, v_vals, u_vals[at[both]], v_vals[both], between)
+        return _PairRead(dim, u, v, g2, u_cells, v_cells, u_vals, v_vals, at, both, others)
+
+    def merge(self) -> None:
+        """Merge the pair :meth:`select` last returned, ``v`` into ``u < v``
+        on its axis, from the cells its read holds, and update the carried
+        sums of every axis that stays eligible."""
+        dim, u, v, _, u_cells, v_cells, u_vals, v_vals, at, both, near = self.chosen
+        new_shape = tuple(s - (k == dim) for k, s in enumerate(self.shape))
+        # a column holding both gets the count a + b, as apply_partition forms it
         merged_vals = u_vals.copy()
         merged_vals[at[both]] += v_vals[both]
         # v's cells die; those of columns u lacks come back under u's name, which
@@ -195,11 +198,21 @@ class _Collapse:
             rows, shared = self.sums[k]
             if k == dim:
                 if self.adjacent[dim]:
-                    row = self._neighbour_row(dim, u, np.concatenate([u_keys, v_keys[~both]]),
-                                              new_vals)
+                    row = self._neighbour_row(dim, u, self.keys[self.slot[dim], new], new_vals)
                 else:
-                    row = self._merged_row(dim, u, v, shared, v_keys[both], u_vals[at[both]],
-                                           v_vals[both])
+                    # u's and v's rows added; in a column holding both, each other
+                    # cell's terms against x and y give way to one against x + y:
+                    # h(x + y, z) - h(x, z) - h(y, z), where
+                    # h(a, b) = a ln a + b ln b - (a + b) ln(a + b)
+                    row = (shared[u] + shared[v])[others]
+                    row[u] = 0.0
+                    z, w, which = near
+                    if z.size:
+                        x, y = u_vals[at[both]][which], v_vals[both][which]
+                        t = np.array([x + y, x + z, y + z, x, y, z, x + y + z])
+                        gain = _GAIN_SIGNS @ (t * np.log(t))
+                        # w skips u and v; the new ids skip u only
+                        row = row + np.bincount(w + (w >= u), weights=gain, minlength=row.size)
                 merged_rows = rows[others]
                 merged_rows[u] += rows[v]
                 rows = merged_rows
@@ -273,29 +286,6 @@ class _Collapse:
                 lo = hi
         return out
 
-    def _merged_row(self, dim: int, u: int, v: int, shared: np.ndarray, keys: np.ndarray,
-                    x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Shared-column sums of the category merged from ``u < v`` against
-        every other category of the nominal axis ``dim``, in the new ids.
-        ``shared`` holds the sums before the merge; the columns with the
-        ascending ``keys`` held both, with counts ``x`` and ``y``.
-
-        The merged row is u's and v's rows added, which is right wherever a
-        column holds only one of them; in a column holding both, each other
-        cell's two terms give way to one against ``x + y``."""
-        row = (shared[u] + shared[v])[np.arange(self.shape[dim]) != v]
-        row[u] = 0.0
-        if keys.size == 0:
-            return row
-        names = np.delete(self.rep[dim], u)
-        cells, w, which = self._cells_at(self.slot[dim], names, keys)
-        x, y, z = x[which], y[which], self.vals[cells]
-        # h(x + y, z) - h(x, z) - h(y, z), with h(a, b) = a ln a + b ln b - (a + b) ln(a + b)
-        t = np.array([x + y, x + z, y + z, x, y, z, x + y + z])
-        gain = _GAIN_SIGNS @ (t * np.log(t))
-        w += w >= u
-        return row + np.bincount(w, weights=gain, minlength=row.size)
-
     def _neighbour_row(self, dim: int, u: int, keys: np.ndarray, vals: np.ndarray
                        ) -> np.ndarray:
         """Shared-column sums of the category merged into ``u`` on the
@@ -305,7 +295,7 @@ class _Collapse:
         a = self.slot[dim]
         r = self.shape[dim] - 1
         row = np.zeros(r)
-        near = [self._cells_of(a, c, c) if 0 <= c < r else _NO_CELLS for c in (u - 1, u + 1)]
+        near = [self._cells_of(a, c) if 0 <= c < r else _NO_CELLS for c in (u - 1, u + 1)]
         _, sums = _axis_sums(
             np.repeat(np.arange(3), [near[0].size, keys.size, near[1].size]),
             np.concatenate([self.keys[a, near[0]], keys, self.keys[a, near[1]]]),
@@ -323,13 +313,12 @@ class _Collapse:
             pairs = self.pairs[at] = _candidate_pairs(*at)
         return pairs
 
-    def _cells_of(self, a: int, lo: int, hi: int) -> np.ndarray:
-        """Live cells of current categories ``lo..hi`` on slot ``a``'s axis:
-        one run of the index, since the names between two current names
-        hold dead cells only."""
+    def _cells_of(self, a: int, c: int) -> np.ndarray:
+        """Live cells of current category ``c`` on slot ``a``'s axis, in
+        column order: one run of the index."""
         self._index(a)
-        rep, off = self.rep[self.axes[a]], self.offset[a]
-        start, stop = np.searchsorted(self.index_key[a], [rep[lo] * off, (rep[hi] + 1) * off])
+        name, off = int(self.rep[self.axes[a]][c]), self.offset[a]
+        start, stop = np.searchsorted(self.index_key[a], [name * off, (name + 1) * off])
         cells = self.index_pos[a][start:stop]
         return cells[self.alive[cells]]
 
@@ -404,26 +393,35 @@ def _carried_g2(rows_u: np.ndarray, rows_v: np.ndarray, shared: np.ndarray) -> n
     return np.maximum(g2, 0.0, out=g2)
 
 
+class _PairRead(NamedTuple):
+    """One candidate pair ``u < v`` on ``dim`` as :meth:`_Collapse._read`
+    read it, with its loss ``g2``: each category's cells and counts in
+    column order; for each of v's cells where its column sits in u's run
+    and whether u holds it; and ``others``, the other categories' counts
+    in the columns holding both, each with the index of its category among
+    the others and of its column (none on an ordinal axis)."""
+
+    dim: int
+    u: int
+    v: int
+    g2: float
+    u_cells: np.ndarray
+    v_cells: np.ndarray
+    u_vals: np.ndarray
+    v_vals: np.ndarray
+    at: np.ndarray
+    both: np.ndarray
+    others: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 _NO_CELLS = np.empty(0, dtype=np.int32)
+_NO_VALS = np.empty(0)
 _GAIN_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 # most cells one kernel pass of _Collapse._deltas takes for several axes:
 # sharing a call saves its per-offset numpy calls, which dominate on small
 # slices, while large slices gain nothing and would only add memory
 _PASS_CELLS = 1 << 13
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of the ascending ``values``."""
-    if values.size == 0:
-        return values
-    return values[np.append(True, values[1:] != values[:-1])]
-
-
-def _member(values: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
-    """Whether each of ``values`` is in the nonempty ascending ``sorted_set``."""
-    at = np.minimum(np.searchsorted(sorted_set, values), sorted_set.size - 1)
-    return sorted_set[at] == values
 
 
 def _insert_sorted(arrays: tuple[np.ndarray, ...], at: np.ndarray,

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .infoloss import _deviance, _expanded_deviance
+from .infoloss import _deviance, _expanded_deviance, _group_coords
 from .pcc import adjusted_rsq
 from .table import Partition, SparseTable, apply_partition
 
@@ -40,11 +40,21 @@ IPF_MAX_ITER = 1000
 
 
 def _canonical_terms(terms) -> tuple[tuple[int, ...], ...]:
-    cleaned = {tuple(sorted(set(int(k) for k in t))) for t in terms}
-    cleaned.discard(())
-    sets = {t: frozenset(t) for t in cleaned}
-    maximal = [t for t, st in sets.items() if not any(st < so for so in sets.values())]
-    return tuple(sorted(maximal))
+    # each term as a bitmask of the variables it names: a term is dominated
+    # when its mask is a proper subset of another's
+    masks = {}
+    for t in terms:
+        m = 0
+        for k in t:
+            k = int(k)
+            if k < 0:
+                raise InputError(f"negative variable index {k} in term {tuple(t)}")
+            m |= 1 << k
+        masks[m] = None
+    masks.pop(0, None)
+    maximal = [m for m in masks if not any(m & o == m and m != o for o in masks)]
+    return tuple(sorted(tuple(k for k in range(m.bit_length()) if m >> k & 1)
+                        for m in maximal))
 
 
 @dataclass(frozen=True)
@@ -440,7 +450,8 @@ def fit_hllpm(original: SparseTable, partition: Partition, spec: ModelSpec,
     collapsed = apply_partition(original, partition)
     fitted, iterations, converged, residual = _ipf(
         collapsed.todense(), collapsed.total, spec, tol, max_iter, {})
-    dev = _expanded_deviance(original, partition, fitted / original.total)
+    dev = _expanded_deviance(original, partition,
+                             fitted[_group_coords(original, partition)] / original.total)
     dfmod = model_df(spec, collapsed.shape)
     dfres = int(np.prod(original.shape, dtype=np.int64)) - 1 - dfmod
     return FitResult(spec=spec, shape=original.shape, fitted=SparseTable.from_dense(fitted),

@@ -143,29 +143,39 @@ def _axis_pair_g2(table: SparseTable, dim: int, adjacent: bool = False) -> tuple
     over the other-variable columns ``j`` where both categories are nonzero
     (see :func:`_axis_sums`).
     """
-    other = [s for k, s in enumerate(table.shape) if k != dim]
-    df = max(int(np.prod(other, dtype=np.int64)) - 1, 0)
-    g2 = _band_pair_g2(table.coords, table.counts, table.shape, dim, 0, table.shape[dim] - 1,
-                       adjacent)
-    return g2, df
+    rows, shared = _axis_sums(table.coords[:, dim], _other_cols(table.coords, table.shape, dim),
+                              table.counts, table.shape[dim], adjacent)
+    return _pair_g2(rows, shared + shared.T), _pair_df(table.shape, dim)
 
 
-def _band_pair_g2(coords: np.ndarray, vals: np.ndarray, shape: tuple[int, ...], dim: int,
-                  lo: int, hi: int, adjacent: bool = False) -> np.ndarray:
-    """Losses of the pairs within categories ``lo..hi`` of ``dim``, for the
-    cells ``coords``/``vals`` of a table of ``shape``.
+def _pair_df(shape: tuple[int, ...], dim: int) -> int:
+    """Degrees of freedom of a pair loss on ``dim``: the number of cells of
+    the other axes minus one, 0 when there are none."""
+    other = [s for k, s in enumerate(shape) if k != dim]
+    return max(int(np.prod(other, dtype=np.int64)) - 1, 0)
 
-    Entry ``[u - lo, v - lo]`` equals entry ``[u, v]`` of the whole axis
-    bit for bit: every column keeps all its cells between ``u`` and ``v``,
-    so each ``h`` term lands in the same offset pass, and each row total and
-    pair sum adds the same terms in the same order.
+
+def _one_pair_g2(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 between: np.ndarray) -> float:
+    """Aggregation loss of one category pair ``u < v``, bitwise its entry of
+    :func:`_axis_pair_g2`.
+
+    ``a`` and ``b`` are the counts of ``u`` and ``v`` in column order, ``x``
+    and ``y`` their counts in the columns holding both, again in column
+    order, and ``between`` how many cells each of those columns holds
+    between the two, so that its term lands in the kernel's offset pass
+    ``between + 1``.  As the kernel's bincounts do, the row totals and each
+    pass's terms fold in column order and the passes in ascending order from
+    0.0; then :func:`_pair_g2`'s formula applies.
     """
-    cats = coords[:, dim]
-    if lo > 0 or hi < shape[dim] - 1:
-        band = (cats >= lo) & (cats <= hi)
-        coords, vals, cats = coords[band], vals[band], cats[band] - lo
-    rows, shared = _axis_sums(cats, _other_cols(coords, shape, dim), vals, hi - lo + 1, adjacent)
-    return _pair_g2(rows, shared + shared.T)
+    rows = np.bincount(np.repeat([0, 1], [a.size, b.size]), weights=np.concatenate([a, b]),
+                       minlength=2)
+    ab = x + y
+    h = x * np.log(x) + y * np.log(y) - ab * np.log(ab)
+    shared = 0.0
+    for term in np.bincount(between, weights=h).tolist():
+        shared += term
+    return float(_pair_g2(rows, np.array([[0.0, shared], [shared, 0.0]]))[0, 1])
 
 
 def _axis_candidates(table: SparseTable, dim: int, adjacent: bool
@@ -191,8 +201,10 @@ def pair_loss(table: SparseTable, dim: int, u: int, v: int) -> PairLoss:
     """Loss from merging categories ``u`` and ``v`` on ``dim``: the
     independence deviance of the 2 x (everything else) subtable.
 
-    The pair is reported as ``(min(u, v), max(u, v))`` and evaluated by the
-    same kernel as :func:`loss_matrix`, so ``pair_loss(t, d, u, v)`` and
+    The pair is reported as ``(min(u, v), max(u, v))``.  Only the two
+    categories' cells and the cells between them in the columns holding
+    both are read, and :func:`_one_pair_g2` adds them as the kernel of
+    :func:`loss_matrix` would, so ``pair_loss(t, d, u, v)`` and
     ``pair_loss(t, d, v, u)`` are bitwise equal and match the matrix entry.
     """
     if dim < 0 or dim >= table.ndim:
@@ -203,8 +215,18 @@ def pair_loss(table: SparseTable, dim: int, u: int, v: int) -> PairLoss:
     if not (0 <= u < r and 0 <= v < r):
         raise InputError(f"categories ({u}, {v}) out of range for size {r}")
     u, v = min(u, v), max(u, v)
-    g2, df = _axis_pair_g2(table, dim)
-    return PairLoss(dim=dim, u=u, v=v, g2=float(g2[u, v]), df=df)
+    cats = table.coords[:, dim]
+    cols = _other_cols(table.coords, table.shape, dim)
+    # the cells are in lexicographic order, so each category's run is in column order
+    is_u, is_v = cats == u, cats == v
+    a, b = table.counts[is_u], table.counts[is_v]
+    both, in_a, in_b = np.intersect1d(cols[is_u], cols[is_v], assume_unique=True,
+                                      return_indices=True)
+    inner = cols[(cats > u) & (cats < v)]
+    between = np.bincount(np.searchsorted(both, inner[np.isin(inner, both)]),
+                          minlength=both.size)
+    g2 = _one_pair_g2(a, b, a[in_a], b[in_b], between)
+    return PairLoss(dim=dim, u=u, v=v, g2=g2, df=_pair_df(table.shape, dim))
 
 
 @dataclass(frozen=True)
@@ -262,21 +284,32 @@ def partition_deviance(table: SparseTable, partition: Partition) -> float:
     The model is the collapsed table's probabilities expanded back to the
     original shape in proportion to the original one-way marginals, as
     :func:`~pcctab.expand_model` builds it densely; here it is evaluated at
-    the observed cells only.
+    the observed cells only, each reading its group's count from the
+    collapsed table's cells, so memory stays O(nnz) however large the shape.
     """
     collapsed = apply_partition(table, partition)
     if table.total <= 0:
         return 0.0
-    return _expanded_deviance(table, partition, collapsed.todense() / table.total)
+    groups = _group_coords(table, partition)
+    # the collapsed cells are in lexicographic order, so their flat indexes ascend
+    flat = np.ravel_multi_index(tuple(collapsed.coords.T), collapsed.shape)
+    at = np.searchsorted(flat, np.ravel_multi_index(groups, collapsed.shape))
+    return _expanded_deviance(table, partition, collapsed.counts[at] / table.total)
+
+
+def _group_coords(table: SparseTable, partition: Partition) -> tuple[np.ndarray, ...]:
+    """Per axis, the group of each observed cell of ``table``."""
+    return tuple(np.asarray(key, dtype=np.intp)[table.coords[:, k]]
+                 for k, key in enumerate(partition.keys))
 
 
 def _expanded_deviance(table: SparseTable, partition: Partition, probs: np.ndarray) -> float:
-    """Deviance against ``table`` of the dense collapsed probabilities
-    ``probs`` expanded to its shape: at each observed cell, the group's
-    probability times each category's weight within its group, times n."""
+    """Deviance against ``table`` of the collapsed probabilities expanded to
+    its shape, ``probs`` holding the probability of each observed cell's
+    group: at each observed cell, that probability times each category's
+    weight within its group, times n."""
     coords = table.coords
-    e = probs[tuple(np.asarray(key, dtype=np.intp)[coords[:, k]]
-                    for k, key in enumerate(partition.keys))]
+    e = probs
     for k, w in enumerate(group_weights(partition, table.one_way_marginals())):
         e = e * w[coords[:, k]]
     return _deviance(table, e * table.total)

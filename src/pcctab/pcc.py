@@ -213,16 +213,18 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
       shortlist.  Every candidate whose carried quotient lies within
       ``W = 1e-7 max(1, |q_min|) + 1e-9 n / df`` of the carried minimum
       ``q_min`` (``n`` the table total, ``df`` the smallest of the eligible
-      axes, so W bounds the drift of every quotient) is rescored by the
-      kernel on its axis's category band, from the lowest to the highest
-      shortlisted category.  A column keeps all its cells between ``u`` and
-      ``v`` in the band, so the band entry equals the full-axis entry bit
-      for bit; the band may leave out the cells that no shortlisted pair's
-      entry reads (see ``collapse._Collapse._band_cells``).  The sequential
-      1e-12 tie scan then runs over the rescored candidates; W is 1e5 times
-      wider than a tie, so a chain of ties would need about 1e5 links to
-      reach past it.  If any carried quotient is not finite, every
-      candidate is rescored.
+      axes, so W bounds the drift of every quotient) is rescored exactly,
+      pair by pair, from its own cells: u's and v's cells and, in the
+      columns holding both, the other categories' cells, those between
+      ``u`` and ``v`` setting the offset pass each column's term has in the
+      kernel.  ``infoloss._one_pair_g2`` folds them in the kernel's order,
+      so each rescored loss equals its full-axis entry bit for bit.  The
+      sequential 1e-12 tie scan then runs over the rescored candidates; W
+      is 1e5 times wider than a tie, so a chain of ties would need about
+      1e5 links to reach past it.  If any carried quotient is not finite,
+      every candidate is rescored.  The merge then works from the winner's
+      read: its merged counts, the cells that move and, on a nominal axis,
+      the correction of the merged category's row.
     """
     if table.total <= 0:
         raise InputError("cannot collapse an empty table")
@@ -252,10 +254,11 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
             stopped_early = True
             break
         step_key = _merge_key(state.shape[cand.dim], cand.u, cand.v)
-        state.merge(cand.dim, cand.u, cand.v)
+        state.merge()
         keys = list(cumulative.keys)
+        # merging a group into an earlier one keeps the keys canonical
         keys[cand.dim] = tuple(step_key[g] for g in keys[cand.dim])
-        cumulative = Partition(tuple(keys))
+        cumulative = Partition._canonical(tuple(keys))
         r += 1
         dev += cand.g2
         dfres += cand.df

@@ -206,6 +206,14 @@ class Partition:
         object.__setattr__(self, "keys", keys)
 
     @classmethod
+    def _canonical(cls, keys: tuple[tuple[int, ...], ...]) -> "Partition":
+        """A partition of ``keys`` that are already canonical, non-empty
+        tuples of ints, without checking or renumbering them."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "keys", keys)
+        return out
+
+    @classmethod
     def identity(cls, shape: Sequence[int]) -> "Partition":
         return cls(tuple(tuple(range(int(s))) for s in shape))
 

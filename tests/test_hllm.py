@@ -41,6 +41,10 @@ class TestModelSpec:
         spec = ModelSpec(((0, 1), (1,), (1, 0)))
         assert spec.generators == ((0, 1),)
 
+    def test_negative_variable_index_rejected(self):
+        with pytest.raises(InputError):
+            ModelSpec(((0, 1), (-1,)))
+
     def test_closure(self):
         spec = ModelSpec(((0, 1), (2,)))
         assert spec.closure() == ((0,), (0, 1), (1,), (2,))

@@ -244,6 +244,22 @@ class TestPartitionDeviance:
     def test_empty_table_loses_nothing(self):
         assert partition_deviance(SparseTable((2, 3)), Partition(((0, 0), (0, 1, 1)))) == 0.0
 
+    def test_huge_shape_stays_sparse(self):
+        # 1e15 cells: a dense collapsed table at the identity partition would not fit
+        shape = (100_000,) * 3
+        coords = [[0, 0, 0], [5, 99_999, 7], [99_999, 3, 99_999], [5, 3, 7]]
+        t = SparseTable(shape, coords, [4.0, 2.5, 1.0, 7.0])
+        assert partition_deviance(t, Partition.identity(shape)) == pytest.approx(0.0, abs=1e-9)
+        # categories 0..5 of the first axis in one group: the same loss as on
+        # the table of the used categories only, 0 and 5 grouped
+        keys = list(Partition.identity(shape).keys)
+        keys[0] = (0,) * 6 + (1,) * (shape[0] - 6)
+        used = SparseTable((3, 3, 3), [[0, 0, 0], [1, 2, 1], [2, 1, 2], [1, 1, 1]],
+                           [4.0, 2.5, 1.0, 7.0])
+        want = partition_deviance(used, Partition(((0, 0, 1), (0, 1, 2), (0, 1, 2))))
+        assert want > 0
+        assert partition_deviance(t, Partition(tuple(keys))) == pytest.approx(want, rel=1e-12)
+
     def test_partition_for_another_shape_rejected(self, wermuth_table):
         with pytest.raises(InputError):
             partition_deviance(wermuth_table, Partition(((0, 1), (0, 1, 2, 3, 4))))

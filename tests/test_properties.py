@@ -24,8 +24,10 @@ from pcctab import (
     expand_model,
     fit_hllpm,
     ipf_fit,
+    loss_matrix,
     model_df,
     pair_loss,
+    partition_deviance,
     pearson_ratios,
     run_pcc,
     select_merge,
@@ -38,9 +40,10 @@ from pcctab.report import (
     render_pcc_trace,
     render_ratios,
 )
-from pcctab.hllm import IPF_TOL, _ipf, _ipf_batch
-from pcctab.infoloss import _axis_pair_g2, _band_pair_g2
+from pcctab.hllm import IPF_MAX_ITER, IPF_TOL, _ipf, _ipf_batch
+from pcctab.infoloss import _axis_pair_g2, _deviance, _one_pair_g2
 from pcctab.pcc import _contiguous_partitions, _set_partitions
+from pcctab.table import group_weights
 
 from oracles import (
     brute_force_best_pair,
@@ -360,6 +363,39 @@ def test_fit_hllpm_matches_dense_expansion_oracle(problem):
     assert fit.dfres == arr.size - 1 - fit.dfmod
 
 
+def dense_gather_deviance(t, part, probs):
+    """The expanded deviance as a dense gather reads it: ``probs`` is the
+    dense collapsed probability table, indexed at each observed cell's
+    group."""
+    e = probs[tuple(np.asarray(key, dtype=np.intp)[t.coords[:, k]]
+                    for k, key in enumerate(part.keys))]
+    for k, w in enumerate(group_weights(part, t.one_way_marginals())):
+        e = e * w[t.coords[:, k]]
+    return _deviance(t, e * t.total)
+
+
+@SETTINGS
+@given(partition_model_problems())
+def test_sparse_group_gather_matches_dense_bitwise(problem):
+    arr, part, spec = problem
+    t = SparseTable.from_dense(arr)
+    collapsed = apply_partition(t, part)
+    want = dense_gather_deviance(t, part, collapsed.todense() / t.total)
+    assert partition_deviance(t, part).hex() == want.hex()
+    fitted, _, _, _ = _ipf(collapsed.todense(), collapsed.total, spec, IPF_TOL, IPF_MAX_ITER, {})
+    want = dense_gather_deviance(t, part, fitted / t.total)
+    assert fit_hllpm(t, part, spec).dev.hex() == want.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 6), max_size=4), max_size=8))
+def test_canonical_terms_keep_the_maximal_subsets(terms):
+    cleaned = {tuple(sorted(set(t))) for t in terms} - {()}
+    want = tuple(sorted(t for t in cleaned
+                        if not any(set(t) < set(other) for other in cleaned)))
+    assert hllm._canonical_terms(terms) == want
+
+
 def reference_backward_walk(t, start, max_iter):
     """Backward elimination as documented, every fit by ``reference_ipf``:
     rows of (generators, dev, dev_term, df_term, converged)."""
@@ -477,10 +513,10 @@ def test_batched_ipf_matches_reference_bitwise_on_wide_axes(problem, max_iter):
 
 
 @st.composite
-def collapse_problems(draw):
-    """A tie-heavy table of up to four axes with integer, non-integer or
-    1e6-scaled counts, random treatments and maybe a stop quotient."""
-    arr = draw(tie_heavy_tables(max_dims=4, max_side=5))
+def scaled_tie_heavy_tables(draw, max_side=5):
+    """A tie-heavy table of up to four axes with integer, per-cell
+    non-integer, x0.37 or x1e6 counts."""
+    arr = draw(tie_heavy_tables(max_dims=4, max_side=max_side))
     counts = draw(st.sampled_from(["integer", "per-cell", "scalar", "scaled"]))
     if counts == "per-cell":
         arr = arr * draw(arrays(np.float64, arr.shape, elements=st.floats(0.01, 3.0)))
@@ -489,6 +525,14 @@ def collapse_problems(draw):
     elif counts == "scaled":
         arr = arr * 1e6
     assume(arr.sum() > 0)
+    return arr
+
+
+@st.composite
+def collapse_problems(draw):
+    """A scaled tie-heavy table, random treatments and maybe a stop
+    quotient."""
+    arr = draw(scaled_tie_heavy_tables())
     treatments = [draw(st.sampled_from(["nominal", "ordinal", "fixed"])) for _ in arr.shape]
     stop = draw(st.one_of(st.none(), st.floats(0.0, 20.0)))
     return arr, treatments, stop
@@ -534,23 +578,79 @@ def test_run_pcc_matches_stateless_walk_on_bundled_data(name, treatment, request
 
 
 @SETTINGS
-@given(tie_heavy_tables(max_dims=4, max_side=6), st.booleans(), st.data())
-def test_band_losses_equal_full_axis_bitwise(arr, adjacent, data):
-    arr = arr * data.draw(arrays(np.float64, arr.shape, elements=st.floats(0.01, 3.0)))
-    assume(arr.sum() > 0)
+@given(scaled_tie_heavy_tables(max_side=6), st.booleans())
+def test_pair_evaluator_equals_full_axis_bitwise(arr, adjacent):
+    t = SparseTable.from_dense(arr)
+    for dim, r in enumerate(t.shape):
+        full, _ = _axis_pair_g2(t, dim, adjacent)
+        # rows are the categories of dim, columns the other cells in flat order
+        rows = np.moveaxis(arr, dim, 0).reshape(r, -1)
+        for u, v in combinations(range(r), 2):
+            if adjacent and v != u + 1:
+                continue
+            both = (rows[u] > 0) & (rows[v] > 0)
+            between = np.count_nonzero(rows[u + 1:v, both], axis=0)
+            got = _one_pair_g2(rows[u][rows[u] > 0], rows[v][rows[v] > 0],
+                               rows[u, both], rows[v, both], between)
+            assert got.hex() == full[u, v].hex()
+
+
+@SETTINGS
+@given(scaled_tie_heavy_tables(max_side=6), st.data())
+def test_pair_loss_equals_loss_matrix_entry(arr, data):
     t = SparseTable.from_dense(arr)
     dim = data.draw(st.integers(0, t.ndim - 1))
     r = t.shape[dim]
     assume(r >= 2)
-    lo = data.draw(st.integers(0, r - 2))
-    hi = data.draw(st.integers(lo + 1, r - 1))
-    full, _ = _axis_pair_g2(t, dim, adjacent)
-    # the collapse keeps its cells in no particular order
-    order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(t.nnz)
-    band = _band_pair_g2(t.coords[order], t.counts[order], t.shape, dim, lo, hi, adjacent)
-    for u, v in combinations(range(lo, hi + 1), 2):
-        if not adjacent or v == u + 1:
-            assert band[u - lo, v - lo].hex() == full[u, v].hex()
+    u, v = data.draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True))
+    got = pair_loss(t, dim, u, v)
+    want = loss_matrix(t, dim).get(u, v)
+    assert got == want
+    assert got.g2.hex() == want.g2.hex()
+
+
+def wide_table(seed, shape):
+    """Non-integer counts with a third of the cells empty: columns hold
+    up to a dozen categories, so a pair's terms spread over many passes."""
+    rng = np.random.default_rng(seed)
+    arr = rng.uniform(0.01, 50.0, shape) * (rng.random(shape) > 0.3)
+    return SparseTable.from_dense(arr)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("shape", [(12, 30), (8, 5, 6)])
+def test_pair_loss_equals_loss_matrix_on_wide_tables(seed, shape):
+    t = wide_table(seed, shape)
+    for dim, r in enumerate(shape):
+        matrix = loss_matrix(t, dim)
+        for u, v in combinations(range(r), 2):
+            assert pair_loss(t, dim, u, v).g2.hex() == matrix.get(u, v).g2.hex()
+
+
+@SETTINGS
+@given(collapse_problems())
+def test_rescoring_every_candidate_matches_stateless_walk(problem):
+    """With every carried quotient NaN every candidate is rescored from its
+    own cells at every step, so the pair evaluator alone decides."""
+    arr, treatments, stop = problem
+    t = SparseTable.from_dense(arr)
+
+    def unknown(rows_u, rows_v, shared):
+        return np.full(shared.shape, np.nan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(collapse, "_carried_g2", unknown)
+        trace = run_pcc(t, treatments, stop_quotient=stop)
+    assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments, stop)
+
+
+@pytest.mark.parametrize("shape", [(12, 30), (8, 5, 6)])
+def test_rescoring_every_candidate_on_wide_tables(shape, monkeypatch):
+    t = wide_table(3, shape)
+    monkeypatch.setattr(collapse, "_carried_g2",
+                        lambda rows_u, rows_v, shared: np.full(shared.shape, np.nan))
+    trace = run_pcc(t)
+    assert (trace.steps, trace.partitions) == reference_pcc_walk(t, None)
 
 
 @SETTINGS
