@@ -17,6 +17,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .datasets import dataset_path
 from .errors import FeasibilityError, InputError, PcctabError
 from .hllm import ModelSpec, backward_select, ipf_fit, pearson_ratios
@@ -92,80 +94,10 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        config = read_config(args.config) if args.config else None
-        scheme, table = load_table(_resolve_data(args.data), config)
-        precision = args.precision
-        if precision < 0:
-            raise InputError("--precision must be nonnegative")
-        not_converged = False
-
-        if args.command == "pcc":
-            trace = run_pcc(table, scheme.treatments, stop_quotient=args.stop_quotient)
-            _write(out_dir, "pcc_trace.tsv", render_pcc_trace(trace, precision))
-            if args.loss_matrices:
-                for r in range(len(trace.steps)):
-                    if trace.steps[r].terminal:
-                        continue
-                    state = apply_partition(table, trace.partition_at(r))
-                    for k, var in enumerate(scheme.variables):
-                        if var.treatment == FIXED or state.shape[k] < 2:
-                            continue
-                        m = loss_matrix(state, k, var.treatment)
-                        labels = [" ".join(var.categories[c] for c in grp)
-                                  for grp in trace.partition_at(r).groups(k)]
-                        _write(out_dir, f"pcc_loss_r{r:02d}_{var.name}.tsv",
-                               render_loss_matrix(m, labels, precision))
-
-        elif args.command == "lossmatrix":
-            wrote = False
-            for k, var in enumerate(scheme.variables):
-                if var.treatment == FIXED:
-                    continue
-                m = loss_matrix(table, k, var.treatment)
-                _write(out_dir, f"lossmatrix_{var.name}.tsv",
-                       render_loss_matrix(m, list(var.categories), precision))
-                wrote = True
-            if not wrote:
-                raise InputError("all variables are fixed; nothing to report")
-
-        elif args.command == "hllm":
-            if args.generators:
-                spec = ModelSpec.from_brackets(args.generators, scheme.names)
-                fit = ipf_fit(table, spec)
-                not_converged |= not fit.converged
-                _write(out_dir, "hllm_fit.tsv", render_fit(fit, scheme.names, precision))
-            else:
-                trace = backward_select(table)
-                not_converged |= any(not s.converged for s in trace.steps)
-                _write(out_dir, "hllm_backward.tsv",
-                       render_backward_trace(trace, scheme.names, precision))
-
-        elif args.command == "ratios":
-            if args.generators:
-                spec = ModelSpec.from_brackets(args.generators, scheme.names)
-                fit = ipf_fit(table, spec)
-                not_converged |= not fit.converged
-                ratios = pearson_ratios(table, fit)
-            else:
-                ratios = pearson_ratios(table)
-            _write(out_dir, "ratios.tsv", render_ratios(ratios, scheme, precision))
-
-        elif args.command == "curve":
-            trace = run_pcc(table, scheme.treatments, stop_quotient=args.stop_quotient)
-            hllm_trace = backward_select(table)
-            not_converged |= any(not s.converged for s in hllm_trace.steps)
-            _write(out_dir, "curve.csv",
-                   render_curve([("pcc", trace.curve()), ("hllm", hllm_trace.curve())],
-                                precision))
-
-        elif args.command == "oracle":
-            results = exhaustive_partition_search(table, scheme.treatments,
-                                                  size_cap=DEFAULT_SIZE_CAP)
-            _write(out_dir, "oracle.tsv", render_oracle(results, precision))
-
-        return 3 if not_converged else 0
+        # counts whose sums pass the float range make numpy warn on the way
+        # to a non-finite statistic, which the report then refuses (exit 1)
+        with np.errstate(all="ignore"):
+            return _run(args)
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -175,6 +107,84 @@ def main(argv=None) -> int:
     except PcctabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _run(args) -> int:
+    """Run one parsed command: write its reports and return the exit code."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    config = read_config(args.config) if args.config else None
+    scheme, table = load_table(_resolve_data(args.data), config)
+    precision = args.precision
+    if precision < 0:
+        raise InputError("--precision must be nonnegative")
+    not_converged = False
+
+    if args.command == "pcc":
+        trace = run_pcc(table, scheme.treatments, stop_quotient=args.stop_quotient)
+        _write(out_dir, "pcc_trace.tsv", render_pcc_trace(trace, precision))
+        if args.loss_matrices:
+            for r in range(len(trace.steps)):
+                if trace.steps[r].terminal:
+                    continue
+                state = apply_partition(table, trace.partition_at(r))
+                for k, var in enumerate(scheme.variables):
+                    if var.treatment == FIXED or state.shape[k] < 2:
+                        continue
+                    m = loss_matrix(state, k, var.treatment)
+                    labels = [" ".join(var.categories[c] for c in grp)
+                              for grp in trace.partition_at(r).groups(k)]
+                    _write(out_dir, f"pcc_loss_r{r:02d}_{var.name}.tsv",
+                           render_loss_matrix(m, labels, precision))
+
+    elif args.command == "lossmatrix":
+        wrote = False
+        for k, var in enumerate(scheme.variables):
+            if var.treatment == FIXED:
+                continue
+            m = loss_matrix(table, k, var.treatment)
+            _write(out_dir, f"lossmatrix_{var.name}.tsv",
+                   render_loss_matrix(m, list(var.categories), precision))
+            wrote = True
+        if not wrote:
+            raise InputError("all variables are fixed; nothing to report")
+
+    elif args.command == "hllm":
+        if args.generators:
+            spec = ModelSpec.from_brackets(args.generators, scheme.names)
+            fit = ipf_fit(table, spec)
+            not_converged |= not fit.converged
+            _write(out_dir, "hllm_fit.tsv", render_fit(fit, scheme.names, precision))
+        else:
+            trace = backward_select(table)
+            not_converged |= any(not s.converged for s in trace.steps)
+            _write(out_dir, "hllm_backward.tsv",
+                   render_backward_trace(trace, scheme.names, precision))
+
+    elif args.command == "ratios":
+        if args.generators:
+            spec = ModelSpec.from_brackets(args.generators, scheme.names)
+            fit = ipf_fit(table, spec)
+            not_converged |= not fit.converged
+            ratios = pearson_ratios(table, fit)
+        else:
+            ratios = pearson_ratios(table)
+        _write(out_dir, "ratios.tsv", render_ratios(ratios, scheme, precision))
+
+    elif args.command == "curve":
+        trace = run_pcc(table, scheme.treatments, stop_quotient=args.stop_quotient)
+        hllm_trace = backward_select(table)
+        not_converged |= any(not s.converged for s in hllm_trace.steps)
+        _write(out_dir, "curve.csv",
+               render_curve([("pcc", trace.curve()), ("hllm", hllm_trace.curve())],
+                            precision))
+
+    elif args.command == "oracle":
+        results = exhaustive_partition_search(table, scheme.treatments,
+                                              size_cap=DEFAULT_SIZE_CAP)
+        _write(out_dir, "oracle.tsv", render_oracle(results, precision))
+
+    return 3 if not_converged else 0
 
 
 def entry() -> None:

@@ -10,6 +10,7 @@ cyclic iterative proportional scaling against the generator marginals.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -207,9 +208,10 @@ def _ipf_batch(obs: np.ndarray, n: float, specs: Sequence[ModelSpec], tol: float
     """The IPF engine: cyclic proportional scaling of a batch of dense fits.
 
     ``obs`` is the dense observed table and ``n`` its total.  ``targets``
-    maps a generator's complement axes to the observed marginal over them;
-    missing entries are added, so callers fitting several models to one
-    table pass the same dict to share them.  Yields, per spec and in
+    maps a generator's complement axes to the observed marginal over them
+    and the generator's :func:`_layout`; missing entries are added, so
+    callers fitting several models to one table pass the same dict to
+    share them.  Yields, per spec and in
     order, the dense fit, the number of cycles run, whether the worst
     marginal residual of the last cycle is at most ``tol``, and that
     residual (0.0 for the grand-mean model, which has no generator to
@@ -217,8 +219,8 @@ def _ipf_batch(obs: np.ndarray, n: float, specs: Sequence[ModelSpec], tol: float
     """
     if n <= 0:
         raise InputError("cannot fit an empty table")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < np.inf:  # NaN fails too
+        raise InputError("tol must be positive and finite")
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
     chunk = max(1, _BATCH_CELLS // obs.size)
@@ -231,11 +233,29 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
 
     The cycle walks the sorted union of the specs' generators; as each
     spec's own sorted generators are a subsequence of it, every fit is
-    scaled in exactly its single-fit order.  A generator shared by every
-    live fit scales the whole stack in place; otherwise its members' rows
-    are scaled alone.  The reductions run over the cell axes only, so
-    each row sums in the order a lone fit would.  A fit leaves the stack
-    at the end of the cycle in which it converged and is frozen there.
+    scaled in exactly its single-fit order.  A generator's members are
+    scaled through their rows of the stack: a view when the rows are one
+    contiguous run, else a gathered copy.  A fit leaves the stack at the
+    end of the cycle in which it converged and is frozen there.
+
+    Each member's generator marginal is bitwise the
+    ``np.add.reduce(fit, axis=axes, keepdims=True)`` of a lone fit.  On a
+    C-contiguous array numpy reduces several axes in two stages: it sums
+    the trailing reduced run (the cell axes after the last kept axis
+    longer than one) with its pairwise routine, then adds those run sums
+    into each output, starting from 0, in C order over the other reduced
+    positions.  A run of 8 cells or more makes long inner loops, so the
+    members' rows are reduced in place.  A shorter run is a plain loop in
+    numpy, over a few cells per output: there the members' cells are read
+    with one ``take`` (:func:`_layout`, :func:`_marginal`) so that each run
+    position holds the kept cells of all the members side by side, and
+    two ``add.reduce`` calls sum the runs and then the run sums in the
+    same order.  ``test_marginal_matches_add_reduce_bitwise`` and the
+    ``reference_ipf`` tests pin this order and fail if numpy changes it.
+
+    Each step writes its gaps ``cur - target`` into one buffer, which is
+    reduced once per cycle: by ``maximum`` per fit and step, so a NaN gap
+    stays NaN, then by ``fmax`` across steps, which skips it.
     """
     results: list = [None] * len(specs)
     ids = []  # the specs still being fitted, one per row of the stack
@@ -246,27 +266,32 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
             results[i] = (np.full(obs.shape, n / obs.size), 0, True, 0.0)
     if not ids:
         return results
-    cell_axes = tuple(range(1, obs.ndim + 1))
     steps = []
     for g in sorted({g for s in specs for g in s.generators}):
         axes = tuple(k for k in range(obs.ndim) if k not in g)
-        target = targets.get(axes)
-        if target is None:
-            target = targets[axes] = np.add.reduce(obs, axis=axes, keepdims=True)
+        entry = targets.get(axes)
+        if entry is None:
+            entry = targets[axes] = (np.add.reduce(obs, axis=axes, keepdims=True),
+                                     _layout(obs.shape, g))
         owners = {i for i, s in enumerate(specs) if g in s.generators}
-        steps.append((tuple(k + 1 for k in axes), target[np.newaxis], owners))
+        steps.append((tuple(k + 1 for k in axes), *entry, owners))
     stack = np.full((len(ids),) + obs.shape, n / obs.size)
-    plan, gaps = _batch_plan(steps, ids)
+    plan, (diffs, starts, gaps, where) = _batch_plan(steps, ids, obs.size)
     for cycle in range(1, max_iter + 1):
-        for j, (axes, target, rows) in enumerate(plan):
+        flat = stack.reshape(-1)
+        for rows, axes, index, target, diff in plan:
             # ufuncs called directly: ndarray.sum/np.max add a Python
             # wrapper that costs more than the arithmetic on small tables
             block = stack[rows]
-            cur = np.add.reduce(block, axis=axes, keepdims=True)
-            gaps[j, rows] = np.maximum.reduce(np.abs(cur - target), axis=cell_axes)
+            if index is None:
+                cur = np.add.reduce(block, axis=axes, keepdims=True)
+            else:
+                cur = _marginal(flat, index).reshape(diff.shape)
+            np.subtract(cur, target, out=diff)
             block *= np.divide(target, cur, out=np.zeros(cur.shape), where=cur > 0)
             if not isinstance(rows, slice):  # a gathered copy
                 stack[rows] = block
+        gaps.flat[where] = np.maximum.reduceat(np.abs(diffs, out=diffs), starts)
         # fmax skips a NaN gap, as ``if gap > worst`` did
         worst = np.fmax.reduce(gaps, axis=0, initial=0.0).tolist()
         done = [w <= tol for w in worst]
@@ -280,24 +305,67 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
             break
         staying = [row for row, d in enumerate(done) if not d]
         stack, ids = stack[staying], [ids[row] for row in staying]
-        plan, gaps = _batch_plan(steps, ids)
+        plan, (diffs, starts, gaps, where) = _batch_plan(steps, ids, obs.size)
     return results
 
 
-def _batch_plan(steps, ids) -> tuple[list, np.ndarray]:
+def _batch_plan(steps, ids, size) -> tuple[list, tuple]:
     """The steps that scale some of the live fits ``ids`` (the rows of the
-    stack), each with those rows: a slice when they are one contiguous run
-    (a view, scaled in place), else an index array (a gathered copy).
-    Also a zeroed array for each step's gap on each live fit; a fit
-    outside a step keeps 0 there, the start of a lone fit's worst gap."""
-    plan = []
-    for axes, target, owners in steps:
+    stack of ``size``-cell fits), each with those rows (a slice when they
+    are one contiguous run, else an index array), its reduced axes, its
+    take index (None when the rows are reduced in place), its target and
+    a view of one buffer for its members' gaps, shaped as their
+    marginals.  Also the start of each member's gaps in the buffer, and a
+    zeroed (steps, fits) array with the flat position of each member's
+    entry in it; a fit outside a step keeps 0 there, the start of a lone
+    fit's worst gap."""
+    live = []
+    for axes, target, cells, owners in steps:
         rows = [row for row, i in enumerate(ids) if i in owners]
         if rows:
             contiguous = rows[-1] - rows[0] + 1 == len(rows)
-            plan.append((axes, target,
+            live.append((axes, target, cells, rows,
                          slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows)))
-    return plan, np.zeros((len(plan), len(ids)))
+    offsets = np.arange(0, len(ids) * size, size, dtype=np.int32)
+    diffs = np.empty(sum(target.size * len(rows) for _, target, _, rows, _ in live))
+    plan, starts, where, first = [], [], [], 0
+    for j, (axes, target, cells, rows, members) in enumerate(live):
+        m, last = target.size, first + target.size * len(rows)
+        plan.append((members, axes, None if cells is None else cells + offsets[members, None],
+                     target, diffs[first:last].reshape((len(rows),) + target.shape)))
+        starts.extend(range(first, last, m))
+        where.extend(j * len(ids) + row for row in rows)
+        first = last
+    return plan, (diffs, np.array(starts), np.zeros((len(plan), len(ids))), np.array(where))
+
+
+def _layout(shape, g) -> np.ndarray | None:
+    """The cells of a ``shape`` table in the order its marginal over the
+    generator ``g`` sums them, as int32 flat indices; None when the
+    trailing reduced run (the cells after the last axis of ``g`` longer
+    than one) has 8 cells or more, as the table's own order serves then.
+    With L the run, M the kept cells and R the other reduced positions,
+    each in C order, the cells are shaped ``(R, L, 1, M)``, or ``(R, 1,
+    M)`` when L = 1.  The axis of length 1 is for the fits: adding each
+    fit's first flat cell there gives its take index."""
+    last = max((k for k in g if shape[k] > 1), default=-1)
+    run = math.prod(shape[last + 1:])
+    if run >= 8:
+        return None
+    reduced = [k for k in range(last + 1) if k not in g]
+    cells = np.arange(math.prod(shape), dtype=np.int32).reshape(shape[:last + 1] + (run,))
+    cells = cells.transpose(reduced + [last + 1] + [k for k in range(last + 1) if k in g])
+    cells = cells.reshape(math.prod(shape[k] for k in reduced), run, 1, -1)
+    return np.ascontiguousarray(cells if run > 1 else cells[:, 0])
+
+
+def _marginal(flat, index) -> np.ndarray:
+    """The marginals of the fits in the flat stack ``flat`` read through a
+    take index of :func:`_layout` cells, shaped (fits, kept cells)."""
+    block = flat.take(index)
+    if block.ndim == 4:  # sum each run first
+        block = np.add.reduce(block, axis=1)
+    return np.add.reduce(block, axis=0)
 
 
 def _ipf(obs: np.ndarray, n: float, spec: ModelSpec, tol: float, max_iter: int,

@@ -221,9 +221,11 @@ class TestErrorPaths:
         # finite counts whose sums overflow: the statistics come out nan
         data = tmp_path / "huge.csv"
         data.write_text("x,y,count\na,c,1e308\na,d,3e307\nb,c,2e307\nb,d,1.5e308\n")
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run([command, "--data", data, "--out", out]) == 1
         assert "non-finite value" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not any(out.iterdir())
 
     def test_bad_config_exit_1(self, out, tmp_path, capsys):

@@ -211,6 +211,20 @@ class TestIpfFit:
             with pytest.raises(InputError, match="max_iter"):
                 call()
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_tol_not_positive_finite_rejected(self, christensen_table, tol):
+        # a NaN tol passed ``tol <= 0`` and ran every cycle to max_iter
+        t = christensen_table
+        spec = ModelSpec(((0, 2), (2, 3), (1,)))
+        calls = [
+            lambda: ipf_fit(t, spec, tol=tol),
+            lambda: backward_select(t, tol=tol),
+            lambda: fit_hllpm(t, Partition.identity(t.shape), spec, tol=tol),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match="tol"):
+                call()
+
     def test_zero_cells_keep_df(self, from_dense):
         t = from_dense([[0, 3, 1], [2, 0, 4], [1, 2, 0]])
         fit = ipf_fit(t, ModelSpec.main_effects(2))

@@ -512,6 +512,78 @@ def test_batched_ipf_matches_reference_bitwise_on_wide_axes(problem, max_iter):
     check_batch_against_reference(*problem, max_iter)
 
 
+@pytest.mark.parametrize("shape", [(2, 12, 12), (3, 2, 100)])
+@pytest.mark.parametrize("max_iter", [4, 1000])
+def test_batched_ipf_matches_reference_bitwise_past_pairwise_blocks(shape, max_iter):
+    # the trailing reduced run of [0] (144 and 200 cells) passes 128, where
+    # numpy's pairwise sum recurses
+    rng = np.random.default_rng(11)
+    arr = rng.uniform(0.01, 50.0, shape) * (rng.random(shape) > 0.3)
+    batch = [ModelSpec(((0,),)), ModelSpec.main_effects(3), ModelSpec(((0,), (1, 2))),
+             ModelSpec(((0, 1), (0, 2))), ModelSpec(((0, 1), (1, 2)))]
+    check_batch_against_reference(arr, batch, max_iter)
+
+
+def stack_of_fits(seed, fits, shape):
+    """``fits`` tables of ``shape`` stacked, their cells spread from 1e-8
+    to 1e8 on a log scale, a fifth of them zero."""
+    rng = np.random.default_rng(seed)
+    stack = 10.0 ** rng.uniform(-8.0, 8.0, (fits,) + shape)
+    stack[rng.random(stack.shape) < 0.2] = 0.0
+    return stack
+
+
+def check_marginals_bitwise(stack):
+    """For every subset of the axes kept whose trailing reduced run is
+    under 8 cells, the marginals read through ``_layout`` and
+    ``_marginal`` are bitwise those of ``np.add.reduce(...,
+    keepdims=True)``, for all the fits, for the last alone and for a
+    gathered pair.  (Longer runs are reduced by ``np.add.reduce`` itself.)"""
+    shape, size = stack.shape[1:], math.prod(stack.shape[1:])
+    flat = stack.reshape(-1)
+    members = [list(range(len(stack))), [len(stack) - 1]]
+    if len(stack) > 2:
+        members.append([0, 2])
+    for kept in range(len(shape) + 1):
+        for g in combinations(range(len(shape)), kept):
+            cells = hllm._layout(shape, g)
+            if cells is None:
+                continue
+            axes = tuple(k + 1 for k in range(len(shape)) if k not in g)
+            for rows in members:
+                want = np.add.reduce(stack[rows], axis=axes, keepdims=True)
+                offsets = np.array(rows, dtype=np.int32) * np.int32(size)
+                got = hllm._marginal(flat, cells + offsets[:, None])
+                assert got.shape == (len(rows), want[0].size)
+                assert got.tobytes() == want.tobytes(), (
+                    f"numpy sums the marginal over {g} of {shape} in another order "
+                    "than hllm._ipf_chunk assumes")
+
+
+@st.composite
+def small_shapes(draw, max_cells=3000):
+    """One to five axes of 1 to 12 cells each, at most ``max_cells`` in all."""
+    shape: list[int] = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape.append(draw(st.integers(1, max(1, min(12, max_cells // math.prod(shape))))))
+    return tuple(shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), small_shapes())
+def test_marginal_matches_add_reduce_bitwise(seed, fits, shape):
+    check_marginals_bitwise(stack_of_fits(seed, fits, shape))
+
+
+@pytest.mark.parametrize("shape", [(3,) * 6, (2, 12, 12), (1, 9, 1, 7), (7, 1, 3, 1, 2),
+                                   (40, 2, 3), (1,), (1, 1, 1), (6,)])
+@pytest.mark.parametrize("fits", [1, 3])
+def test_marginal_matches_add_reduce_bitwise_on_fixed_shapes(shape, fits):
+    # runs of one and of two to seven cells, size-1 axes inside and around
+    # them, many run positions, and a lone fit
+    check_marginals_bitwise(stack_of_fits(5, fits, shape))
+
+
 @st.composite
 def scaled_tie_heavy_tables(draw, max_side=5):
     """A tie-heavy table of up to four axes with integer, per-cell
