@@ -174,12 +174,17 @@ class _Collapse:
         sums of every axis that stays eligible."""
         dim, u, v, _, u_cells, v_cells, u_vals, v_vals, at, both, near = self.chosen
         new_shape = tuple(s - (k == dim) for k, s in enumerate(self.shape))
-        # a column holding both gets the count a + b, as apply_partition forms it
-        merged_vals = u_vals.copy()
-        merged_vals[at[both]] += v_vals[both]
         # v's cells die; those of columns u lacks come back under u's name, which
         # changes their key on every other axis
         moved = v_cells[~both]
+        new = np.concatenate([u_cells, moved])
+        # each merged cell's u- and v-part, 0 where that category has no cell in
+        # the column; their sum a + b is the count apply_partition forms
+        u_part = np.concatenate([u_vals, np.zeros(moved.size)])
+        v_part = np.zeros(new.size)
+        v_part[at[both]] = v_vals[both]
+        v_part[u_vals.size:] = v_vals[~both]
+        new_vals = u_part + v_part
         rep_u, rep_v = int(self.rep[dim][u]), int(self.rep[dim][v])
         shift = (rep_u - rep_v) * self.strides[dim]
         self.alive[v_cells] = False
@@ -188,11 +193,8 @@ class _Collapse:
         self.rep[dim] = self.rep[dim][others]
         self.cur[dim][self.rep[dim]] = np.arange(new_shape[dim])
         self.eligible = _eligible(new_shape, self.treatments)
-        new = np.concatenate([u_cells, moved])
-        new_vals = np.concatenate([merged_vals, v_vals[~both]])
-        deltas = self._deltas([k for k, _ in self.eligible if k != dim],
-                              np.concatenate([u_cells, v_cells]), np.concatenate([u_vals, v_vals]),
-                              new, new_vals, moved.size, shift)
+        deltas = self._deltas([k for k, _ in self.eligible if k != dim], new, (u_part, v_part),
+                              moved.size, shift)
         sums = {}
         for k, _ in self.eligible:
             rows, shared = self.sums[k]
@@ -225,38 +227,32 @@ class _Collapse:
         self.sums = sums
         self.shape = new_shape
 
-        self.vals[u_cells] = merged_vals
+        self.vals[u_cells] = new_vals[:u_cells.size]
         coords = self.coords[:, moved]
         coords[dim] = rep_u
-        self._append(coords, self.keys[:, moved] + shift[:, None], v_vals[~both])
+        self._append(coords, self.keys[:, moved] + shift[:, None], new_vals[u_cells.size:])
 
-    def _deltas(self, axes: list[int], old: np.ndarray, old_vals: np.ndarray, new: np.ndarray,
-                new_vals: np.ndarray, moved: int, shift: np.ndarray) -> dict[int, np.ndarray]:
+    def _deltas(self, axes: list[int], cells: np.ndarray, parts: tuple[np.ndarray, np.ndarray],
+                moved: int, shift: np.ndarray) -> dict[int, np.ndarray]:
         """Change of the shared-column sums of the other eligible ``axes``
-        when the cells ``old`` give way to the cells ``new`` with counts
-        ``new_vals``, the last ``moved`` of which move to another category
-        of the merged axis, shifting their keys by ``shift``: signed kernel
-        passes take the old columns out and the new ones in.
+        by a merge, from one kernel pass over the merged ``cells`` alone with
+        their u- and v-parts ``parts`` (see :func:`_axis_sums`); the last
+        ``moved`` cells come to u from v, shifting their keys by ``shift``.
 
-        The new keys are shifted past the old ones so the two never pair.
         Axes of one treatment share a pass, each with its own range of
         categories and column ids, so no two cells pair across axes and each
         axis's block of the result adds the terms its own pass would, in the
         same order; a pass takes at most ``_PASS_CELLS`` cells unless one
         axis alone has more, and keeps its sort keys ``column * categories +
         category`` below 2**62."""
-        cells = old.size + new.size
-        vals = np.concatenate([old_vals, new_vals])
-        sign = np.concatenate([np.full(old.size, -1.0), np.ones(new.size)])
-        both = np.concatenate([old, new])
         groups: list[list[int]] = []
         for adjacent in (False, True):
             r = col = 0
             for k in axes:
                 if self.adjacent[k] != adjacent:
                     continue
-                r_k, col_k = self.shape[k], 2 * self.offset[self.slot[k]]
-                if r == 0 or (cells * (len(groups[-1]) + 1) > _PASS_CELLS
+                r_k, col_k = self.shape[k], self.offset[self.slot[k]]
+                if r == 0 or (cells.size * (len(groups[-1]) + 1) > _PASS_CELLS
                               or (col + col_k) * (r + r_k) >= 2**62):
                     groups.append([])
                     r = col = 0
@@ -268,17 +264,15 @@ class _Collapse:
             r = col = 0
             for k in group:
                 b = self.slot[k]
-                cats.append(self.cur[k][self.coords[k, both]] + r)
-                keys = self.keys[b, both].astype(np.int64)
-                keys[old.size:] += self.offset[b] + col
-                keys[cells - moved:] += shift[b]
-                keys[:old.size] += col
-                cols.append(keys)
+                cats.append(self.cur[k][self.coords[k, cells]] + r)
+                keys = self.keys[b, cells].astype(np.int64)
+                keys[cells.size - moved:] += shift[b]
+                cols.append(keys + col)
                 r += self.shape[k]
-                col += 2 * self.offset[b]
-            _, delta = _axis_sums(np.concatenate(cats), np.concatenate(cols),
-                                  np.tile(vals, len(group)), r, self.adjacent[group[0]],
-                                  np.tile(sign, len(group)))
+                col += self.offset[b]
+            p, q = (np.tile(part, len(group)) for part in parts)
+            _, delta = _axis_sums(np.concatenate(cats), np.concatenate(cols), p + q, r,
+                                  self.adjacent[group[0]], (p, q))
             lo = 0
             for k in group:
                 hi = lo + self.shape[k]

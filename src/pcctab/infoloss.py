@@ -45,11 +45,9 @@ class PairLoss:
 
 
 def _xlogx(t: np.ndarray) -> np.ndarray:
-    # t * ln(t) elementwise with the 0 * ln(0) = 0 guard
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = t[pos] * np.log(t[pos])
-    return out
+    # t * ln(t) for t >= 0: 5e-324 is the least positive double, so the max
+    # leaves every t > 0 as it is and 0 * ln(0) gives -0.0
+    return t * np.log(np.maximum(t, 5e-324))
 
 
 def _other_cols(coords: np.ndarray, shape: tuple[int, ...], dim: int) -> np.ndarray:
@@ -63,7 +61,7 @@ def _other_cols(coords: np.ndarray, shape: tuple[int, ...], dim: int) -> np.ndar
 
 
 def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
-               adjacent: bool = False, sign: np.ndarray | None = None
+               adjacent: bool = False, parts: tuple[np.ndarray, np.ndarray] | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
     """Row totals and shared-column sums of one axis: ``(rows, shared)``.
 
@@ -73,9 +71,10 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
     ``sum_j h(a_uj, a_vj)`` over the columns holding both categories, with
     ``h(a, b) = x(a) + x(b) - x(a + b)`` and ``x(t) = t ln t``; entries on
     and below the diagonal are zero.  With ``adjacent`` only the ``v = u + 1``
-    entries are summed.  ``sign`` (+1 or -1 per cell, equal within a column)
-    weights each column's terms, so one call can add some columns and
-    subtract others.
+    entries are summed.  With ``parts = (p, q)``, where ``vals = p + q`` adds
+    the counts of two merged columns, each term is ``h(a, b) - h(a_p, b_p) -
+    h(a_q, b_q)`` instead, what the merge adds to ``shared``; a column that
+    only ``p`` or only ``q`` fills adds exactly 0.
 
     Cells are sorted by (column, category); offset pass ``t`` pairs each cell
     with the cell ``t`` places later in the same column, and the active set
@@ -85,9 +84,10 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
     n = cats.shape[0]
     order = np.argsort(cols * r + cats)
     cats, cols, vals = cats[order], cols[order], vals[order]
-    if sign is not None:
-        sign = sign[order]
     xvals = vals * np.log(vals)
+    if parts is not None:
+        p, q = parts[0][order], parts[1][order]
+        xvals = xvals - _xlogx(p) - _xlogx(q)
     # cells after each one in its column: the offsets it still has partners at
     ends = np.append(np.flatnonzero(cols[1:] != cols[:-1]) + 1, n)
     remaining = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n) - 1
@@ -105,8 +105,8 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
             break
         ab = vals[active] + vals[partner]
         h = xvals[active] + xvals[partner] - ab * np.log(ab)
-        if sign is not None:
-            h *= sign[active]
+        if parts is not None:
+            h += _xlogx(p[active] + p[partner]) + _xlogx(q[active] + q[partner])
         # within a column categories ascend, so every pair lands above the diagonal
         shared += np.bincount(cats[active] * r + cats[partner], weights=h, minlength=r * r)
     rows = np.bincount(cats, weights=vals, minlength=r)

@@ -35,6 +35,28 @@ class TestPccCommand:
         run(["pcc", "--data", "christensen_abortion", "--out", b])
         assert (a / "pcc_trace.tsv").read_bytes() == (b / "pcc_trace.tsv").read_bytes()
 
+    def test_loss_matrices_flag(self, out):
+        assert run(["pcc", "--data", "wermuth_cox", "--out", out, "--loss-matrices"]) == 0
+        first = out / "pcc_loss_r00_schooling.tsv"
+        assert first.exists()
+        text = first.read_text()
+        assert "173.69" in text and "6.95" in text
+        # merged states keep reporting until the collapse ends
+        assert (out / "pcc_loss_r06_age.tsv").exists()
+
+    def test_stop_quotient(self, out):
+        assert run(["pcc", "--data", "wermuth_cox", "--out", out,
+                    "--stop-quotient", "1.0"]) == 0
+        lines = (out / "pcc_trace.tsv").read_text().splitlines()
+        assert len(lines) == 3  # header, saturated row, one merge
+
+    @pytest.mark.parametrize("command", ["pcc", "curve"])
+    def test_nan_stop_quotient_exit_1(self, out, capsys, command):
+        assert run([command, "--data", "wermuth_cox", "--out", out,
+                    "--stop-quotient", "nan"]) == 1
+        assert "stop_quotient" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 @pytest.mark.parametrize("command,extra", [
     ("pcc", ["--loss-matrices"]),
@@ -54,21 +76,6 @@ def test_every_command_is_byte_deterministic(tmp_path, command, extra):
     assert files_a
     for name in files_a:
         assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    def test_loss_matrices_flag(self, out):
-        assert run(["pcc", "--data", "wermuth_cox", "--out", out, "--loss-matrices"]) == 0
-        first = out / "pcc_loss_r00_schooling.tsv"
-        assert first.exists()
-        text = first.read_text()
-        assert "173.69" in text and "6.95" in text
-        # merged states keep reporting until the collapse ends
-        assert (out / "pcc_loss_r06_age.tsv").exists()
-
-    def test_stop_quotient(self, out):
-        assert run(["pcc", "--data", "wermuth_cox", "--out", out,
-                    "--stop-quotient", "1.0"]) == 0
-        lines = (out / "pcc_trace.tsv").read_text().splitlines()
-        assert len(lines) == 3  # header, saturated row, one merge
 
 
 class TestLossMatrixCommand:

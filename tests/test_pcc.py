@@ -302,6 +302,17 @@ class TestRunPccGeneral:
         assert trace.steps[-1].shape == (5, 4)
         assert not trace.steps[-1].terminal
 
+    @pytest.mark.parametrize("quotient", [-1.0, float("nan")])
+    def test_stop_quotient_negative_or_nan_rejected(self, wermuth_table, quotient):
+        # no quotient is > nan, so a NaN passed ``< 0`` and ran the full collapse
+        with pytest.raises(InputError, match="stop_quotient"):
+            run_pcc(wermuth_table, stop_quotient=quotient)
+
+    def test_infinite_stop_quotient_never_stops(self, wermuth_table):
+        trace = run_pcc(wermuth_table, stop_quotient=float("inf"))
+        assert trace.steps == run_pcc(wermuth_table).steps
+        assert trace.steps[-1].terminal
+
     def test_sentinel_df_is_remaining_width_minus_one(self, from_dense):
         t = from_dense([[1, 5], [2, 1], [9, 4]])
         trace = run_pcc(t)

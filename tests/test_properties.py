@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
@@ -41,8 +42,9 @@ from pcctab.report import (
     render_ratios,
 )
 from pcctab.hllm import IPF_MAX_ITER, IPF_TOL, _ipf, _ipf_batch
-from pcctab.infoloss import _axis_pair_g2, _deviance, _one_pair_g2
-from pcctab.pcc import _contiguous_partitions, _set_partitions
+from pcctab.infoloss import (_axis_pair_g2, _axis_sums, _deviance, _one_pair_g2, _other_cols,
+                             _xlogx)
+from pcctab.pcc import _contiguous_partitions, _set_partitions, normalize_treatments
 from pcctab.table import group_weights
 
 from oracles import (
@@ -744,6 +746,87 @@ def test_carried_drift_inside_window_changes_nothing(problem, seed):
         mp.setattr(collapse, "_carried_g2", drifted)
         trace = run_pcc(t, treatments, stop_quotient=stop)
     assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments, stop)
+
+
+def assert_carried_sums_fresh(t, treatments):
+    """Collapse ``t`` fully and, after every merge, compare each eligible
+    axis's carried row totals and shared-column sums with a fresh kernel
+    pass over the live cells: they must agree within 1e-12 n."""
+    state = collapse._Collapse(t, normalize_treatments(t.ndim, treatments))
+    while state.select() is not None:
+        state.merge()
+        live = np.flatnonzero(state.alive[:state.size])
+        for dim, _ in state.eligible:
+            rows, shared = _axis_sums(state.cur[dim][state.coords[dim, live]],
+                                      state.keys[state.slot[dim], live].astype(np.int64),
+                                      state.vals[live], state.shape[dim], state.adjacent[dim])
+            carried_rows, carried_shared = state.sums[dim]
+            assert np.abs(carried_rows - rows).max() <= 1e-12 * t.total
+            assert np.abs(carried_shared - (shared + shared.T)).max() <= 1e-12 * t.total
+
+
+@SETTINGS
+@given(collapse_problems())
+def test_carried_sums_match_fresh_kernel_after_every_merge(problem):
+    arr, treatments, _ = problem
+    assert_carried_sums_fresh(SparseTable.from_dense(arr), treatments)
+
+
+def sparse4_table(seed):
+    """15,000 of the 60,000 cells of the shape (20, 20, 15, 10), drawn with
+    skewed category frequencies, with counts 1 to 8."""
+    rng = np.random.default_rng(seed)
+    shape = (20, 20, 15, 10)
+    probs = reduce(np.multiply.outer, [rng.dirichlet(np.full(s, 0.7)) for s in shape]).ravel()
+    flat = np.sort(rng.choice(probs.size, 15_000, replace=False, p=probs))
+    coords = np.stack(np.unravel_index(flat, shape), axis=1)
+    return SparseTable(shape, coords, rng.integers(1, 9, flat.size).astype(float))
+
+
+@pytest.mark.parametrize("treatments", [None, ["nominal", "ordinal", "fixed", "ordinal"]],
+                         ids=["nominal", "mixed"])
+def test_carried_sums_match_fresh_kernel_on_a_long_collapse(treatments):
+    assert_carried_sums_fresh(sparse4_table(5), treatments)
+
+
+@SETTINGS
+@given(scaled_tie_heavy_tables(), st.booleans(), st.data())
+def test_axis_sums_parts_is_the_merge_change(arr, adjacent, data):
+    """With ``parts = (x, y)`` the kernel gives ``S(x + y) - S(x) - S(y)``,
+    each ``S`` a plain pass over that vector's positive cells, within 1e-12
+    of the magnitudes of the ``t ln t`` terms that enter each entry; x or y
+    is 0 in some cells."""
+    # per cell: x only, y only, or both
+    split = data.draw(arrays(np.int8, arr.shape, elements=st.integers(0, 2)))
+    x = np.where(split == 1, 0.0, arr)
+    y = np.where(split == 0, 0.0, np.where(split == 2, 0.37, 1.0) * arr)
+    m = x + y
+    coords = np.argwhere(m > 0)
+    flat = tuple(coords.T)
+
+    def plain(vals):
+        pos = vals[flat] > 0
+        return _axis_sums(coords[pos, dim], cols[pos], vals[flat][pos], r, adjacent)[1]
+
+    for dim, r in enumerate(arr.shape):
+        cols = _other_cols(coords, arr.shape, dim)
+        _, got = _axis_sums(coords[:, dim], cols, m[flat], r, adjacent, (x[flat], y[flat]))
+        want = plain(m) - plain(x) - plain(y)
+        # a merge that only renames columns changes nothing, exactly
+        _, none = _axis_sums(coords[:, dim], cols, m[flat], r, adjacent,
+                             (m[flat], np.zeros(len(coords))))
+        assert not none.any()
+        rows = [np.moveaxis(v, dim, 0).reshape(r, -1) for v in (m, x, y)]
+        for u in range(r):
+            for v in range(r):
+                if v <= u or (adjacent and v != u + 1):
+                    assert got[u, v] == 0.0
+                    continue
+                both = (rows[0][u] > 0) & (rows[0][v] > 0)
+                terms = [_xlogx(t) for a in rows for t in (a[u, both], a[v, both],
+                                                             a[u, both] + a[v, both])]
+                scale = sum(np.abs(t).sum() for t in terms)
+                assert abs(got[u, v] - want[u, v]) <= 1e-12 * scale
 
 
 @st.composite
