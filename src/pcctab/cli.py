@@ -7,8 +7,9 @@ parameters for both model families), and ``oracle`` (exhaustive partition
 search on small tables).  Reports are written into ``--out`` as TSV/CSV and
 are byte-identical across runs for the same input.
 
-Exit codes: 0 success, 1 bad input, 2 infeasible enumeration, 3 a fit did
-not converge (reports are still written).
+Exit codes: 0 success, 1 bad input, 2 infeasible size (an oracle
+enumeration over its cap, or a table too large to fit densely), 3 a fit
+did not converge (reports are still written).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .report import (
     render_pcc_trace,
     render_ratios,
 )
-from .table import FIXED, apply_partition
+from .table import FIXED, _check_dense, apply_partition
 
 __all__ = ["main", "entry"]
 
@@ -172,6 +173,9 @@ def _run(args) -> int:
         _write(out_dir, "ratios.tsv", render_ratios(ratios, scheme, precision))
 
     elif args.command == "curve":
+        # a table too large to fit densely fails at once, not after a long
+        # collapse
+        _check_dense(table.shape)
         trace = run_pcc(table, scheme.treatments, stop_quotient=args.stop_quotient)
         hllm_trace = backward_select(table)
         not_converged |= any(not s.converged for s in hllm_trace.steps)

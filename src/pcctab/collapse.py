@@ -364,9 +364,9 @@ class _Collapse:
         kept = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(alive, out=kept[1:])
         live = np.flatnonzero(alive)
-        self.coords[:, :live.size] = np.take(self.coords, live, axis=1)
-        self.keys[:, :live.size] = np.take(self.keys, live, axis=1)
-        self.vals[:live.size] = self.vals[live]
+        # a row at a time, so the transient copy is one row
+        for row in (*self.coords, *self.keys, self.vals):
+            row[:live.size] = row[live]
         self.alive[:live.size] = True
         self.alive[live.size:n] = False
         for a in range(len(self.axes)):

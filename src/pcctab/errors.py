@@ -10,7 +10,9 @@ class InputError(PcctabError, ValueError):
 
 
 class FeasibilityError(PcctabError, RuntimeError):
-    """An exhaustive enumeration would exceed the configured size cap."""
+    """A computation would exceed a size cap: an exhaustive enumeration
+    over its configured cap, or a dense array of a table with more than
+    ``MAX_DENSE_CELLS`` cells.  ``size`` is the size that was refused."""
 
     def __init__(self, message: str, size: int):
         super().__init__(message)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegeneracyError, InputError
 from .infoloss import _deviance, _expanded_deviance, _group_coords
 from .pcc import adjusted_rsq
-from .table import Partition, SparseTable, apply_partition
+from .table import Partition, SparseTable, _check_dense, apply_partition
 
 __all__ = [
     "ModelSpec",
@@ -529,6 +529,7 @@ def fit_hllpm(original: SparseTable, partition: Partition, spec: ModelSpec,
 
 def independence_expected(table: SparseTable) -> np.ndarray:
     """Dense expected counts under mutual independence of all variables."""
+    _check_dense(table.shape)
     if table.total <= 0:
         return np.zeros(table.shape)
     n = table.total

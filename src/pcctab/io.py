@@ -5,11 +5,20 @@ header names the variables followed by a literal ``count`` column; each
 row carries one category label per variable and a nonnegative number.
 Category order is first appearance in the file unless a config supplies an
 explicit order.
+
+A counts file is read a block at a time, so memory stays bounded by the
+coded arrays plus one block.  A block of plain lines, one record each with
+no quotes and LF or CRLF line ends (as :func:`write_counts` writes them),
+is coded straight from its bytes, a column at a time, with numpy.  From
+the first block that ``csv.reader`` might read differently, or that holds
+a faulty record, the rest of the file goes through ``csv.reader``.  That
+one loop reads quoted fields and raises every error about a record.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from itertools import islice
@@ -26,6 +35,19 @@ __all__ = ["VariableConfig", "RunConfig", "read_config", "read_counts", "write_c
 # until it is coded, so a smaller block holds less memory; below about a
 # hundred records the per-block numpy calls start to cost time.
 _READ_BLOCK_ROWS = 128
+
+# bytes read at a time by the byte path.  A block is cut at its last
+# newline and grows until it holds one.  Its transient arrays take a few
+# times its size; a block whose keys of one column come near the 16-fold
+# cap in _Columns.take can take about 75 times (4.7 MB at 64 KiB).  Much
+# smaller blocks spend their time in numpy call overhead.
+_READ_BLOCK_BYTES = 1 << 16
+
+# _LOW_BYTES[n] keeps the first n bytes of a little-endian 8-byte word.
+# Words are signed and every sort here is stable: they then run the int64
+# sort code that the table build runs anyway, so a load touches less of
+# numpy's code (about 0.3 MB less resident memory).
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype="<u8").view("<i8")
 
 
 @dataclass(frozen=True)
@@ -126,26 +148,77 @@ def _read_columns(path, config: RunConfig | None):
     array of category codes and the ``n`` float64 counts, one row per data
     record.
 
-    Records are read ``_READ_BLOCK_ROWS`` at a time and checked a block at a
-    time, so memory stays bounded by the arrays plus one block.
+    A plain header line (:func:`_plain`) is parsed on its own.  Then the file is read ``_READ_BLOCK_BYTES`` at a time, cut
+    at newlines, and :meth:`_Columns.take` codes each block from its bytes.
+    The first block it does not take, and everything after it, is read by
+    ``csv.reader`` ``_READ_BLOCK_ROWS`` records at a time; a header that is
+    not plain sends the whole file there.  The byte path only takes blocks
+    of one record per line, so record numbers carry over.  Either way memory
+    stays bounded by the arrays plus one block.
     """
     path = Path(path)
     try:
-        fh = open(path, encoding="utf-8-sig", newline="")
+        fh = open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with fh:
+        columns, record, offset = None, 2, 0
+        header = fh.readline()
+        if (header.endswith(b"\n") and _plain(header)
+                and len(header) <= csv.field_size_limit()):
+            try:
+                text = header.decode("utf-8-sig")
+            except UnicodeDecodeError:
+                pass
+            else:
+                columns = _Columns(path, *_read_header(path, csv.reader([text]), config))
+                offset = len(header)
+                for block in _blocks(fh):
+                    if not (taken := columns.take(block)):
+                        break
+                    offset += len(block)
+                    record += taken
+                else:
+                    return columns.finish()
+        # the lines before the csv loop's first: all taken records are one
+        # line each
+        skipped = record - 1 if columns is not None else 0
+        fh.seek(offset)
+        reader = csv.reader(io.TextIOWrapper(
+            fh, encoding="utf-8-sig" if offset == 0 else "utf-8", newline=""))
         try:
-            reader = csv.reader(fh)
-            columns = _Columns(path, *_read_header(path, reader, config))
-            record = 2
+            if columns is None:
+                columns = _Columns(path, *_read_header(path, reader, config))
             while rows := list(islice(reader, _READ_BLOCK_ROWS)):
                 columns.add(rows, record)
                 record += len(rows)
         except UnicodeDecodeError:
             raise InputError(
                 f"{path}: not valid UTF-8 text ({_first_undecodable(path)})") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}: line {skipped + reader.line_num}: {exc}") from None
     return columns.finish()
+
+
+def _plain(data: bytes) -> bool:
+    """Whether ``csv.reader`` reads every byte of ``data`` as plain text or
+    a field or line end: no quote, no NUL and every CR part of a CRLF."""
+    return (b'"' not in data and b"\0" not in data
+            and (b"\r" not in data or data.count(b"\r") == data.count(b"\r\n")))
+
+
+def _blocks(fh):
+    """The rest of ``fh`` in blocks of whole lines, each about
+    ``_READ_BLOCK_BYTES`` long; a last line with no newline gets one."""
+    carry = b""
+    while chunk := fh.read(_READ_BLOCK_BYTES):
+        block = carry + chunk
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield block[:cut]
+        carry = block[cut:]
+    if carry:
+        yield carry + b"\n"
 
 
 def _read_header(path, reader, config):
@@ -180,7 +253,9 @@ class _Columns:
 
     Each column is coded through a map from raw field to code that lives
     across blocks, so ``str.strip`` and the label lookup run once per
-    distinct raw field of the file, in first-appearance order.
+    distinct raw field of the file, in first-appearance order.  The byte
+    path keeps beside it, per column, a sorted table of the raw fields it
+    has seen as fixed-width keys (:func:`_field_keys`), with their codes.
     """
 
     def __init__(self, path, names, fixed_order):
@@ -190,11 +265,126 @@ class _Columns:
         # stripped label -> code; insertion order is code order
         self.index = [dict(f) if f else {} for f in fixed_order]
         self.raw_codes: list[dict[str, int]] = [{} for _ in names]
+        # per column: sorted raw-field keys, their codes and the longest
+        # raw field seen, in bytes
+        self.key_tables = [(np.empty(0, "<i8"), np.empty(0, np.intp))] * len(names)
+        self.key_widths = [0] * len(names)
         # one buffer each for the codes and the counts, doubled when full;
         # finish() returns views of the rows filled
         self.codes = np.empty((_READ_BLOCK_ROWS, len(names)), dtype=np.intp)
         self.counts = np.empty(_READ_BLOCK_ROWS)
         self.rows = 0
+
+    def take(self, block: bytes) -> int:
+        """Code a block of whole lines from its bytes, if ``csv.reader``
+        would read the same records from it and none is at fault; return
+        the number of records coded, 0 if it did not take the block.
+
+        The block is taken only if it is plain (:func:`_plain`), every line
+        has K+1 fields, none longer than ``csv.field_size_limit()``, every
+        count is a finite nonnegative number and every label is allowed by
+        the config.  A block not taken adds no record.
+        """
+        if not _plain(block):
+            return 0
+        width = len(self.names) + 1
+        buf = np.frombuffer(block, np.uint8)
+        newline = buf == ord("\n")
+        n = int(np.count_nonzero(newline))
+        ends = np.flatnonzero(newline | (buf == ord(",")))
+        # n lines of K+1 fields each: every (K+1)-th field end is a newline
+        if ends.size != n * width or not np.all(newline[ends[width - 1::width]]):
+            return 0
+        starts = np.empty_like(ends)
+        starts[0] = 0
+        starts[1:] = ends[:-1] + 1
+        # one row per column, one entry per record
+        starts = starts.reshape(n, width).T
+        ends = ends.reshape(n, width).T
+        lengths = ends - starts
+        if b"\r" in block:
+            # a CRLF line end: the CR is not part of the count
+            lengths[-1] -= buf[ends[-1] - 1] == ord("\r")
+        widths = lengths.max(axis=1)
+        if widths.max() > csv.field_size_limit():
+            return 0
+        # keys wider than one word take whole words
+        widths = np.where(widths > 8, -(-widths // 8) * 8, widths)
+        widths[:-1] = np.maximum(widths[:-1], self.key_widths)
+        if np.any((widths > 8) & (widths * n > 16 * len(block))):
+            return 0  # keys this wide would take many times the block
+        # the eight bytes from each offset of the block as one
+        # little-endian word
+        words = np.ndarray(len(block), "<i8", block + bytes(8), 0, (1,))
+
+        keys = _field_keys(words, starts[-1], lengths[-1], widths[-1])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        try:
+            values = np.array([float(block[a:a + m]) for a, m in
+                               zip(starts[-1, first].tolist(), lengths[-1, first].tolist())])
+        except ValueError:
+            return 0
+        if not np.all((values >= 0) & (values < np.inf)):
+            return 0
+        codes = []
+        for k in range(width - 1):
+            keys = _field_keys(words, starts[k], lengths[k], widths[k])
+            col = self._code_keys(k, block, keys, starts[k], lengths[k], widths[k])
+            if col is None:
+                return 0
+            codes.append(col)
+        lo, hi = self._reserve(n)
+        for k, col in enumerate(codes):
+            self.codes[lo:hi, k] = col
+        self.counts[lo:hi] = values[inverse]
+        self.rows = hi
+        return n
+
+    def _code_keys(self, k, block, keys, starts, lengths, width):
+        """Codes of column ``k``'s fields in ``block``, found by their
+        ``width``-byte keys in the column's table.  Fields new to the column
+        are decoded and coded by :meth:`_code_labels`; returns None if one is
+        not UTF-8 or not a configured label."""
+        table, codes = self.key_tables[k]
+        if width > max(self.key_widths[k], 8):
+            # re-key the table as zero-padded bytes, sorted as such
+            if table.dtype.kind == "i":
+                table = table.view("S8")
+            table = table.astype(f"S{width}")
+            order = np.argsort(table, kind="stable")
+            self.key_tables[k] = table, codes = table[order], codes[order]
+        self.key_widths[k] = width
+        pos, found = _lookup(table, keys)
+        if not found.all():
+            new = np.flatnonzero(~found)
+            _, first = np.unique(keys[new], return_index=True)
+            first.sort(kind="stable")
+            rows = new[first]
+            try:
+                texts = [block[a:a + m].decode() for a, m in
+                         zip(starts[rows].tolist(), lengths[rows].tolist())]
+            except UnicodeDecodeError:
+                return None
+            if self._code_labels(k, texts):
+                return None
+            added = keys[rows]
+            order = np.argsort(added, kind="stable")
+            at = np.searchsorted(table, added[order])
+            raw_codes = self.raw_codes[k]
+            self.key_tables[k] = table, codes = (
+                np.insert(table, at, added[order]),
+                np.insert(codes, at, [raw_codes[texts[i]] for i in order]))
+            pos, found = _lookup(table, keys)
+        return codes[pos]
+
+    def _reserve(self, n: int) -> tuple[int, int]:
+        """Grow the buffers to hold ``n`` more rows; return the rows they go
+        to as ``(lo, hi)``."""
+        lo, hi = self.rows, self.rows + n
+        if hi > self.counts.shape[0]:
+            cap = max(hi, 2 * self.counts.shape[0])
+            self.codes, self.counts = _grown(self.codes, lo, cap), _grown(self.counts, lo, cap)
+        return lo, hi
 
     def add(self, rows, first):
         """Check and code one block of csv records; ``first`` is the record
@@ -227,10 +417,7 @@ class _Columns:
         negative = _first(counts < 0)
         if negative < bad:
             bad, error = negative, f"negative count {float(counts[negative])}"
-        lo, hi = self.rows, self.rows + stop
-        if hi > self.counts.shape[0]:
-            cap = max(hi, 2 * self.counts.shape[0])
-            self.codes, self.counts = _grown(self.codes, lo, cap), _grown(self.counts, lo, cap)
+        lo, hi = self._reserve(stop)
         for k, col in enumerate(fields[:-1]):
             code = self.raw_codes[k].__getitem__
             try:
@@ -283,6 +470,35 @@ def _grown(buf: np.ndarray, rows: int, cap: int) -> np.ndarray:
     out = np.empty((cap,) + buf.shape[1:], dtype=buf.dtype)
     out[:rows] = buf[:rows]
     return out
+
+
+def _field_keys(words, starts, lengths, width):
+    """Fixed-width sortable keys of the fields at ``starts``, each its bytes
+    zero-padded to ``width``, from ``words``, the block's 8-byte word at
+    every byte: one little-endian word (``int64``) when ``width`` is at most
+    8, else ``S{width}`` for a multiple of 8.  Little-endian words laid end
+    to end are the bytes in order.  Fields hold no NUL byte, so equal keys
+    are equal fields."""
+    if width <= 8:
+        return words[starts] & _LOW_BYTES[lengths]
+    out = np.empty((starts.size, width // 8), "<i8")
+    last = words.size - 1
+    for j in range(width // 8):
+        # past its field's end a word is masked off whole, so any index
+        # in the block will do
+        out[:, j] = words[np.minimum(starts + 8 * j, last)]
+        out[:, j] &= _LOW_BYTES[np.minimum(np.maximum(lengths - 8 * j, 0), 8)]
+    return out.view(f"S{width}").ravel()
+
+
+def _lookup(table, keys):
+    """Where each key is or would go in the sorted ``table`` (clipped to its
+    last entry) and whether it is there."""
+    pos = np.searchsorted(table, keys)
+    if not table.size:
+        return pos, np.zeros(keys.shape, bool)
+    np.minimum(pos, table.size - 1, out=pos)
+    return pos, table[pos] == keys
 
 
 def _is_float(text) -> bool:

@@ -9,17 +9,32 @@ return new objects and are safe to share between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import FeasibilityError, InputError
 
 NOMINAL = "nominal"
 ORDINAL = "ordinal"
 FIXED = "fixed"
 TREATMENTS = (NOMINAL, ORDINAL, FIXED)
+
+# the most cells a table may have where it is worked on densely (log-linear
+# fits, Pearson ratios, expand_model): 2**26 float64 cells take 512 MiB
+MAX_DENSE_CELLS = 2 ** 26
+
+
+def _check_dense(shape: Sequence[int]) -> None:
+    """Raise :class:`FeasibilityError` before a dense array of ``shape``
+    is allocated, if it would hold more than ``MAX_DENSE_CELLS`` cells."""
+    cells = math.prod(shape)
+    if cells > MAX_DENSE_CELLS:
+        raise FeasibilityError(
+            f"a dense table of shape {tuple(shape)} would hold {cells} cells, more than "
+            f"the {MAX_DENSE_CELLS} allowed", cells)
 
 
 @dataclass(frozen=True)
@@ -162,6 +177,7 @@ class SparseTable:
         return self.coords.shape[0]
 
     def todense(self) -> np.ndarray:
+        _check_dense(self.shape)
         out = np.zeros(self.shape)
         if self.nnz:
             out[tuple(self.coords.T)] = self.counts
@@ -351,6 +367,7 @@ def expand_model(collapsed: SparseTable, partition: Partition,
         ref = max(totals)
         if ref > 0 and any(abs(t - ref) > 1e-9 * ref for t in totals):
             raise InputError(f"marginal totals are inconsistent: {totals}")
+    _check_dense(partition.source_shape)
     weights = group_weights(partition, original_marginals)
     dense = collapsed.todense()
     grids = np.ix_(*[np.asarray(k, dtype=np.intp) for k in partition.keys])

@@ -197,6 +197,23 @@ class TestOracleCommand:
         assert "enumerate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["hllm", "ratios", "curve"])
+def test_table_too_large_to_fit_densely_exits_2(out, tmp_path, capsys, monkeypatch, command):
+    data, cfg = tmp_path / "huge.csv", tmp_path / "huge.json"
+    data.write_text("a,b,c,count\nx0,x1,x2,1\nx5,x5,x5,2\nx9,x0,x3,3\n")
+    labels = [f"x{i}" for i in range(1000)]
+    cfg.write_text(json.dumps({"variables": [{"name": n, "categories": labels} for n in "abc"]}))
+
+    def no_collapse(*args, **kwargs):
+        raise AssertionError("collapsed before the dense check")
+
+    monkeypatch.setattr("pcctab.cli.run_pcc", no_collapse)
+    assert run([command, "--data", data, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "1000000000 cells" in err
+    assert "Traceback" not in err
+
+
 class TestErrorPaths:
     def test_missing_data_file(self, out, capsys):
         assert run(["pcc", "--data", "nowhere.csv", "--out", out]) == 1
@@ -234,6 +251,14 @@ class TestErrorPaths:
         assert "non-finite value" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not any(out.iterdir())
+
+    def test_field_over_the_csv_limit_exit_1(self, out, tmp_path, capsys):
+        data = tmp_path / "long.csv"
+        data.write_text(f"x,y,count\n{'a' * 200_000},c,1\n")
+        assert run(["pcc", "--data", data, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "long.csv: line 2: field larger" in err
+        assert "Traceback" not in err
 
     def test_bad_config_exit_1(self, out, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,6 +3,7 @@ import pytest
 
 from pcctab import (
     DegeneracyError,
+    FeasibilityError,
     FitResult,
     InputError,
     ModelSpec,
@@ -436,3 +437,25 @@ class TestPearsonRatios:
         fit = fit_hllpm(wermuth_table, part, ModelSpec.saturated(2))
         with pytest.raises(InputError, match="does not match observed"):
             pearson_ratios(wermuth_table, fit)
+
+
+class TestDenseSizeGuard:
+    """A table past ``MAX_DENSE_CELLS`` is refused before anything dense
+    is allocated; (1000,)*3 would take 7.5 GiB as float64."""
+
+    @pytest.fixture(scope="class")
+    def huge(self):
+        return SparseTable((1000,) * 3, [[0, 0, 0], [1, 2, 3], [999, 999, 999]], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda t: t.todense(),
+        lambda t: ipf_fit(t, ModelSpec.from_brackets("[a][b][c]", ("a", "b", "c"))),
+        backward_select,
+        pearson_ratios,
+        independence_expected,
+        lambda t: expand_model(t, Partition.identity(t.shape), t.one_way_marginals()),
+    ])
+    def test_refused(self, huge, call):
+        with pytest.raises(FeasibilityError, match="1000000000 cells") as info:
+            call(huge)
+        assert info.value.size == 10 ** 9

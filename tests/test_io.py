@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ class TestReadCounts:
         p = tmp_path / "bad.csv"
         p.write_text("a,b,count\nx,y,3\nx,4\n")
         with pytest.raises(InputError, match=":3:"):
+            read_counts(p)
+
+    def test_short_and_long_rows_that_balance_report_the_first(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("a,b,count\nx,y,3\n1,2,3,4\n5,6\n")
+        with pytest.raises(InputError, match=":3: expected 3 fields, got 4$"):
             read_counts(p)
 
     def test_non_numeric_count_reports_line(self, tmp_path):
@@ -171,6 +178,17 @@ class TestRoundTrip:
         scheme2, table2 = load_table(out)
         assert scheme2.names == scheme.names
         assert [v.categories for v in scheme2.variables] == [v.categories for v in scheme.variables]
+        assert np.array_equal(table2.coords, table.coords)
+        assert np.array_equal(table2.counts, table.counts)
+
+    def test_written_file_is_coded_from_its_bytes(self, tmp_path, christensen, monkeypatch):
+        scheme, table = christensen
+        out = tmp_path / "again.csv"
+        write_counts(out, scheme, table)
+        assert b"\r\n" in out.read_bytes()
+        monkeypatch.setattr(pcctab.io._Columns, "add", _csv_loop)
+        scheme2, table2 = load_table(out)
+        assert scheme2 == scheme
         assert np.array_equal(table2.coords, table.coords)
         assert np.array_equal(table2.counts, table.counts)
 
@@ -275,8 +293,11 @@ def same_tables(got, want):
 
 
 @pytest.mark.parametrize("name", ["wermuth_cox", "christensen_abortion"])
-def test_bundled_data_matches_reference_reader(name):
+def test_bundled_data_matches_reference_reader(name, monkeypatch):
+    """The bundled files have CRLF line ends; they are coded from their
+    bytes."""
     path = dataset_path(name)
+    monkeypatch.setattr(pcctab.io._Columns, "add", _csv_loop)
     assert read_counts(path) == reference_read_counts(path)
     assert same_tables(outcome(load_table, path), outcome(reference_load_table, path))
 
@@ -313,18 +334,63 @@ def counts_files(draw):
             buf.write(rec + "\n")
         else:
             writer.writerow(rec)
-    config = None
+    return buf.getvalue(), draw_config(draw, names, LABELS)
+
+
+def draw_config(draw, names, labels):
+    """None or a config that may fix an order leaving labels out, or name
+    an unknown variable."""
+    if not draw(st.booleans()):
+        return None
+    variables = []
+    named = draw(st.lists(st.sampled_from(names), unique=True, max_size=len(names)))
+    if draw(st.integers(0, 4)) == 0:
+        named.append("income")
+    for n in named:
+        cats = draw(st.none() | st.lists(st.sampled_from(
+            sorted({label.strip() for label in labels})), unique=True, min_size=1))
+        variables.append(VariableConfig(n, None if cats is None else tuple(cats)))
+    return RunConfig(tuple(variables))
+
+
+# labels the byte path can code: no comma, quote or line end; some are
+# longer than eight bytes, so keys go from words to padded bytes, and some
+# differ only past their first or second word
+CLEAN_LABELS = ["a", " a", "a ", "\ta", "b", "", "  ", "é", " é ", "category9",
+                "category9 ", "category8", "ççççç", "a_long_category_1",
+                "a_long_category_2"]
+# "١" (Arabic-Indic one) is a number to float() as text, not as bytes
+CLEAN_COUNTS = GOOD_COUNTS + ["١"]
+
+
+@st.composite
+def clean_counts_files(draw):
+    """CSV text with no quotes and LF or CRLF line ends, mostly one record
+    of K+1 fields per line, so most files are coded from their bytes.  A
+    record can still carry a bad count or a label the config leaves out, a
+    line can be blank, whitespace-only or ragged or hold a lone CR, and the
+    last line end can be missing."""
+    k = draw(st.integers(1, 3))
+    names = NAMES[:k]
+    header = [draw(st.sampled_from([n, f" {n}", f"{n} "])) for n in names] + ["count"]
+    count = st.integers(0, 15).flatmap(
+        lambda i: st.sampled_from(BAD_COUNTS if i == 0 else CLEAN_COUNTS))
+    record = st.tuples(*[st.sampled_from(CLEAN_LABELS)] * k, count).map(",".join)
+    lines = [",".join(header)] + draw(st.lists(record, max_size=12))
+    # a line a field too long then one a field short keep the block's
+    # field count right; read across lines, their fields still parse
+    short, long = ",".join(["1"] * k), ",".join(["1"] * (k + 2))
+    odd = st.sampled_from(["", " ", "\t", short, long, f"{long}\n{short}",
+                           "a\rb" + ",1" * k])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(odd))
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    ends[-1] = draw(st.sampled_from([ends[-1], ends[-1], "", "\r"]))
+    text = "".join(line + end for line, end in zip(lines, ends))
     if draw(st.booleans()):
-        variables = []
-        named = draw(st.lists(st.sampled_from(names), unique=True, max_size=k))
-        if draw(st.integers(0, 4)) == 0:
-            named.append("income")
-        for n in named:
-            cats = draw(st.none() | st.lists(st.sampled_from(
-                sorted({label.strip() for label in LABELS})), unique=True, min_size=1))
-            variables.append(VariableConfig(n, None if cats is None else tuple(cats)))
-        config = RunConfig(tuple(variables))
-    return buf.getvalue(), config
+        text = "\ufeff" + text
+    return text, draw_config(draw, names, CLEAN_LABELS)
 
 
 @pytest.fixture(scope="module")
@@ -358,3 +424,90 @@ def test_reader_matches_row_at_a_time_reference(fuzz_dir, case):
     assert code in (0, 1)
     if want_table[0] != "ok":
         assert code == 1
+
+
+BYTE_BLOCKS = [1, 7, 64, pcctab.io._READ_BLOCK_BYTES]
+
+
+@settings(max_examples=150, deadline=None)
+@given(clean_counts_files())
+def test_byte_path_matches_row_at_a_time_reference(fuzz_dir, case):
+    """Blocks of 1, 7 and 64 bytes cut records at every place; a block
+    grows to its first newline, so records straddle block ends."""
+    text, config = case
+    path = fuzz_dir / "clean.csv"
+    path.write_text(text, encoding="utf-8")
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_rows = outcome(reference_read_counts, path, config)
+        want_table = outcome(reference_load_table, path, config)
+        for block in BYTE_BLOCKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pcctab.io, "_READ_BLOCK_BYTES", block)
+                assert outcome(read_counts, path, config) == want_rows
+                assert same_tables(outcome(load_table, path, config), want_table)
+
+
+def _csv_loop(*args):
+    raise AssertionError("the csv loop read a record")
+
+
+@pytest.mark.parametrize("block", BYTE_BLOCKS)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("last", [True, False])
+def test_clean_file_never_enters_the_csv_loop(tmp_path, monkeypatch, block, newline, last):
+    path = tmp_path / "clean.csv"
+    n = len(CLEAN_LABELS)
+    lines = ["\ufeff u,v ,count"] + [
+        f"{CLEAN_LABELS[i % n]},{CLEAN_LABELS[(5 * i + i // n) % n]},{GOOD_COUNTS[i % len(GOOD_COUNTS)]}"
+        for i in range(300)]
+    path.write_bytes((newline.join(lines) + newline * last).encode())
+    order = tuple(reversed(dict.fromkeys(label.strip() for label in CLEAN_LABELS)))
+    config = RunConfig((VariableConfig("v", order),))
+    want = [reference_read_counts(path, cfg) for cfg in (None, config)]
+    monkeypatch.setattr(pcctab.io, "_READ_BLOCK_BYTES", block)
+    monkeypatch.setattr(pcctab.io._Columns, "add", _csv_loop)
+    assert [read_counts(path, cfg) for cfg in (None, config)] == want
+
+
+def test_byte_path_keeps_one_key_per_distinct_field():
+    """A key holds its field's bytes and nothing after them, whatever the
+    line end."""
+    short = [label for label in CLEAN_LABELS if len(label.encode()) <= 8]
+    n, m = len(CLEAN_LABELS), len(short)
+    lines = [f"{CLEAN_LABELS[i % n]},{short[(2 * i + 1) % m]},{i % 4}{chr(13) * (i % 2)}\n"
+             for i in range(4 * n)]
+    columns = pcctab.io._Columns("clean.csv", ["u", "v"], [None, None])
+    assert columns.take("".join(lines).encode()) == len(lines)
+    assert columns.key_widths == [24, 4]
+    for k, distinct in enumerate([n, m]):
+        assert columns.key_tables[k][0].size == len(columns.raw_codes[k]) == distinct
+
+
+def test_nul_byte_goes_to_the_csv_loop(tmp_path):
+    """Zero-padded keys cannot tell "a" from "a\\0"; csv.reader keeps both
+    (Python 3.11 on) or raises (3.10)."""
+    path = tmp_path / "nul.csv"
+    path.write_text("a,count\na,1\na\0,2\n")
+    if sys.version_info >= (3, 11):
+        assert read_counts(path) == reference_read_counts(path)
+        assert read_counts(path)[1] == [["a", "a\0"]]
+    else:
+        with pytest.raises(InputError, match=r"nul\.csv: line 3: "):
+            read_counts(path)
+
+
+class TestCsvErrors:
+    @pytest.mark.parametrize("header", ["a,b,count", '"a",b,count'])
+    def test_field_over_the_csv_limit_names_its_line(self, tmp_path, header):
+        """From a plain header the byte path takes line 2 and leaves line 3
+        to the csv loop; a quoted header sends the whole file there."""
+        path = tmp_path / "long.csv"
+        path.write_text(f"{header}\nx,u,1\n{'y' * 200_000},u,2\n")
+        with pytest.raises(InputError, match=r"long\.csv: line 3: field larger than field limit"):
+            read_counts(path)
+
+    def test_line_not_record_after_a_quoted_line_break(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(f'a,b,count\n"x\ny",u,1\n{"y" * 200_000},u,2\n')
+        with pytest.raises(InputError, match=r"long\.csv: line 4: field larger"):
+            read_counts(path)
