@@ -112,13 +112,13 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     """Run one parsed command: write its reports and return the exit code."""
+    precision = args.precision
+    if precision < 0:
+        raise InputError("--precision must be nonnegative")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = read_config(args.config) if args.config else None
     scheme, table = load_table(_resolve_data(args.data), config)
-    precision = args.precision
-    if precision < 0:
-        raise InputError("--precision must be nonnegative")
     not_converged = False
 
     if args.command == "pcc":

@@ -97,13 +97,20 @@ class ModelSpec:
     def remove(self, term: tuple[int, ...]) -> "ModelSpec":
         """Drop one maximal term, keeping the family hierarchical (the
         term's maximal proper subsets become generators where needed)."""
-        term = tuple(sorted(term))
+        term = tuple(sorted(int(k) for k in term))
         if term not in self.generators:
             raise InputError(f"{term} is not a generator")
         rest = [g for g in self.generators if g != term]
-        if len(term) > 1:
-            rest.extend(combinations(term, len(term) - 1))
-        return ModelSpec(tuple(rest))
+        # the rest stay maximal; a subset joins them unless one contains it
+        masks = [sum(1 << k for k in g) for g in rest]
+        for sub in combinations(term, len(term) - 1) if len(term) > 1 else ():
+            m = sum(1 << k for k in sub)
+            if not any(m & o == m for o in masks):
+                rest.append(sub)
+        # already canonical once sorted, so skip __post_init__
+        spec = object.__new__(ModelSpec)
+        object.__setattr__(spec, "generators", tuple(sorted(rest)))
+        return spec
 
     def brackets(self, names: Sequence[str]) -> str:
         """Render as bracket notation, e.g. ``[oa][ro][s]``."""
@@ -252,34 +259,46 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
     two ``add.reduce`` calls sum the runs and then the run sums in the
     same order.  ``test_marginal_matches_add_reduce_bitwise`` and the
     ``reference_ipf`` tests pin this order and fail if numpy changes it.
+    The ratio ``target / cur`` is a plain division when every marginal is
+    positive, else zero where a marginal is not.
 
     Each step writes its gaps ``cur - target`` into one buffer, which is
-    reduced once per cycle: by ``maximum`` per fit and step, so a NaN gap
-    stays NaN, then by ``fmax`` across steps, which skips it.
+    reduced by ``maximum`` per fit and step, so a NaN gap stays NaN, then
+    by ``fmax`` across steps, which skips it.  Only a cycle that can end
+    some fit needs all its gaps.  The gate is the last step of the
+    shortest run of steps from the first that scales every live fit.
+    Below ``max_iter``, when each fit already has a gap over ``tol``
+    there, none can converge in this cycle: the later steps write no gaps
+    and the cycle ends without the reduction.  Fits, cycle counts and
+    residuals are those of the full reduction in every cycle.
     """
     results: list = [None] * len(specs)
     ids = []  # the specs still being fitted, one per row of the stack
+    owners: dict = {}  # each generator's specs
     for i, s in enumerate(specs):
         if s.generators:
             ids.append(i)
         else:
             results[i] = (np.full(obs.shape, n / obs.size), 0, True, 0.0)
+        for g in s.generators:
+            owners.setdefault(g, set()).add(i)
     if not ids:
         return results
     steps = []
-    for g in sorted({g for s in specs for g in s.generators}):
+    for g in sorted(owners):
         axes = tuple(k for k in range(obs.ndim) if k not in g)
         entry = targets.get(axes)
         if entry is None:
             entry = targets[axes] = (np.add.reduce(obs, axis=axes, keepdims=True),
                                      _layout(obs.shape, g))
-        owners = {i for i, s in enumerate(specs) if g in s.generators}
-        steps.append((tuple(k + 1 for k in axes), *entry, owners))
+        steps.append((tuple(k + 1 for k in axes), *entry, owners[g]))
     stack = np.full((len(ids),) + obs.shape, n / obs.size)
-    plan, (diffs, starts, gaps, where) = _batch_plan(steps, ids, obs.size)
+    plan = _Plan(steps, ids, obs.size)
     for cycle in range(1, max_iter + 1):
         flat = stack.reshape(-1)
-        for rows, axes, index, target, diff in plan:
+        gate = plan.gate if cycle < max_iter else -1
+        ending = True  # whether this cycle can still end some fit
+        for j, (rows, axes, index, target, diff) in enumerate(plan.steps):
             # ufuncs called directly: ndarray.sum/np.max add a Python
             # wrapper that costs more than the arithmetic on small tables
             block = stack[rows]
@@ -287,13 +306,19 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
                 cur = np.add.reduce(block, axis=axes, keepdims=True)
             else:
                 cur = _marginal(flat, index).reshape(diff.shape)
-            np.subtract(cur, target, out=diff)
-            block *= np.divide(target, cur, out=np.zeros(cur.shape), where=cur > 0)
+            if ending:
+                np.subtract(cur, target, out=diff)
+                if j == gate:
+                    ending = not (plan.worst(j + 1) > tol).all()
+            if np.minimum.reduce(cur, axis=None) > 0:
+                block *= np.divide(target, cur)
+            else:
+                block *= np.divide(target, cur, out=np.zeros(cur.shape), where=cur > 0)
             if not isinstance(rows, slice):  # a gathered copy
                 stack[rows] = block
-        gaps.flat[where] = np.maximum.reduceat(np.abs(diffs, out=diffs), starts)
-        # fmax skips a NaN gap, as ``if gap > worst`` did
-        worst = np.fmax.reduce(gaps, axis=0, initial=0.0).tolist()
+        if not ending:
+            continue
+        worst = plan.worst(len(plan.steps)).tolist()
         done = [w <= tol for w in worst]
         leaving = [row for row, d in enumerate(done) if d or cycle == max_iter]
         if not leaving:
@@ -305,38 +330,63 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
             break
         staying = [row for row, d in enumerate(done) if not d]
         stack, ids = stack[staying], [ids[row] for row in staying]
-        plan, (diffs, starts, gaps, where) = _batch_plan(steps, ids, obs.size)
+        plan = _Plan(steps, ids, obs.size)
     return results
 
 
-def _batch_plan(steps, ids, size) -> tuple[list, tuple]:
+class _Plan:
     """The steps that scale some of the live fits ``ids`` (the rows of the
-    stack of ``size``-cell fits), each with those rows (a slice when they
-    are one contiguous run, else an index array), its reduced axes, its
-    take index (None when the rows are reduced in place), its target and
-    a view of one buffer for its members' gaps, shaped as their
-    marginals.  Also the start of each member's gaps in the buffer, and a
-    zeroed (steps, fits) array with the flat position of each member's
-    entry in it; a fit outside a step keeps 0 there, the start of a lone
-    fit's worst gap."""
-    live = []
-    for axes, target, cells, owners in steps:
-        rows = [row for row, i in enumerate(ids) if i in owners]
-        if rows:
-            contiguous = rows[-1] - rows[0] + 1 == len(rows)
-            live.append((axes, target, cells, rows,
-                         slice(rows[0], rows[-1] + 1) if contiguous else np.array(rows)))
-    offsets = np.arange(0, len(ids) * size, size, dtype=np.int32)
-    diffs = np.empty(sum(target.size * len(rows) for _, target, _, rows, _ in live))
-    plan, starts, where, first = [], [], [], 0
-    for j, (axes, target, cells, rows, members) in enumerate(live):
-        m, last = target.size, first + target.size * len(rows)
-        plan.append((members, axes, None if cells is None else cells + offsets[members, None],
-                     target, diffs[first:last].reshape((len(rows),) + target.shape)))
-        starts.extend(range(first, last, m))
-        where.extend(j * len(ids) + row for row in rows)
-        first = last
-    return plan, (diffs, np.array(starts), np.zeros((len(plan), len(ids))), np.array(where))
+    stack of ``size``-cell fits), and the buffers for their gaps.
+
+    Each of ``steps`` holds its members' rows (a slice when they are one
+    contiguous run, else an index array), its reduced axes, its take index
+    (None when the rows are reduced in place), its target and a view of
+    one buffer for its members' gaps, shaped as their marginals.
+    ``gate`` is the index of the step that ends the shortest run of steps
+    from the first that scales every live fit.
+    """
+
+    __slots__ = ("steps", "gate", "_diffs", "_starts", "_where", "_gaps", "_ends")
+
+    def __init__(self, steps, ids, size):
+        offsets = np.arange(0, len(ids) * size, size, dtype=np.int32)
+        live = []
+        for axes, target, cells, owners in steps:
+            rows = [row for row, i in enumerate(ids) if i in owners]
+            if rows:
+                live.append((axes, target, cells, rows))
+        self._diffs = diffs = np.empty(sum(target.size * len(rows) for _, target, _, rows in live))
+        self.steps, self.gate, self._ends = [], None, []
+        starts, where, seen, first = [], [], set(), 0
+        for j, (axes, target, cells, rows) in enumerate(live):
+            m, last = target.size, first + target.size * len(rows)
+            if rows[-1] - rows[0] + 1 == len(rows):
+                members = slice(rows[0], rows[-1] + 1)
+            else:
+                members = np.array(rows)
+            self.steps.append((members, axes,
+                               None if cells is None else cells + offsets[members, None],
+                               target, diffs[first:last].reshape((len(rows),) + target.shape)))
+            starts.extend(range(first, last, m))
+            where.extend(j * len(ids) + row for row in rows)
+            first = last
+            self._ends.append((len(starts), last))
+            if self.gate is None:
+                seen.update(rows)
+                if len(seen) == len(ids):
+                    self.gate = j
+        self._starts, self._where = np.array(starts), np.array(where)
+        # a fit outside a step keeps 0 there, the start of a lone fit's worst gap
+        self._gaps = np.zeros((len(live), len(ids)))
+
+    def worst(self, steps) -> np.ndarray:
+        """Each live fit's worst gap over the first ``steps`` steps of this
+        cycle, from the gaps they wrote."""
+        members, end = self._ends[steps - 1]
+        diffs = self._diffs[:end]
+        self._gaps.flat[self._where[:members]] = np.maximum.reduceat(
+            np.abs(diffs, out=diffs), self._starts[:members])
+        return np.fmax.reduce(self._gaps[:steps], axis=0, initial=0.0)
 
 
 def _layout(shape, g) -> np.ndarray | None:
@@ -385,10 +435,10 @@ def ipf_fit(table: SparseTable, spec: ModelSpec, tol: float = IPF_TOL,
     come back as a :class:`SparseTable`; :func:`backward_select` scores its
     candidate models by deviance alone and builds no such table for them.
     """
+    dfmod = model_df(spec, table.shape)  # checks the spec against the table first
     fitted, iterations, converged, residual = _ipf(
         table.todense(), table.total, spec, tol, max_iter, {})
     dev = _deviance(table, fitted[tuple(table.coords.T)])
-    dfmod = model_df(spec, table.shape)
     dfres = int(np.prod(table.shape, dtype=np.int64)) - 1 - dfmod
     return FitResult(spec=spec, shape=table.shape, fitted=SparseTable.from_dense(fitted),
                      dev=dev, dfmod=dfmod, dfres=dfres, iterations=iterations,
@@ -453,27 +503,30 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
     sweep, each bitwise as a lone fit would be, and scored by the deviance
     of its dense fit only; no :class:`FitResult` or fitted table is built
     for them.  All fits of one call share the observed generator marginals
-    they need.
+    they need.  Removing a maximal term drops exactly that term from the
+    closure, so each row's parameter count is the previous one's less the
+    removed term's.
     """
     spec = ModelSpec.saturated(table.ndim) if start is None else start
+    dfmod = model_df(spec, table.shape)  # checks the spec against the table first
     obs = table.todense()
-    observed = tuple(table.coords.T)
+    observed = np.ravel_multi_index(tuple(table.coords.T), table.shape)
     targets: dict = {}
     cells = int(np.prod(table.shape, dtype=np.int64))
 
     def score(specs: list[ModelSpec]) -> list[tuple[float, bool]]:
-        return [(_deviance(table, fitted[observed]), converged) for fitted, _, converged, _
+        return [(_deviance(table, fitted.reshape(-1).take(observed)), converged)
+                for fitted, _, converged, _
                 in _ipf_batch(obs, table.total, specs, tol, max_iter, targets)]
 
-    def row(s: ModelSpec, dev: float, converged: bool, dev_term: float, df_term: int,
-            candidates_converged: bool) -> dict:
-        dfmod = model_df(s, table.shape)
+    def row(s: ModelSpec, dfmod: int, dev: float, converged: bool, dev_term: float,
+            df_term: int, candidates_converged: bool) -> dict:
         return dict(spec=s, dev=dev, dfmod=dfmod, dfres=cells - 1 - dfmod,
                     dev_term=dev_term, df_term=df_term, converged=converged,
                     candidates_converged=candidates_converged)
 
     (dev, converged), = score([spec])
-    rows = [row(spec, dev, converged, 0.0, 0, converged)]
+    rows = [row(spec, dfmod, dev, converged, 0.0, 0, converged)]
     while True:
         removable = [g for g in spec.generators if len(g) >= 2]
         if not removable:
@@ -489,7 +542,8 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
                                 and abs(quotient - best[0]) > 1e-12 * max(1.0, abs(quotient), abs(best[0]))):
                 best = (quotient, cand_spec, dev, converged, ddev, ddf)
         _, spec, dev, converged, ddev, ddf = best
-        rows.append(row(spec, dev, converged, ddev, ddf, all(c for _, c in scored)))
+        dfmod -= ddf
+        rows.append(row(spec, dfmod, dev, converged, ddev, ddf, all(c for _, c in scored)))
     dev_last = rows[-1]["dev"]
     dfres_last = rows[-1]["dfres"]
     steps = tuple(
@@ -516,11 +570,11 @@ def fit_hllpm(original: SparseTable, partition: Partition, spec: ModelSpec,
     ``dev`` and ``dfres`` refer to the original one.
     """
     collapsed = apply_partition(original, partition)
+    dfmod = model_df(spec, collapsed.shape)  # checks the spec against the table first
     fitted, iterations, converged, residual = _ipf(
         collapsed.todense(), collapsed.total, spec, tol, max_iter, {})
     dev = _expanded_deviance(original, partition,
                              fitted[_group_coords(original, partition)] / original.total)
-    dfmod = model_df(spec, collapsed.shape)
     dfres = int(np.prod(original.shape, dtype=np.int64)) - 1 - dfmod
     return FitResult(spec=spec, shape=original.shape, fitted=SparseTable.from_dense(fitted),
                      dev=dev, dfmod=dfmod, dfres=dfres, iterations=iterations,

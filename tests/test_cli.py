@@ -275,6 +275,16 @@ class TestErrorPaths:
         ds = [line.split("\t")[1] for line in lines[2:]]
         assert all(d == "1" for d in ds[:-1])  # only the age variable collapses
 
+    def test_negative_precision_exit_1_before_the_load(self, out, monkeypatch, capsys):
+        import pcctab.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_table called")
+
+        monkeypatch.setattr(cli, "load_table", no_load)
+        assert run(["pcc", "--data", "wermuth_cox", "--out", out, "--precision", "-1"]) == 1
+        assert "--precision must be nonnegative" in capsys.readouterr().err
+
     def test_nonconvergence_exit_3(self, out, monkeypatch, capsys):
         import pcctab.cli as cli
 

@@ -27,6 +27,7 @@ from oracles import (
     dense_mutual_independence_g2,
     joint_independence_fit,
     random_table,
+    reference_ipf,
 )
 
 
@@ -225,6 +226,55 @@ class TestIpfFit:
         for call in calls:
             with pytest.raises(InputError, match="tol"):
                 call()
+
+    @pytest.mark.parametrize("name,max_iter,cycles,converged", [
+        # converges in the very cycle that max_iter allows
+        ("loop", 7, 7, True),
+        # one cycle short of converging
+        ("loop", 6, 6, False),
+        # no MLE for the no-three-way model: zeros at two opposite corners
+        ("corners", 1000, 1000, False),
+        # a zero generator marginal, so the ratio takes its masked form
+        ("zero_slice", 1000, 9, True),
+    ])
+    def test_fit_at_the_edges_matches_reference_bitwise(self, christensen_table, from_dense,
+                                                         name, max_iter, cycles, converged):
+        if name == "corners":
+            t = from_dense([[[0, 1], [1, 1]], [[1, 1], [1, 0]]])
+            generators = ((0, 1), (0, 2), (1, 2))
+        else:
+            obs = christensen_table.todense()
+            if name == "zero_slice":
+                obs[:, :, 0, :] = 0.0
+            t = from_dense(obs)
+            generators = ((0, 1), (0, 2), (1, 2), (2, 3))
+        spec = ModelSpec(generators)
+        obs = t.todense()
+        want, iterations, want_converged, residual = reference_ipf(
+            obs, t.total, generators, max_iter=max_iter, with_residual=True)
+        assert (iterations, want_converged) == (cycles, converged)
+        fit = ipf_fit(t, spec, max_iter=max_iter)
+        assert np.array_equal(fit.fitted.todense(), want)
+        assert (fit.iterations, fit.converged, fit.max_residual) == (cycles, converged, residual)
+        # and as one member of a batch whose other fits leave earlier or later
+        batch = [ModelSpec.main_effects(t.ndim), spec, ModelSpec.saturated(t.ndim),
+                 ModelSpec(generators[1:])]
+        got = list(hllm._ipf_batch(obs, t.total, batch, hllm.IPF_TOL, max_iter, {}))[1]
+        assert np.array_equal(got[0], want)
+        assert got[1:] == (cycles, converged, residual)
+
+    @pytest.mark.parametrize("call", [
+        lambda t, spec: ipf_fit(t, spec),
+        lambda t, spec: backward_select(t, spec),
+        lambda t, spec: fit_hllpm(t, Partition.identity(t.shape), spec),
+    ])
+    def test_spec_naming_a_missing_variable_rejected(self, from_dense, monkeypatch, call):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit was started")
+
+        monkeypatch.setattr(hllm, "_ipf_batch", no_fit)
+        with pytest.raises(InputError, match=r"\(0, 5\) out of range for shape \(2, 2\)"):
+            call(from_dense([[1, 2], [3, 4]]), ModelSpec(((0, 5),)))
 
     def test_zero_cells_keep_df(self, from_dense):
         t = from_dense([[0, 3, 1], [2, 0, 4], [1, 2, 0]])

@@ -398,6 +398,20 @@ def test_canonical_terms_keep_the_maximal_subsets(terms):
     assert hllm._canonical_terms(terms) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=8),
+       st.data())
+def test_remove_matches_the_canonical_spec(terms, data):
+    spec = ModelSpec(tuple(tuple(t) for t in terms))
+    term = data.draw(st.sampled_from(spec.generators))
+    rest = tuple(g for g in spec.generators if g != term)
+    # a one-variable term has only the empty subset, which names no term
+    want = ModelSpec(rest + tuple(combinations(term, len(term) - 1)))
+    got = spec.remove(term[::-1])
+    assert got == want and repr(got) == repr(want)
+    assert all(type(k) is int for g in got.generators for k in g)
+
+
 def reference_backward_walk(t, start, max_iter):
     """Backward elimination as documented, every fit by ``reference_ipf``:
     rows of (generators, dev, dev_term, df_term, converged)."""
