@@ -11,8 +11,9 @@ class InputError(PcctabError, ValueError):
 
 class FeasibilityError(PcctabError, RuntimeError):
     """A computation would exceed a size cap: an exhaustive enumeration
-    over its configured cap, or a dense array of a table with more than
-    ``MAX_DENSE_CELLS`` cells.  ``size`` is the size that was refused."""
+    over its configured cap, a dense array of a table with more than
+    ``MAX_DENSE_CELLS`` cells, or a table with more cells than an intp can
+    number.  ``size`` is the size that was refused."""
 
     def __init__(self, message: str, size: int):
         super().__init__(message)

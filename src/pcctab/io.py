@@ -9,7 +9,9 @@ explicit order.
 A counts file is read a block at a time, so memory stays bounded by the
 coded arrays plus one block.  A block of plain lines, one record each with
 no quotes and LF or CRLF line ends (as :func:`write_counts` writes them),
-is coded straight from its bytes, a column at a time, with numpy.  From
+is coded straight from its bytes, a column at a time, with numpy: each
+field's bytes are its key, and a key of one 8-byte word is found through
+a hashed slot table, any other by binary search in a sorted key table.  From
 the first block that ``csv.reader`` might read differently, or that holds
 a faulty record, the rest of the file goes through ``csv.reader``.  That
 one loop reads quoted fields and raises every error about a record.
@@ -44,10 +46,20 @@ _READ_BLOCK_ROWS = 128
 _READ_BLOCK_BYTES = 1 << 16
 
 # _LOW_BYTES[n] keeps the first n bytes of a little-endian 8-byte word.
-# Words are signed and every sort here is stable: they then run the int64
-# sort code that the table build runs anyway, so a load touches less of
-# numpy's code (about 0.3 MB less resident memory).
+# Words are signed, so sorting keys runs the int64 sort code that the
+# table build runs anyway.  The keys sorted here are distinct, so every
+# sort kind gives the same order; they take numpy's default kind, as the
+# table build does when no cell repeats.
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype="<u8").view("<i8")
+
+# 2**64 over the golden ratio, odd: multiply-shift hashing by it moves
+# every bit of a key into the top bits that pick its slot
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# slot tables have at most 2**16 slots (512 KiB).  A column's table is
+# rebuilt whenever a block adds labels to it, so a larger one costs more to
+# rebuild than it saves in a column whose labels keep coming; past about
+# 4,000 labels, keys share slots more often and more of them are searched for
+_MAX_SLOT_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -256,6 +268,10 @@ class _Columns:
     distinct raw field of the file, in first-appearance order.  The byte
     path keeps beside it, per column, a sorted table of the raw fields it
     has seen as fixed-width keys (:func:`_field_keys`), with their codes.
+    While the keys are one word each, a slot table (:func:`_slot_table`)
+    points most of them at their place in the sorted table without a
+    search; it is rebuilt only when keys are added.  The sorted table
+    alone holds the codes.
     """
 
     def __init__(self, path, names, fixed_order):
@@ -265,9 +281,10 @@ class _Columns:
         # stripped label -> code; insertion order is code order
         self.index = [dict(f) if f else {} for f in fixed_order]
         self.raw_codes: list[dict[str, int]] = [{} for _ in names]
-        # per column: sorted raw-field keys, their codes and the longest
-        # raw field seen, in bytes
-        self.key_tables = [(np.empty(0, "<i8"), np.empty(0, np.intp))] * len(names)
+        # per column: sorted raw-field keys, their codes, the slot table
+        # of one-word keys (None for wide or no keys) and the longest raw
+        # field seen, in bytes
+        self.key_tables = [(np.empty(0, "<i8"), np.empty(0, np.intp), None)] * len(names)
         self.key_widths = [0] * len(names)
         # one buffer each for the codes and the counts, doubled when full;
         # finish() returns views of the rows filled
@@ -345,20 +362,21 @@ class _Columns:
         ``width``-byte keys in the column's table.  Fields new to the column
         are decoded and coded by :meth:`_code_labels`; returns None if one is
         not UTF-8 or not a configured label."""
-        table, codes = self.key_tables[k]
+        table, codes, slots = self.key_tables[k]
         if width > max(self.key_widths[k], 8):
             # re-key the table as zero-padded bytes, sorted as such
             if table.dtype.kind == "i":
                 table = table.view("S8")
             table = table.astype(f"S{width}")
-            order = np.argsort(table, kind="stable")
-            self.key_tables[k] = table, codes = table[order], codes[order]
+            order = np.argsort(table)
+            table, codes, slots = table[order], codes[order], None
+            self.key_tables[k] = table, codes, slots
         self.key_widths[k] = width
-        pos, found = _lookup(table, keys)
+        pos, found = _lookup(table, slots, keys)
         if not found.all():
             new = np.flatnonzero(~found)
             _, first = np.unique(keys[new], return_index=True)
-            first.sort(kind="stable")
+            first.sort()
             rows = new[first]
             try:
                 texts = [block[a:a + m].decode() for a, m in
@@ -368,13 +386,14 @@ class _Columns:
             if self._code_labels(k, texts):
                 return None
             added = keys[rows]
-            order = np.argsort(added, kind="stable")
+            order = np.argsort(added)
             at = np.searchsorted(table, added[order])
             raw_codes = self.raw_codes[k]
-            self.key_tables[k] = table, codes = (
-                np.insert(table, at, added[order]),
-                np.insert(codes, at, [raw_codes[texts[i]] for i in order]))
-            pos, found = _lookup(table, keys)
+            table = np.insert(table, at, added[order])
+            codes = np.insert(codes, at, [raw_codes[texts[i]] for i in order])
+            slots = _slot_table(table) if table.dtype.kind == "i" else None
+            self.key_tables[k] = table, codes, slots
+            pos, found = _lookup(table, slots, keys)
         return codes[pos]
 
     def _reserve(self, n: int) -> tuple[int, int]:
@@ -491,9 +510,40 @@ def _field_keys(words, starts, lengths, width):
     return out.view(f"S{width}").ravel()
 
 
-def _lookup(table, keys):
+def _slot(keys, bits):
+    """Multiply-shift hash of one-word keys to slots ``0 .. 2**bits - 1``:
+    the top ``bits`` bits of each key times ``_HASH_MULTIPLIER``, mod 2**64."""
+    return (keys.view("<u8") * _HASH_MULTIPLIER >> np.uint64(64 - bits)).view("<i8")
+
+
+def _slot_table(table):
+    """Positions of the sorted one-word ``table``'s keys by :func:`_slot`.
+    It has 2**b slots, b the bit length of the table's size plus 4, so at
+    most one slot in 16 is taken, up to ``_MAX_SLOT_BITS``.  Where keys
+    share a slot, one of their positions is kept."""
+    bits = min(table.size.bit_length() + 4, _MAX_SLOT_BITS)
+    slots = np.zeros(1 << bits, np.intp)
+    slots[_slot(table, bits)] = np.arange(table.size)
+    return slots
+
+
+def _lookup(table, slots, keys):
     """Where each key is or would go in the sorted ``table`` (clipped to its
-    last entry) and whether it is there."""
+    last entry) and whether it is there.  A key whose slot in ``slots``
+    (:func:`_slot_table`; None to skip it) holds the position of that same
+    key is found there; every other key is searched for in the table."""
+    if slots is None:
+        return _search(table, keys)
+    pos = slots[_slot(keys, slots.size.bit_length() - 1)]
+    found = table[pos] == keys
+    if not found.all():
+        miss = np.flatnonzero(~found)
+        pos[miss], found[miss] = _search(table, keys[miss])
+    return pos, found
+
+
+def _search(table, keys):
+    """:func:`_lookup` by binary search."""
     pos = np.searchsorted(table, keys)
     if not table.size:
         return pos, np.zeros(keys.shape, bool)

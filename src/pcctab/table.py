@@ -26,6 +26,10 @@ TREATMENTS = (NOMINAL, ORDINAL, FIXED)
 # fits, Pearson ratios, expand_model): 2**26 float64 cells take 512 MiB
 MAX_DENSE_CELLS = 2 ** 26
 
+# the most cells a table may have at all: its cells are numbered by a flat
+# intp index (np.ravel_multi_index)
+_MAX_FLAT = int(np.iinfo(np.intp).max)
+
 
 def _check_dense(shape: Sequence[int]) -> None:
     """Raise :class:`FeasibilityError` before a dense array of ``shape``
@@ -98,8 +102,9 @@ class SparseTable:
     ``counts`` the matching positive values.  Duplicate coordinates passed to
     the constructor are summed; zero cells are dropped; negative, NaN and
     infinite counts and cells whose duplicates sum past the float range
-    raise :class:`InputError`.  ``total`` is the sum of all stored counts
-    (``n``).
+    raise :class:`InputError`; cells in a shape of more cells than an intp
+    can number raise :class:`FeasibilityError`.  ``total`` is the sum of
+    all stored counts (``n``).
     """
 
     __slots__ = ("shape", "coords", "counts", "total")
@@ -127,24 +132,22 @@ class SparseTable:
                 raise InputError("negative count")
             if any(s == 0 for s in shape):
                 raise InputError(f"cannot store cells in empty shape {shape}")
-            lo = coords.min(axis=0)
-            hi = coords.max(axis=0)
-            if np.any(lo < 0) or np.any(hi >= np.asarray(shape)):
-                raise InputError(f"coordinate out of bounds for shape {shape}")
-            flat = np.ravel_multi_index(tuple(coords.T), shape)
-            order = np.argsort(flat, kind="stable")
-            flat = flat[order]
-            vals = counts[order]
-            # flat indices are nonnegative, so -1 marks the first as a run start
-            starts = np.flatnonzero(np.diff(flat, prepend=-1))
-            with np.errstate(over="ignore"):  # checked just below
-                merged = np.add.reduceat(vals, starts)
-            if not np.all(np.isfinite(merged)):
-                raise InputError("the counts of one cell sum to a non-finite value")
-            keep = merged > 0
-            # the first record of each cell holds its coordinates
-            coords = coords[order[starts[keep]]]
-            counts = merged[keep]
+            cells = math.prod(shape)
+            if cells > _MAX_FLAT:
+                raise FeasibilityError(
+                    f"a table of shape {shape} has {cells} cells, more than the "
+                    f"{_MAX_FLAT} a flat cell index can number", cells)
+            try:
+                flat = np.ravel_multi_index(tuple(coords.T), shape)
+            except ValueError:
+                # a coordinate outside the shape, or more axes than numpy
+                # allows, which is not about a coordinate
+                lo = coords.min(axis=0)
+                hi = coords.max(axis=0)
+                if np.any(lo < 0) or np.any(hi >= np.asarray(shape)):
+                    raise InputError(f"coordinate out of bounds for shape {shape}") from None
+                raise
+            coords, counts = _sum_cells(flat, coords, counts)
         else:
             coords = np.zeros((0, K), dtype=np.intp)
             counts = np.zeros(0)
@@ -197,6 +200,35 @@ class SparseTable:
 
     def __repr__(self):
         return f"SparseTable(shape={self.shape}, nnz={self.nnz}, total={self.total:g})"
+
+
+def _sum_cells(flat, coords, counts):
+    """The records' cells in increasing flat index ``flat``, each with the
+    coordinates of its first record and its counts summed in record order;
+    cells that sum to zero are dropped.
+
+    Records already in strictly increasing order are not sorted.  Others
+    take the default sort, which gives every sort's permutation when the
+    indices are distinct; only when a cell repeats is the sort redone as a
+    stable one, so that its records sum in record order.
+    """
+    order = None
+    if not np.all(flat[1:] > flat[:-1]):
+        order = np.argsort(flat)
+        cells = flat[order]
+        if not np.all(cells[1:] > cells[:-1]):
+            order = np.argsort(flat, kind="stable")
+            # flat indices are nonnegative, so -1 marks the first as a run start
+            starts = np.flatnonzero(np.diff(cells, prepend=-1))
+            with np.errstate(over="ignore"):  # checked just below
+                merged = np.add.reduceat(counts[order], starts)
+            if not np.all(np.isfinite(merged)):
+                raise InputError("the counts of one cell sum to a non-finite value")
+            keep = merged > 0
+            return coords[order[starts[keep]]], merged[keep]
+        counts = counts[order]
+    keep = counts > 0
+    return coords[keep if order is None else order[keep]], counts[keep]
 
 
 def _canonical_key(key: Sequence[int]) -> tuple[int, ...]:

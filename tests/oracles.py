@@ -9,7 +9,9 @@ kernel.  They take and return the package's ``SparseTable`` but call none
 of its statistics.  And ``reference_pcc_walk`` is the collapse as
 documented, one stateless ``select_merge`` and ``apply_partition`` per step:
 it checks that ``run_pcc``'s carried state picks the same merges with the
-same losses, bit for bit.
+same losses, bit for bit.  ``reference_sparse_table`` is the table build
+as it first shipped, one stable sort and a bounds check by column minima
+and maxima, kept to check the build's sort-free and unstable paths.
 """
 
 import csv
@@ -291,6 +293,39 @@ def reference_ipf(obs, n, generators, tol=1e-8, max_iter=1000, with_residual=Fal
     if with_residual:
         return fitted, iterations, converged, worst
     return fitted, iterations, converged
+
+
+def reference_sparse_table(shape, coords, counts):
+    """The table build as it first shipped: bounds checked by each column's
+    minimum and maximum, cells ordered by one stable sort of their flat
+    indices, each cell's records summed in record order.  Returns
+    ``(coords, counts, total)`` as ``SparseTable`` stores them, with the
+    same errors for the checks it makes."""
+    shape = tuple(int(s) for s in shape)
+    coords = np.asarray(coords, dtype=np.intp).reshape(-1, len(shape))
+    counts = np.asarray(counts, dtype=np.float64).ravel()
+    if not counts.size:
+        return np.zeros((0, len(shape)), dtype=np.intp), np.zeros(0), 0.0
+    if not np.all(np.isfinite(counts)):
+        raise InputError("non-finite count")
+    if np.min(counts) < 0:
+        raise InputError("negative count")
+    lo = coords.min(axis=0)
+    hi = coords.max(axis=0)
+    if np.any(lo < 0) or np.any(hi >= np.asarray(shape)):
+        raise InputError(f"coordinate out of bounds for shape {shape}")
+    flat = np.ravel_multi_index(tuple(coords.T), shape)
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    vals = counts[order]
+    starts = np.flatnonzero(np.diff(flat, prepend=-1))
+    with np.errstate(over="ignore"):
+        merged = np.add.reduceat(vals, starts)
+    if not np.all(np.isfinite(merged)):
+        raise InputError("the counts of one cell sum to a non-finite value")
+    keep = merged > 0
+    counts = merged[keep]
+    return coords[order[starts[keep]]], counts, float(counts.sum())
 
 
 def reference_read_counts(path, config=None):

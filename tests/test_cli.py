@@ -252,6 +252,18 @@ class TestErrorPaths:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["pcc", "lossmatrix", "hllm", "curve", "ratios", "oracle"])
+    def test_more_cells_than_a_flat_index_exit_2(self, out, tmp_path, capsys, command):
+        # 120 records, 10 variables of 120 labels each: 120**10 cells
+        data = tmp_path / "cells.csv"
+        data.write_text(",".join(f"v{k}" for k in range(10)) + ",count\n" + "".join(
+            ",".join([f"l{i}"] * 10) + ",1\n" for i in range(120)))
+        assert run([command, "--data", data, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"has {120 ** 10} cells" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_field_over_the_csv_limit_exit_1(self, out, tmp_path, capsys):
         data = tmp_path / "long.csv"
         data.write_text(f"x,y,count\n{'a' * 200_000},c,1\n")

@@ -483,6 +483,72 @@ def test_byte_path_keeps_one_key_per_distinct_field():
         assert columns.key_tables[k][0].size == len(columns.raw_codes[k]) == distinct
 
 
+def assert_byte_path_matches_reference(path, monkeypatch):
+    """``path`` reads from its bytes alone, as the row-at-a-time reference
+    reads it, at every block size of ``BYTE_BLOCKS``."""
+    want_rows = reference_read_counts(path)
+    want_table = outcome(reference_load_table, path)
+    monkeypatch.setattr(pcctab.io._Columns, "add", _csv_loop)
+    for block in BYTE_BLOCKS:
+        monkeypatch.setattr(pcctab.io, "_READ_BLOCK_BYTES", block)
+        assert read_counts(path) == want_rows
+        assert same_tables(outcome(load_table, path), want_table)
+    return want_rows
+
+
+def test_column_of_thousands_of_labels(tmp_path, monkeypatch):
+    rng = np.random.default_rng(14)
+    labels = rng.permutation(np.concatenate([np.arange(2000), rng.integers(0, 2000, 600)]))
+    path = tmp_path / "many.csv"
+    path.write_text("u,v,count\n" + "".join(
+        f"p{i},q{i % 7},{i % 5}\n" for i in labels.tolist()))
+    names, categories, entries = assert_byte_path_matches_reference(path, monkeypatch)
+    assert len(categories[0]) == 2000
+
+
+def test_keys_sharing_one_slot_are_searched_for(tmp_path, monkeypatch):
+    """With every key hashed to one slot, only the key whose position that
+    slot holds is found there; the others fall back to the binary search."""
+    monkeypatch.setattr(pcctab.io, "_slot", lambda keys, bits: np.zeros(keys.shape, np.intp))
+    searched = []
+    search = pcctab.io._search
+
+    def counted(table, keys):
+        searched.append(keys.size)
+        return search(table, keys)
+
+    monkeypatch.setattr(pcctab.io, "_search", counted)
+    rng = np.random.default_rng(15)
+    path = tmp_path / "one_slot.csv"
+    path.write_text("u,v,w,count\n" + "".join(
+        f"a{a},b{b},c{c},{n}\n" for a, b, c, n in rng.integers(0, 40, (500, 4)).tolist()))
+    assert_byte_path_matches_reference(path, monkeypatch)
+    # every block searches for most of its keys
+    assert sum(searched) > 3 * 500 * len(BYTE_BLOCKS)
+
+
+def test_eight_and_nine_byte_labels_across_the_switch_to_wide_keys(tmp_path, monkeypatch):
+    """Labels of up to 8 bytes are one-word keys with a slot table; from
+    the first 9-byte label on, the column's keys are two words, searched
+    for without one.  A 9-byte label whose first 8 bytes are another
+    label's must not be found as that label."""
+    short = ["abcdefgh", "abcdefgi", "abcdefg", "a", "h\u00e9llo!!"]  # 8, 8, 7, 1, 8 bytes
+    wide = ["abcdefghi", "abcdefgh\u00e9", "abcdefgi9"]  # 9, 10, 9 bytes
+    rows = [f"{short[i % 5]},{short[(3 * i) % 5]},{i % 3}" for i in range(200)]
+    rows += [f"{(short + wide)[i % 8]},{short[i % 5]},1" for i in range(200)]
+    path = tmp_path / "widths.csv"
+    path.write_text("u,v,count\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    names, categories, entries = assert_byte_path_matches_reference(path, monkeypatch)
+    assert categories[0] == short + wide
+
+    columns = pcctab.io._Columns(path, ["u", "v"], [None, None])
+    assert columns.take(("\n".join(rows[:200]) + "\n").encode()) == 200
+    assert [t[2] is not None for t in columns.key_tables] == [True, True]
+    assert columns.take(("\n".join(rows[200:]) + "\n").encode()) == 200
+    assert [t[2] is not None for t in columns.key_tables] == [False, True]
+    assert columns.key_widths == [16, 8]
+
+
 def test_nul_byte_goes_to_the_csv_loop(tmp_path):
     """Zero-padded keys cannot tell "a" from "a\\0"; csv.reader keeps both
     (Python 3.11 on) or raises (3.10)."""

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcctab import (
     CategoryScheme,
+    FeasibilityError,
     InputError,
     Partition,
     SparseTable,
@@ -14,7 +19,13 @@ from pcctab import (
     marginal,
 )
 
-from oracles import dense_collapse, dense_expand_probs, pair_slice, random_table
+from oracles import (
+    dense_collapse,
+    dense_expand_probs,
+    pair_slice,
+    random_table,
+    reference_sparse_table,
+)
 
 
 def two_var_scheme(r0=5, r1=5):
@@ -130,6 +141,133 @@ class TestBuildTable:
             t.total = 7
         with pytest.raises(ValueError):
             t.counts[0] = 9
+
+
+def build_outcome(build, shape, coords, counts):
+    """``build``'s coords, counts and total as bytes, or the type and text
+    of the error it raised.  Distinct cells of 1e308 make the total inf."""
+    try:
+        with np.errstate(over="ignore"):
+            return _build_bytes(build, shape, coords, counts)
+    except (InputError, FeasibilityError) as exc:
+        return type(exc), str(exc)
+
+
+def _build_bytes(build, shape, coords, counts):
+    if build is SparseTable:
+        t = build(shape, coords, counts)
+        coords, counts, total = t.coords, t.counts, t.total
+    else:
+        coords, counts, total = build(shape, coords, counts)
+    return (coords.dtype, coords.shape, coords.tobytes(), counts.dtype, counts.tobytes(),
+            np.float64(total).tobytes())
+
+
+def assert_builds_like_reference(shape, coords, counts):
+    got = build_outcome(SparseTable, shape, coords, counts)
+    assert got == build_outcome(reference_sparse_table, shape, coords, counts)
+    return got
+
+
+# counts whose sums depend on the order they are added in (0.1, 0.2, 0.3),
+# zeros, and 1e308, of which two in one cell sum past the float range
+BUILD_COUNTS = [0.0, 0.1, 0.2, 0.3, 1.0, 2.5, 7.0, 5e-324, 1e308]
+
+
+@st.composite
+def build_records(draw):
+    """A shape and records for it, as drawn, sorted by cell or sorted in
+    reverse; some coordinates may lie one outside the shape."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    outside = draw(st.booleans())
+    coord = st.tuples(*[st.integers(-outside, s - 1 + outside) for s in shape])
+    records = draw(st.lists(st.tuples(coord, st.sampled_from(BUILD_COUNTS)),
+                            min_size=1, max_size=25))
+    order = draw(st.sampled_from(["drawn", "sorted", "reversed"]))
+    if order != "drawn":
+        # a stable sort by cell: each cell's records stay in drawn order
+        records.sort(key=lambda r: r[0], reverse=order == "reversed")
+    coords = np.array([c for c, _ in records], dtype=np.intp).reshape(len(records), len(shape))
+    return shape, coords, np.array([n for _, n in records])
+
+
+class TestBuildMatchesReference:
+    """``SparseTable`` sorts only unsorted records, by the default sort
+    unless a cell repeats; its cells, counts, total and errors stay bitwise
+    those of the one-stable-sort build in ``tests/oracles.py``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(build_records())
+    def test_property(self, case):
+        assert_builds_like_reference(*case)
+
+    def test_duplicates_sum_in_record_order(self, rng):
+        sums = []
+        for values in ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]):
+            coords = [[1], [0], [1], [2], [1]]
+            counts = [values[0], 4.0, values[1], 1.0, values[2]]
+            assert_builds_like_reference((3,), coords, counts)
+            sums.append(SparseTable((3,), coords, counts).counts[1])
+        # the two record orders give two different floats
+        assert sums[0] != sums[1]
+        # many cells repeated many times, interleaved: an unstable sort
+        # would put some cell's records out of order
+        coords = rng.integers(0, 20, size=(400, 1))
+        assert_builds_like_reference((20,), coords, rng.random(400))
+
+    def test_zero_counts_and_zero_sums_dropped(self):
+        for coords, counts in [([[0], [1], [2]], [1.0, 0.0, 2.0]),  # sorted
+                               ([[2], [1], [0]], [1.0, 0.0, 2.0]),  # unsorted
+                               ([[2], [1], [1], [0]], [1.0, 0.0, 0.0, 2.0])]:  # repeated
+            assert_builds_like_reference((3,), coords, counts)
+            assert SparseTable((3,), coords, counts).coords.ravel().tolist() == [0, 2]
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "single"])
+    def test_sorted_reversed_and_single_cell(self, rng, order):
+        arr = random_table(rng, (4, 3, 5))
+        coords = np.argwhere(arr)
+        counts = arr[tuple(coords.T)]
+        if order == "reversed":
+            coords, counts = coords[::-1], counts[::-1]
+        elif order == "single":
+            coords, counts = coords[-1:], counts[-1:]
+        assert_builds_like_reference(arr.shape, coords, counts)
+
+    def test_sorted_cells_are_not_sorted_again(self, rng, monkeypatch):
+        arr = random_table(rng, (4, 3, 5))
+        coords, counts = np.argwhere(arr), arr[np.nonzero(arr)]
+        want = build_outcome(reference_sparse_table, arr.shape, coords, counts)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted cells were sorted again")
+
+        monkeypatch.setattr(np, "argsort", no_sort)
+        assert build_outcome(SparseTable, arr.shape, coords, counts) == want
+        t = SparseTable.from_dense(arr)
+        assert t.coords.tobytes() == coords.tobytes() and t.counts.tobytes() == counts.tobytes()
+
+    @pytest.mark.parametrize("coords", [[[0, -1]], [[0, 3]], [[2, 0]], [[1, 1], [-5, 9]]])
+    def test_out_of_bounds_same_text(self, coords):
+        got = assert_builds_like_reference((2, 3), coords, [1.0] * len(coords))
+        assert got == (InputError, "coordinate out of bounds for shape (2, 3)")
+
+    def test_more_cells_than_a_flat_index_can_number(self, monkeypatch):
+        def no_flat_index(*args, **kwargs):
+            raise AssertionError("a flat index was formed")
+
+        monkeypatch.setattr(np, "ravel_multi_index", no_flat_index)
+        for shape in [(120,) * 10, (2,) * 63]:
+            cells = math.prod(shape)
+            with pytest.raises(FeasibilityError, match=f"has {cells} cells") as info:
+                SparseTable(shape, [[0] * len(shape)], [1.0])
+            assert info.value.size == cells
+
+    def test_most_cells_a_flat_index_can_number(self):
+        shape = (7, 7, 73, 127, 337, 92737, 649657)  # 2**63 - 1 cells
+        assert math.prod(shape) == np.iinfo(np.intp).max
+        last = [s - 1 for s in shape]
+        t = SparseTable(shape, [last, [0] * 7, last], [1.0, 2.0, 3.0])
+        assert t.coords.tolist() == [[0] * 7, last] and t.counts.tolist() == [2.0, 4.0]
 
 
 class TestMarginal:
