@@ -12,9 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .infoloss import _axis_sums, _candidate_pairs, _one_pair_g2, _xlogx
+from .infoloss import _axis_sums, _candidate_pairs, _one_pair_g2, _other_cols, _xlogx
 from .pcc import MergeCandidate, _eligible, _scan
-from .table import ORDINAL, SparseTable
+from .table import ORDINAL, SparseTable, _order
 
 
 class _Collapse:
@@ -56,7 +56,8 @@ class _Collapse:
         self.axes = [dim for dim, _ in self.eligible]
         self.slot = {dim: a for a, dim in enumerate(self.axes)}
         K, A, nnz = len(shape), len(self.axes), table.nnz
-        # column key of slot a = coords @ strides[:, a], below offset[a]
+        # column key of slot a = coords @ strides[:, a], below offset[a]; a
+        # merge on axis k shifts the keys of the cells it moves by strides[k]
         self.strides = np.zeros((K, A), dtype=np.int64)
         self.offset = []
         for a, dim in enumerate(self.axes):
@@ -78,8 +79,6 @@ class _Collapse:
         self.coords = np.empty((K, cap), dtype=code)
         self.coords[:, :nnz] = table.coords.T
         self.keys = np.empty((A, cap), dtype=self.key_type)
-        for a in range(A):
-            self.keys[a, :nnz] = table.coords @ self.strides[:, a]
         self.vals = np.empty(cap)
         self.vals[:nnz] = table.counts
         self.alive = np.zeros(cap, dtype=bool)
@@ -96,9 +95,10 @@ class _Collapse:
         self.chosen: _PairRead | None = None
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for a, dim in enumerate(self.axes):
-            rows, shared = _axis_sums(table.coords[:, dim], self.keys[a, :nnz], table.counts,
-                                      shape[dim], self.adjacent[dim])
-            self.sums[dim] = (rows, shared + shared.T)
+            cols = self.keys[a, :nnz] = _other_cols(table, dim)
+            shared = _axis_sums(table.coords[:, dim], cols, table.counts, shape[dim],
+                                self.adjacent[dim])
+            self.sums[dim] = (table.one_way(dim), shared + shared.T)
 
     def select(self) -> MergeCandidate | None:
         """What :func:`~pcctab.pcc.select_merge` returns on the current table.
@@ -271,8 +271,8 @@ class _Collapse:
                 r += self.shape[k]
                 col += self.offset[b]
             p, q = (np.tile(part, len(group)) for part in parts)
-            _, delta = _axis_sums(np.concatenate(cats), np.concatenate(cols), p + q, r,
-                                  self.adjacent[group[0]], (p, q))
+            delta = _axis_sums(np.concatenate(cats), np.concatenate(cols), p + q, r,
+                               self.adjacent[group[0]], (p, q))
             lo = 0
             for k in group:
                 hi = lo + self.shape[k]
@@ -290,7 +290,7 @@ class _Collapse:
         r = self.shape[dim] - 1
         row = np.zeros(r)
         near = [self._cells_of(a, c) if 0 <= c < r else _NO_CELLS for c in (u - 1, u + 1)]
-        _, sums = _axis_sums(
+        sums = _axis_sums(
             np.repeat(np.arange(3), [near[0].size, keys.size, near[1].size]),
             np.concatenate([self.keys[a, near[0]], keys, self.keys[a, near[1]]]),
             np.concatenate([self.vals[near[0]], vals, self.vals[near[1]]]), 3, True)
@@ -347,9 +347,7 @@ class _Collapse:
         if lo == hi:
             return
         names = self.coords[self.axes[a], lo:hi].astype(np.int64)
-        keys = names * self.offset[a] + self.keys[a, lo:hi]
-        order = np.argsort(keys)
-        keys = keys[order]
+        order, keys = _order(names * self.offset[a] + self.keys[a, lo:hi])
         self.index_key[a], self.index_pos[a] = _insert_sorted(
             (self.index_key[a], self.index_pos[a]),
             np.searchsorted(self.index_key[a], keys, "right"), (keys, order.astype(np.int32) + lo))

@@ -13,7 +13,8 @@ class FeasibilityError(PcctabError, RuntimeError):
     """A computation would exceed a size cap: an exhaustive enumeration
     over its configured cap, a dense array of a table with more than
     ``MAX_DENSE_CELLS`` cells, or a table with more cells than an intp can
-    number.  ``size`` is the size that was refused."""
+    number or more than ``MAX_VARIABLES`` variables.  ``size`` is the size
+    that was refused."""
 
     def __init__(self, message: str, size: int):
         super().__init__(message)

@@ -438,7 +438,7 @@ def ipf_fit(table: SparseTable, spec: ModelSpec, tol: float = IPF_TOL,
     dfmod = model_df(spec, table.shape)  # checks the spec against the table first
     fitted, iterations, converged, residual = _ipf(
         table.todense(), table.total, spec, tol, max_iter, {})
-    dev = _deviance(table, fitted[tuple(table.coords.T)])
+    dev = _deviance(table, fitted.reshape(-1).take(table.flat))
     dfres = int(np.prod(table.shape, dtype=np.int64)) - 1 - dfmod
     return FitResult(spec=spec, shape=table.shape, fitted=SparseTable.from_dense(fitted),
                      dev=dev, dfmod=dfmod, dfres=dfres, iterations=iterations,
@@ -510,12 +510,11 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
     spec = ModelSpec.saturated(table.ndim) if start is None else start
     dfmod = model_df(spec, table.shape)  # checks the spec against the table first
     obs = table.todense()
-    observed = np.ravel_multi_index(tuple(table.coords.T), table.shape)
     targets: dict = {}
     cells = int(np.prod(table.shape, dtype=np.int64))
 
     def score(specs: list[ModelSpec]) -> list[tuple[float, bool]]:
-        return [(_deviance(table, fitted.reshape(-1).take(observed)), converged)
+        return [(_deviance(table, fitted.reshape(-1).take(table.flat)), converged)
                 for fitted, _, converged, _
                 in _ipf_batch(obs, table.total, specs, tol, max_iter, targets)]
 

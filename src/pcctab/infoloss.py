@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .table import FIXED, NOMINAL, ORDINAL, Partition, SparseTable, apply_partition, group_weights
+from .table import (FIXED, NOMINAL, ORDINAL, Partition, SparseTable, _order, apply_partition,
+                    group_weights)
 
 __all__ = [
     "PairLoss",
@@ -50,20 +51,17 @@ def _xlogx(t: np.ndarray) -> np.ndarray:
     return t * np.log(np.maximum(t, 5e-324))
 
 
-def _other_cols(coords: np.ndarray, shape: tuple[int, ...], dim: int) -> np.ndarray:
+def _other_cols(table: SparseTable, dim: int) -> np.ndarray:
     """Flat index of each cell over every axis but ``dim``: its column when
-    ``dim`` is read as the row variable."""
-    other = [k for k in range(len(shape)) if k != dim]
-    if not other:
-        return np.zeros(coords.shape[0], dtype=np.int64)
-    return np.ravel_multi_index(tuple(coords[:, k] for k in other),
-                                tuple(shape[k] for k in other))
+    ``dim`` is read as the row variable, taken from the cell's flat index."""
+    inner = math.prod(table.shape[dim + 1:])
+    return table.flat // (inner * table.shape[dim]) * inner + table.flat % inner
 
 
 def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
                adjacent: bool = False, parts: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Row totals and shared-column sums of one axis: ``(rows, shared)``.
+               ) -> np.ndarray:
+    """Shared-column sums of one axis.
 
     The cells are given by category ``cats`` (in ``range(r)``), column id
     ``cols`` and positive count ``vals``, in any order; each (column,
@@ -74,16 +72,29 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
     entries are summed.  With ``parts = (p, q)``, where ``vals = p + q`` adds
     the counts of two merged columns, each term is ``h(a, b) - h(a_p, b_p) -
     h(a_q, b_q)`` instead, what the merge adds to ``shared``; a column that
-    only ``p`` or only ``q`` fills adds exactly 0.
+    only ``p`` or only ``q`` fills adds exactly 0.  The row totals the loss
+    also needs are a table's one-way marginal (:meth:`SparseTable.one_way`).
 
-    Cells are sorted by (column, category); offset pass ``t`` pairs each cell
-    with the cell ``t`` places later in the same column, and the active set
-    shrinks as columns run out of partners, so working memory stays
-    O(nnz + r^2) however many pairs share a column.
+    Cells are sorted by (column, category), and a cell alone in its column,
+    which pairs with none, is dropped before anything else is read of it;
+    offset pass ``t`` pairs each remaining cell with the cell ``t`` places
+    later in the same column, and the active set shrinks as columns run out
+    of partners, so working memory stays O(nnz + r^2) however many pairs
+    share a column.
     """
-    n = cats.shape[0]
-    order = np.argsort(cols * r + cats)
-    cats, cols, vals = cats[order], cols[order], vals[order]
+    order, keys = _order(cols * r + cats)
+    cols = keys // r
+    # the cells that share their column with another
+    shares = cols[1:] == cols[:-1]
+    paired = np.zeros(cols.shape[0], dtype=bool)
+    paired[:-1] = shares
+    paired[1:] |= shares
+    if not paired.all():
+        keep = np.flatnonzero(paired)
+        order, keys, cols = order[keep], keys[keep], cols[keep]
+    n = order.shape[0]
+    cats = keys - cols * r
+    vals = vals[order]
     xvals = vals * np.log(vals)
     if parts is not None:
         p, q = parts[0][order], parts[1][order]
@@ -109,8 +120,7 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
             h += _xlogx(p[active] + p[partner]) + _xlogx(q[active] + q[partner])
         # within a column categories ascend, so every pair lands above the diagonal
         shared += np.bincount(cats[active] * r + cats[partner], weights=h, minlength=r * r)
-    rows = np.bincount(cats, weights=vals, minlength=r)
-    return rows, shared.reshape(r, r)
+    return shared.reshape(r, r)
 
 
 def _pair_g2(rows: np.ndarray, shared: np.ndarray) -> np.ndarray:
@@ -143,9 +153,9 @@ def _axis_pair_g2(table: SparseTable, dim: int, adjacent: bool = False) -> tuple
     over the other-variable columns ``j`` where both categories are nonzero
     (see :func:`_axis_sums`).
     """
-    rows, shared = _axis_sums(table.coords[:, dim], _other_cols(table.coords, table.shape, dim),
-                              table.counts, table.shape[dim], adjacent)
-    return _pair_g2(rows, shared + shared.T), _pair_df(table.shape, dim)
+    shared = _axis_sums(table.coords[:, dim], _other_cols(table, dim), table.counts,
+                        table.shape[dim], adjacent)
+    return _pair_g2(table.one_way(dim), shared + shared.T), _pair_df(table.shape, dim)
 
 
 def _pair_df(shape: tuple[int, ...], dim: int) -> int:
@@ -216,7 +226,7 @@ def pair_loss(table: SparseTable, dim: int, u: int, v: int) -> PairLoss:
         raise InputError(f"categories ({u}, {v}) out of range for size {r}")
     u, v = min(u, v), max(u, v)
     cats = table.coords[:, dim]
-    cols = _other_cols(table.coords, table.shape, dim)
+    cols = _other_cols(table, dim)
     # the cells are in lexicographic order, so each category's run is in column order
     is_u, is_v = cats == u, cats == v
     a, b = table.counts[is_u], table.counts[is_v]
@@ -291,9 +301,7 @@ def partition_deviance(table: SparseTable, partition: Partition) -> float:
     if table.total <= 0:
         return 0.0
     groups = _group_coords(table, partition)
-    # the collapsed cells are in lexicographic order, so their flat indexes ascend
-    flat = np.ravel_multi_index(tuple(collapsed.coords.T), collapsed.shape)
-    at = np.searchsorted(flat, np.ravel_multi_index(groups, collapsed.shape))
+    at = np.searchsorted(collapsed.flat, np.ravel_multi_index(groups, collapsed.shape))
     return _expanded_deviance(table, partition, collapsed.counts[at] / table.total)
 
 

@@ -30,6 +30,10 @@ MAX_DENSE_CELLS = 2 ** 26
 # intp index (np.ravel_multi_index)
 _MAX_FLAT = int(np.iinfo(np.intp).max)
 
+# the most variables a table may have: the most axes np.ravel_multi_index
+# numbers cells over, one less than numpy's argument limit
+MAX_VARIABLES = 63 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 31
+
 
 def _check_dense(shape: Sequence[int]) -> None:
     """Raise :class:`FeasibilityError` before a dense array of ``shape``
@@ -98,16 +102,18 @@ class CategoryScheme:
 class SparseTable:
     """Immutable sparse array of nonnegative real counts over a K-way grid.
 
-    ``coords`` is an ``(nnz, K)`` integer array in lexicographic order and
+    ``coords`` is an ``(nnz, K)`` integer array in lexicographic order,
+    ``flat`` the cells' increasing flat indexes over ``shape`` (C order) and
     ``counts`` the matching positive values.  Duplicate coordinates passed to
     the constructor are summed; zero cells are dropped; negative, NaN and
     infinite counts and cells whose duplicates sum past the float range
     raise :class:`InputError`; cells in a shape of more cells than an intp
-    can number raise :class:`FeasibilityError`.  ``total`` is the sum of
-    all stored counts (``n``).
+    can number, or of more than ``MAX_VARIABLES`` variables, raise
+    :class:`FeasibilityError`.  ``total`` is the sum of all stored counts
+    (``n``).
     """
 
-    __slots__ = ("shape", "coords", "counts", "total")
+    __slots__ = ("shape", "coords", "flat", "counts", "total")
 
     def __init__(self, shape: Sequence[int], coords=None, counts=None):
         shape = tuple(int(s) for s in shape)
@@ -116,6 +122,9 @@ class SparseTable:
         if any(s < 0 for s in shape):
             raise InputError(f"invalid shape {shape}")
         K = len(shape)
+        if K > MAX_VARIABLES:
+            raise FeasibilityError(
+                f"a table of {K} variables has more than the {MAX_VARIABLES} allowed", K)
         coords = np.zeros((0, K), dtype=np.intp) if coords is None else np.asarray(coords, dtype=np.intp)
         counts = np.zeros(0) if counts is None else np.asarray(counts, dtype=np.float64)
         if coords.ndim == 1 and K == 1:
@@ -140,21 +149,17 @@ class SparseTable:
             try:
                 flat = np.ravel_multi_index(tuple(coords.T), shape)
             except ValueError:
-                # a coordinate outside the shape, or more axes than numpy
-                # allows, which is not about a coordinate
-                lo = coords.min(axis=0)
-                hi = coords.max(axis=0)
-                if np.any(lo < 0) or np.any(hi >= np.asarray(shape)):
-                    raise InputError(f"coordinate out of bounds for shape {shape}") from None
-                raise
-            coords, counts = _sum_cells(flat, coords, counts)
+                raise InputError(f"coordinate out of bounds for shape {shape}") from None
+            flat, coords, counts = _sum_cells(flat, coords, counts)
         else:
+            flat = np.zeros(0, dtype=np.intp)
             coords = np.zeros((0, K), dtype=np.intp)
             counts = np.zeros(0)
-        coords.setflags(write=False)
-        counts.setflags(write=False)
+        for arr in (flat, coords, counts):
+            arr.setflags(write=False)
         self.shape = shape
         self.coords = coords
+        self.flat = flat
         self.counts = counts
         self.total = float(counts.sum())
 
@@ -186,12 +191,14 @@ class SparseTable:
             out[tuple(self.coords.T)] = self.counts
         return out
 
+    def one_way(self, k: int) -> np.ndarray:
+        """Variable ``k``'s one-way count vector, of length shape[k]: each
+        category's cells added in lexicographic order."""
+        return np.bincount(self.coords[:, k], weights=self.counts, minlength=self.shape[k])
+
     def one_way_marginals(self) -> list[np.ndarray]:
         """Per-variable one-way count vectors, each of length shape[k]."""
-        out = []
-        for k, s in enumerate(self.shape):
-            out.append(np.bincount(self.coords[:, k], weights=self.counts, minlength=s))
-        return out
+        return [self.one_way(k) for k in range(self.ndim)]
 
     def scale(self, c: float) -> "SparseTable":
         if c <= 0:
@@ -203,32 +210,55 @@ class SparseTable:
 
 
 def _sum_cells(flat, coords, counts):
-    """The records' cells in increasing flat index ``flat``, each with the
-    coordinates of its first record and its counts summed in record order;
-    cells that sum to zero are dropped.
+    """The records' cells in increasing flat index ``flat``: their flat
+    indexes, the coordinates of each one's first record and its counts
+    summed in record order; cells that sum to zero are dropped.
 
-    Records already in strictly increasing order are not sorted.  Others
-    take the default sort, which gives every sort's permutation when the
-    indices are distinct; only when a cell repeats is the sort redone as a
-    stable one, so that its records sum in record order.
+    Records already in strictly increasing order are not sorted; others
+    take the stable sort :func:`_order`, so a cell's records stay in
+    record order.
     """
     order = None
     if not np.all(flat[1:] > flat[:-1]):
-        order = np.argsort(flat)
-        cells = flat[order]
-        if not np.all(cells[1:] > cells[:-1]):
-            order = np.argsort(flat, kind="stable")
+        order, flat = _order(flat)
+        if not np.all(flat[1:] > flat[:-1]):
             # flat indices are nonnegative, so -1 marks the first as a run start
-            starts = np.flatnonzero(np.diff(cells, prepend=-1))
+            starts = np.flatnonzero(np.diff(flat, prepend=-1))
             with np.errstate(over="ignore"):  # checked just below
                 merged = np.add.reduceat(counts[order], starts)
             if not np.all(np.isfinite(merged)):
                 raise InputError("the counts of one cell sum to a non-finite value")
             keep = merged > 0
-            return coords[order[starts[keep]]], merged[keep]
+            starts = starts[keep]
+            return flat[starts], coords[order[starts]], merged[keep]
         counts = counts[order]
     keep = counts > 0
-    return coords[keep if order is None else order[keep]], counts[keep]
+    return flat[keep], coords[keep if order is None else order[keep]], counts[keep]
+
+
+def _order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of the nonnegative integer ``keys``, and the keys
+    in that order.
+
+    Each key is packed with its position into one int64 word, ``key << b |
+    position`` with ``b`` the bit length of ``n - 1``, and the words are
+    sorted in place: they are distinct, so any sort gives the stable order,
+    and a plain sort of words is about twice as fast as an argsort of the
+    keys.  Keys too large to leave ``b`` bits free take
+    ``np.argsort(kind="stable")``.
+    """
+    n = keys.shape[0]
+    b = max(n - 1, 0).bit_length()
+    if n == 0 or int(keys.max()) >> (63 - b):
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    words = keys.astype(np.int64)
+    words <<= b
+    words |= np.arange(n)
+    words.sort()
+    order = words & ((1 << b) - 1)
+    words >>= b
+    return order, words
 
 
 def _canonical_key(key: Sequence[int]) -> tuple[int, ...]:

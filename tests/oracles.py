@@ -11,7 +11,11 @@ documented, one stateless ``select_merge`` and ``apply_partition`` per step:
 it checks that ``run_pcc``'s carried state picks the same merges with the
 same losses, bit for bit.  ``reference_sparse_table`` is the table build
 as it first shipped, one stable sort and a bounds check by column minima
-and maxima, kept to check the build's sort-free and unstable paths.
+and maxima, kept to check the build's sort-free and packed-sort paths.
+``reference_axis_sums`` is the loss kernel as it first shipped, pairing
+every cell and returning its own row totals, kept to check that the kernel
+that pairs only the cells sharing a column adds the same terms in the same
+order.
 """
 
 import csv
@@ -83,6 +87,43 @@ def pair_slice(table, dim, u, v):
     else:
         cols = np.zeros(rows.shape[0], dtype=np.intp)
     return SparseTable((2, width), np.stack([rows, cols], axis=1), table.counts[mask])
+
+
+def reference_axis_sums(cats, cols, vals, r, adjacent=False, parts=None):
+    """Row totals and shared-column sums of one axis, ``(rows, shared)``, as
+    ``pcctab.infoloss._axis_sums`` takes and gives the shared sums: every
+    cell sorted by (column, category) and paired in offset passes, whether
+    or not its column holds another cell, and the rows added over the
+    sorted cells."""
+    def xlogx(t):
+        return t * np.log(np.maximum(t, 5e-324))
+
+    n = cats.shape[0]
+    order = np.argsort(cols * r + cats)
+    cats, cols, vals = cats[order], cols[order], vals[order]
+    xvals = vals * np.log(vals)
+    if parts is not None:
+        p, q = parts[0][order], parts[1][order]
+        xvals = xvals - xlogx(p) - xlogx(q)
+    ends = np.append(np.flatnonzero(cols[1:] != cols[:-1]) + 1, n)
+    remaining = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n) - 1
+    shared = np.zeros(r * r)
+    active = np.arange(n)
+    for t in range(1, 2 if adjacent else r):
+        active = active[remaining[active] >= t]
+        partner = active + t
+        if adjacent:
+            active = active[cats[partner] == cats[active] + 1]
+            partner = active + 1
+        if active.size == 0:
+            break
+        ab = vals[active] + vals[partner]
+        h = xvals[active] + xvals[partner] - ab * np.log(ab)
+        if parts is not None:
+            h += xlogx(p[active] + p[partner]) + xlogx(q[active] + q[partner])
+        shared += np.bincount(cats[active] * r + cats[partner], weights=h, minlength=r * r)
+    rows = np.bincount(cats, weights=vals, minlength=r)
+    return rows, shared.reshape(r, r)
 
 
 def _sum_nlogn(values):

@@ -264,6 +264,17 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["pcc", "lossmatrix", "hllm", "curve", "ratios", "oracle"])
+    def test_more_variables_than_a_flat_index_takes_exit_2(self, out, tmp_path, capsys, command):
+        # one record of 65 variables, one label each
+        data = tmp_path / "wide.csv"
+        data.write_text(",".join(f"v{k}" for k in range(65)) + ",count\n" + "a," * 65 + "1\n")
+        assert run([command, "--data", data, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "a table of 65 variables" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_field_over_the_csv_limit_exit_1(self, out, tmp_path, capsys):
         data = tmp_path / "long.csv"
         data.write_text(f"x,y,count\n{'a' * 200_000},c,1\n")

@@ -53,6 +53,7 @@ from oracles import (
     dense_deviance,
     dense_expand_probs,
     dense_pair_g2,
+    reference_axis_sums,
     reference_ipf,
     reference_pcc_walk,
 )
@@ -640,7 +641,7 @@ def shuffled(t, seed):
     sort: the collapse must not depend on the order it is handed."""
     order = np.random.default_rng(seed).permutation(t.nnz)
     out = object.__new__(SparseTable)
-    for name, value in (("shape", t.shape), ("coords", t.coords[order]),
+    for name, value in (("shape", t.shape), ("coords", t.coords[order]), ("flat", t.flat[order]),
                         ("counts", t.counts[order]), ("total", t.total)):
         object.__setattr__(out, name, value)
     return out
@@ -764,16 +765,18 @@ def test_carried_drift_inside_window_changes_nothing(problem, seed):
 
 def assert_carried_sums_fresh(t, treatments):
     """Collapse ``t`` fully and, after every merge, compare each eligible
-    axis's carried row totals and shared-column sums with a fresh kernel
-    pass over the live cells: they must agree within 1e-12 n."""
+    axis's carried row totals and shared-column sums with fresh ones over
+    the live cells, the sums from a kernel pass: they must agree within
+    1e-12 n."""
     state = collapse._Collapse(t, normalize_treatments(t.ndim, treatments))
     while state.select() is not None:
         state.merge()
         live = np.flatnonzero(state.alive[:state.size])
         for dim, _ in state.eligible:
-            rows, shared = _axis_sums(state.cur[dim][state.coords[dim, live]],
-                                      state.keys[state.slot[dim], live].astype(np.int64),
-                                      state.vals[live], state.shape[dim], state.adjacent[dim])
+            cats = state.cur[dim][state.coords[dim, live]]
+            rows = np.bincount(cats, weights=state.vals[live], minlength=state.shape[dim])
+            shared = _axis_sums(cats, state.keys[state.slot[dim], live].astype(np.int64),
+                                state.vals[live], state.shape[dim], state.adjacent[dim])
             carried_rows, carried_shared = state.sums[dim]
             assert np.abs(carried_rows - rows).max() <= 1e-12 * t.total
             assert np.abs(carried_shared - (shared + shared.T)).max() <= 1e-12 * t.total
@@ -817,18 +820,19 @@ def test_axis_sums_parts_is_the_merge_change(arr, adjacent, data):
     m = x + y
     coords = np.argwhere(m > 0)
     flat = tuple(coords.T)
+    merged = SparseTable(arr.shape, coords, m[flat])
 
     def plain(vals):
         pos = vals[flat] > 0
-        return _axis_sums(coords[pos, dim], cols[pos], vals[flat][pos], r, adjacent)[1]
+        return _axis_sums(coords[pos, dim], cols[pos], vals[flat][pos], r, adjacent)
 
     for dim, r in enumerate(arr.shape):
-        cols = _other_cols(coords, arr.shape, dim)
-        _, got = _axis_sums(coords[:, dim], cols, m[flat], r, adjacent, (x[flat], y[flat]))
+        cols = _other_cols(merged, dim)
+        got = _axis_sums(coords[:, dim], cols, m[flat], r, adjacent, (x[flat], y[flat]))
         want = plain(m) - plain(x) - plain(y)
         # a merge that only renames columns changes nothing, exactly
-        _, none = _axis_sums(coords[:, dim], cols, m[flat], r, adjacent,
-                             (m[flat], np.zeros(len(coords))))
+        none = _axis_sums(coords[:, dim], cols, m[flat], r, adjacent,
+                          (m[flat], np.zeros(len(coords))))
         assert not none.any()
         rows = [np.moveaxis(v, dim, 0).reshape(r, -1) for v in (m, x, y)]
         for u in range(r):
@@ -841,6 +845,45 @@ def test_axis_sums_parts_is_the_merge_change(arr, adjacent, data):
                                                              a[u, both] + a[v, both])]
                 scale = sum(np.abs(t).sum() for t in terms)
                 assert abs(got[u, v] - want[u, v]) <= 1e-12 * scale
+
+
+@st.composite
+def kernel_cases(draw):
+    """A table, one of its axes and each cell's split into two parts, one
+    of which may be 0.  Size-1 axes occur; counts are sums that depend on
+    the order they are added in; and in half of the tables every column of
+    the axis holds one cell, so no cell pairs."""
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    dim = draw(st.integers(0, len(shape) - 1))
+    arr = draw(arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.5, 7.0])))
+    if draw(st.booleans()):
+        # keep the first cell of each column of dim
+        rows = np.moveaxis(arr, dim, 0)
+        arr = np.moveaxis(np.where(np.cumsum(rows > 0, axis=0) == 1, rows, 0.0), 0, dim)
+    split = draw(arrays(np.int8, shape, elements=st.integers(0, 2)))
+    p = np.where(split == 0, 0.0, np.where(split == 2, 0.37 * arr, arr))
+    q = arr - p
+    t = SparseTable.from_dense(p + q)
+    assume(t.nnz > 0)
+    cells = tuple(t.coords.T)
+    return t, dim, p[cells], q[cells]
+
+
+@SETTINGS
+@given(kernel_cases(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_axis_sums_equals_reference_kernel_bitwise(case, adjacent, with_parts, seed):
+    """The kernel that pairs only the cells sharing a column gives the
+    reference kernel's shared sums bit for bit, with the cells handed in any
+    order, and the table's one-way marginal gives its row totals."""
+    t, dim, p, q = case
+    order = np.random.default_rng(seed).permutation(t.nnz)
+    cells = (t.coords[order, dim], _other_cols(t, dim)[order], t.counts[order], t.shape[dim],
+             adjacent, (p[order], q[order]) if with_parts else None)
+    rows, shared = reference_axis_sums(*cells)
+    got = _axis_sums(*cells)
+    assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in shared.ravel().tolist()]
+    assert ([x.hex() for x in t.one_way_marginals()[dim].tolist()]
+            == [x.hex() for x in rows.tolist()])
 
 
 @st.composite

@@ -19,6 +19,8 @@ from pcctab import (
     marginal,
 )
 
+from pcctab.table import MAX_VARIABLES, _order
+
 from oracles import (
     dense_collapse,
     dense_expand_probs,
@@ -134,6 +136,8 @@ class TestBuildTable:
         t = SparseTable.from_dense(arr)
         flat = np.ravel_multi_index(tuple(t.coords.T), t.shape)
         assert np.all(np.diff(flat) > 0)
+        assert t.flat.dtype == np.intp and np.array_equal(t.flat, flat)
+        assert SparseTable((4, 3, 2)).flat.shape == (0,)
 
     def test_immutability(self, from_dense):
         t = from_dense([[1.0, 2.0]])
@@ -141,6 +145,8 @@ class TestBuildTable:
             t.total = 7
         with pytest.raises(ValueError):
             t.counts[0] = 9
+        with pytest.raises(ValueError):
+            t.flat[0] = 9
 
 
 def build_outcome(build, shape, coords, counts):
@@ -192,9 +198,9 @@ def build_records(draw):
 
 
 class TestBuildMatchesReference:
-    """``SparseTable`` sorts only unsorted records, by the default sort
-    unless a cell repeats; its cells, counts, total and errors stay bitwise
-    those of the one-stable-sort build in ``tests/oracles.py``."""
+    """``SparseTable`` sorts only unsorted records, by the packed stable
+    sort ``_order``; its cells, counts, total and errors stay bitwise those
+    of the one-stable-sort build in ``tests/oracles.py``."""
 
     @settings(max_examples=300, deadline=None)
     @given(build_records())
@@ -262,12 +268,64 @@ class TestBuildMatchesReference:
                 SparseTable(shape, [[0] * len(shape)], [1.0])
             assert info.value.size == cells
 
+    def test_more_variables_than_a_flat_index_takes(self, monkeypatch):
+        def no_flat_index(*args, **kwargs):
+            raise AssertionError("a flat index was formed")
+
+        with monkeypatch.context() as m:
+            m.setattr(np, "ravel_multi_index", no_flat_index)
+            for K in (MAX_VARIABLES + 1, 65):
+                with pytest.raises(FeasibilityError, match=f"a table of {K} variables") as info:
+                    SparseTable((1,) * K, [[0] * K], [1.0])
+                assert info.value.size == K
+        t = SparseTable((1,) * MAX_VARIABLES, [[0] * MAX_VARIABLES] * 2, [1.0, 2.0])
+        assert t.flat.tolist() == [0] and t.counts.tolist() == [3.0]
+
     def test_most_cells_a_flat_index_can_number(self):
         shape = (7, 7, 73, 127, 337, 92737, 649657)  # 2**63 - 1 cells
         assert math.prod(shape) == np.iinfo(np.intp).max
         last = [s - 1 for s in shape]
         t = SparseTable(shape, [last, [0] * 7, last], [1.0, 2.0, 3.0])
         assert t.coords.tolist() == [[0] * 7, last] and t.counts.tolist() == [2.0, 4.0]
+
+
+def assert_orders_stably(keys):
+    order, ordered = _order(keys)
+    want = np.argsort(keys, kind="stable")
+    assert order.dtype == want.dtype and order.tolist() == want.tolist()
+    assert ordered.tolist() == keys[want].tolist()
+
+
+class TestOrder:
+    """``_order`` packs each key with its position into one word and sorts
+    the words; it must give the stable argsort, falling back to it when the
+    largest key leaves no room for the positions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 7), max_size=70)
+           | st.lists(st.integers(0, 2**62), max_size=20))
+    def test_is_the_stable_argsort(self, keys):
+        assert_orders_stably(np.array(keys, dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 1024, 1025])
+    def test_sizes_at_powers_of_two(self, rng, n):
+        assert_orders_stably(rng.integers(0, 4, n))  # repeated keys
+        assert_orders_stably(rng.permutation(n))  # distinct keys
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 1024, 1025])
+    def test_largest_key_at_the_packing_limit(self, rng, monkeypatch, n):
+        b = (n - 1).bit_length()
+        # a key of 2**63 is not an int64, so one key never falls back
+        for largest, packed in [(2 ** (63 - b) - 1, True), (2 ** (63 - b), False)][:1 + (n > 1)]:
+            keys = rng.integers(0, largest, n, endpoint=True)
+            keys[:2] = largest
+            calls = []
+            argsort = np.argsort
+            with monkeypatch.context() as m:
+                m.setattr(np, "argsort", lambda *a, **k: calls.append(k) or argsort(*a, **k))
+                assert_orders_stably(keys)
+            # the check's own argsort is the one call a packed sort leaves
+            assert len(calls) == 1 + (not packed)
 
 
 class TestMarginal:
