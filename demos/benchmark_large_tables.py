@@ -7,15 +7,10 @@ Two timed workloads run by default:
 * one full pairwise loss-matrix pass per variable on a 100x100x100 table
   (a million cells) holding 100,000 nonzero counts.
 
-Census-scale collapsing is measured, not just aimed at: a full collapse
-of a 30x30x30x30x10x10x10 table (810 million cells) with 600,000 nonzero
-cells, drawn by ``bench/workloads.py``'s census generator at seed 5, runs
-its 142 merges in 12-15 s on a 2-vCPU Intel Xeon VM with Python 3.11 and
-numpy 2.4, pinned to one CPU, in a process that peaks at 186 MB resident,
-loading the CSV included.  For nominal variables step cost grows with the
-square of the category count, so wide variables dominate.  Pass --side,
---dims and --nnz to probe larger shapes on your own hardware; nothing here
-is asserted, timings are just printed.
+For nominal variables step cost grows with the square of the category
+count, so wide variables dominate.  Pass --side, --dims and --nnz to probe
+larger shapes on your own hardware; nothing here is asserted, timings are
+just printed.
 """
 
 import argparse
@@ -50,7 +45,7 @@ def time_loss_pass(shape, nnz, seed=88):
         start = time.perf_counter()
         m = loss_matrix(t, dim)
         elapsed = time.perf_counter() - start
-        print(f"  variable {dim}: {len(m.entries)} pairs in {elapsed:.2f} s")
+        print(f"  variable {dim}: {m.losses.size} pairs in {elapsed:.2f} s")
 
 
 def main():

@@ -1,20 +1,46 @@
 """The running state of a collapse: what :func:`~pcctab.pcc.run_pcc` carries
-from step to step so that a merge touches only the cells it changes.
+from step to step so that a merge touches only the cells it changes, and
+the one selection engine, which :func:`~pcctab.pcc.select_merge` runs on a
+fresh state.
 
-``run_pcc`` imports this module on first use, so a process that never
-collapses does not load it.
+``run_pcc`` and ``select_merge`` import this module on first use, so a
+process that never collapses does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .infoloss import _axis_sums, _candidate_pairs, _one_pair_g2, _other_cols, _xlogx
-from .pcc import MergeCandidate, _eligible, _scan
-from .table import ORDINAL, SparseTable, _order
+from .infoloss import _axis_sums, _candidate_pairs, _one_pair_g2, _other_cols, _pair_df, _pair_g2
+from .pcc import MergeCandidate
+from .table import FIXED, ORDINAL, SparseTable, _order
+
+# quotient comparisons treat differences below this relative tolerance as
+# ties, resolved by lexicographic (dim, u, v)
+_TIE_RTOL = 1e-12
+
+
+def _scan(best: MergeCandidate | None, dim: int, us: np.ndarray, vs: np.ndarray,
+          g2: np.ndarray, df: int) -> MergeCandidate | None:
+    """Fold one axis's candidates, in lexicographic order, into the running
+    best, which a candidate replaces only when its quotient is lower by more
+    than relative ``_TIE_RTOL``.  A sequential scan, not an argmin: near-ties
+    chain, and only this order reproduces the documented rule exactly."""
+    for u, v, g, q in zip(us.tolist(), vs.tolist(), g2.tolist(), (g2 / df).tolist()):
+        if best is None or (q < best.quotient and abs(q - best.quotient)
+                            > _TIE_RTOL * max(1.0, abs(q), abs(best.quotient))):
+            best = MergeCandidate(dim, u, v, g, df, q)
+    return best
+
+
+def _eligible(shape: Sequence[int], treatments: Sequence[str]) -> list[tuple[int, int]]:
+    """``(dim, df)`` of every axis with candidates: not fixed, at least two
+    categories, and at least two cells in the rest of the table."""
+    dfs = [(dim, _pair_df(shape, dim)) for dim in range(len(shape))]
+    return [(dim, df) for dim, df in dfs if treatments[dim] != FIXED and shape[dim] >= 2 and df > 0]
 
 
 class _Collapse:
@@ -101,7 +127,8 @@ class _Collapse:
             self.sums[dim] = (table.one_way(dim), shared + shared.T)
 
     def select(self) -> MergeCandidate | None:
-        """What :func:`~pcctab.pcc.select_merge` returns on the current table.
+        """The eligible pair with the minimal loss gradient on the current
+        table, by the rule :func:`~pcctab.pcc.select_merge` documents.
 
         Candidates whose carried quotient lies within the window of the
         carried minimum are rescored exactly, pair by pair, from their own
@@ -114,7 +141,7 @@ class _Collapse:
         pairs = [self._candidate_pairs(dim) for dim, _ in self.eligible]
         sums = [self.sums[dim] for dim, _ in self.eligible]
         sizes = [us.size for us, _ in pairs]
-        carried = _carried_g2(
+        carried = _pair_g2(
             np.concatenate([rows[us] for (rows, _), (us, _) in zip(sums, pairs)]),
             np.concatenate([rows[vs] for (rows, _), (_, vs) in zip(sums, pairs)]),
             np.concatenate([shared[us, vs] for (_, shared), (us, vs) in zip(sums, pairs)]))
@@ -374,15 +401,6 @@ class _Collapse:
             self.index_key[a] = self.index_key[a][keep]
             self.indexed[a] = int(kept[self.indexed[a]])
         self.size = live.size
-
-
-def _carried_g2(rows_u: np.ndarray, rows_v: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """Losses of candidate pairs from their carried row totals and shared
-    sums, by the formula and in the operation order of :func:`_pair_g2`."""
-    x = _xlogx(np.concatenate([rows_u + rows_v, rows_u, rows_v]))
-    n = rows_u.size
-    g2 = 2.0 * (x[:n] - (x[n:2 * n] + x[2 * n:]) + shared)
-    return np.maximum(g2, 0.0, out=g2)
 
 
 class _PairRead(NamedTuple):

@@ -123,52 +123,34 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
     return shared.reshape(r, r)
 
 
-def _pair_g2(rows: np.ndarray, shared: np.ndarray) -> np.ndarray:
-    """Aggregation loss of every category pair from row totals and the
-    symmetric shared-column sums: ``2 [x(r_u + r_v) - x(r_u) - x(r_v) +
-    shared[u, v]]``, clamped at zero, with a zero diagonal."""
-    x_rows = _xlogx(rows)
-    g2 = 2.0 * (_xlogx(rows[:, None] + rows[None, :])
-                - (x_rows[:, None] + x_rows[None, :])
-                + shared)
-    np.maximum(g2, 0.0, out=g2)
-    np.fill_diagonal(g2, 0.0)
-    return g2
-
-
-def _axis_pair_g2(table: SparseTable, dim: int, adjacent: bool = False) -> tuple[np.ndarray, int]:
-    """Aggregation loss of every category pair on one axis, in one batch.
-
-    Returns ``(g2, df)``: ``g2[u, v]`` is the independence deviance of the
-    2 x (everything else) subtable of categories ``u`` and ``v`` (checked
-    against ``g2_independence(pair_slice(table, dim, u, v))`` in
-    ``tests/oracles.py``), and ``df`` the number of other cells minus one
-    (0 when there are none).  The array is symmetric (bitwise) with a zero
-    diagonal.  With ``adjacent`` only the ``v = u + 1`` entries are
-    computed; the others are then not meaningful.
+def _pair_g2(rows_u: np.ndarray, rows_v: np.ndarray, shared_uv: np.ndarray) -> np.ndarray:
+    """Aggregation loss of category pairs ``u < v``, one per element.
 
     With ``x(t) = t ln t`` and ``h(a, b) = x(a) + x(b) - x(a + b)``, a pair
-    with row totals ``r_u, r_v`` loses
-    ``2 [x(r_u + r_v) - x(r_u) - x(r_v) + sum h(a_j, b_j)]``, the sum running
-    over the other-variable columns ``j`` where both categories are nonzero
-    (see :func:`_axis_sums`).
+    with row totals ``r_u, r_v`` loses ``2 [x(r_u + r_v) - x(r_u) - x(r_v) +
+    S_uv]``, clamped at zero, where ``S_uv = sum h(a_j, b_j)`` runs over the
+    other-variable columns ``j`` where both categories are nonzero (the
+    upper triangle of :func:`_axis_sums`).  This is the independence
+    deviance of the 2 x (everything else) subtable of ``u`` and ``v``,
+    checked against ``g2_independence(pair_slice(table, dim, u, v))`` in
+    ``tests/oracles.py``.
     """
-    shared = _axis_sums(table.coords[:, dim], _other_cols(table, dim), table.counts,
-                        table.shape[dim], adjacent)
-    return _pair_g2(table.one_way(dim), shared + shared.T), _pair_df(table.shape, dim)
+    x = _xlogx(np.concatenate([rows_u + rows_v, rows_u, rows_v]))
+    n = rows_u.size
+    g2 = 2.0 * (x[:n] - (x[n:2 * n] + x[2 * n:]) + shared_uv)
+    return np.maximum(g2, 0.0, out=g2)
 
 
 def _pair_df(shape: tuple[int, ...], dim: int) -> int:
     """Degrees of freedom of a pair loss on ``dim``: the number of cells of
     the other axes minus one, 0 when there are none."""
-    other = [s for k, s in enumerate(shape) if k != dim]
-    return max(int(np.prod(other, dtype=np.int64)) - 1, 0)
+    return max(math.prod(s for k, s in enumerate(shape) if k != dim) - 1, 0)
 
 
 def _one_pair_g2(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
                  between: np.ndarray) -> float:
     """Aggregation loss of one category pair ``u < v``, bitwise its entry of
-    :func:`_axis_pair_g2`.
+    :func:`loss_matrix`.
 
     ``a`` and ``b`` are the counts of ``u`` and ``v`` in column order, ``x``
     and ``y`` their counts in the columns holding both, again in column
@@ -176,7 +158,7 @@ def _one_pair_g2(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
     between the two, so that its term lands in the kernel's offset pass
     ``between + 1``.  As the kernel's bincounts do, the row totals and each
     pass's terms fold in column order and the passes in ascending order from
-    0.0; then :func:`_pair_g2`'s formula applies.
+    0.0; then :func:`_pair_g2` applies.
     """
     rows = np.bincount(np.repeat([0, 1], [a.size, b.size]), weights=np.concatenate([a, b]),
                        minlength=2)
@@ -185,17 +167,7 @@ def _one_pair_g2(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
     shared = 0.0
     for term in np.bincount(between, weights=h).tolist():
         shared += term
-    return float(_pair_g2(rows, np.array([[0.0, shared], [shared, 0.0]]))[0, 1])
-
-
-def _axis_candidates(table: SparseTable, dim: int, adjacent: bool
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Candidate pairs of one axis in lexicographic ``(u, v)`` order,
-    ``u < v``, with their losses: ``(us, vs, g2, df)``.  All pairs, or only
-    the adjacent ones."""
-    g2, df = _axis_pair_g2(table, dim, adjacent)
-    us, vs = _candidate_pairs(table.shape[dim], adjacent)
-    return us, vs, g2[us, vs], df
+    return float(_pair_g2(rows[:1], rows[1:], np.array([shared]))[0])
 
 
 def _candidate_pairs(r: int, adjacent: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -239,29 +211,39 @@ def pair_loss(table: SparseTable, dim: int, u: int, v: int) -> PairLoss:
     return PairLoss(dim=dim, u=u, v=v, g2=g2, df=_pair_df(table.shape, dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossMatrix:
-    """All pairwise aggregation losses for one variable.
+    """All pairwise aggregation losses for one variable, as arrays.
 
-    ``entries`` holds one :class:`PairLoss` per ``u < v`` pair in
-    lexicographic order; in ``adjacent-only`` mode only ``v = u + 1`` pairs
-    are present.
+    ``dim`` is the variable and ``size`` its number of categories.  ``mode``
+    is ``all-pairs`` (every ``u < v`` pair) or ``adjacent-only`` (only
+    ``v = u + 1``).  ``df`` is the degrees of freedom every pair shares.
+    ``us``, ``vs`` and ``losses`` hold each pair's categories and G^2, in
+    lexicographic ``(u, v)`` order.
     """
 
     dim: int
     size: int
     mode: str
-    entries: tuple[PairLoss, ...]
+    df: int
+    us: np.ndarray
+    vs: np.ndarray
+    losses: np.ndarray
+
+    @property
+    def entries(self) -> tuple[PairLoss, ...]:
+        """One :class:`PairLoss` per pair, in the order of the arrays."""
+        return tuple(PairLoss(dim=self.dim, u=u, v=v, g2=g, df=self.df)
+                     for u, v, g in zip(self.us.tolist(), self.vs.tolist(),
+                                        self.losses.tolist()))
 
     def get(self, u: int, v: int) -> PairLoss:
-        if u > v:
-            u, v = v, u
+        u, v = sorted((int(u), int(v)))
         r = self.size
         if not 0 <= u < v < r or (self.mode == "adjacent-only" and v != u + 1):
             raise KeyError((u, v))
-        if self.mode == "adjacent-only":
-            return self.entries[u]
-        return self.entries[u * (2 * r - u - 1) // 2 + (v - u - 1)]
+        at = u if self.mode == "adjacent-only" else u * (2 * r - u - 1) // 2 + (v - u - 1)
+        return PairLoss(dim=self.dim, u=u, v=v, g2=float(self.losses[at]), df=self.df)
 
     def g2(self, u: int, v: int) -> float:
         return self.get(u, v).g2
@@ -281,11 +263,12 @@ def loss_matrix(table: SparseTable, dim: int, treatment: str = NOMINAL) -> LossM
         raise InputError(f"unknown treatment {treatment!r}")
     r = table.shape[dim]
     adjacent = treatment == ORDINAL
-    us, vs, g2, df = _axis_candidates(table, dim, adjacent)
-    entries = tuple(PairLoss(dim=dim, u=u, v=v, g2=g, df=df)
-                    for u, v, g in zip(us.tolist(), vs.tolist(), g2.tolist()))
+    us, vs = _candidate_pairs(r, adjacent)
+    shared = _axis_sums(table.coords[:, dim], _other_cols(table, dim), table.counts, r, adjacent)
+    rows = table.one_way(dim)
     return LossMatrix(dim=dim, size=r, mode="adjacent-only" if adjacent else "all-pairs",
-                      entries=entries)
+                      df=_pair_df(table.shape, dim), us=us, vs=vs,
+                      losses=_pair_g2(rows[us], rows[vs], shared[us, vs]))
 
 
 def partition_deviance(table: SparseTable, partition: Partition) -> float:

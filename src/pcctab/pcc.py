@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import FeasibilityError, InputError
-from .infoloss import _axis_candidates, partition_deviance
+from .infoloss import partition_deviance
 from .table import FIXED, NOMINAL, ORDINAL, TREATMENTS, Partition, SparseTable
 
 __all__ = [
@@ -40,10 +38,6 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 1_000_000
-
-# quotient comparisons treat differences below this relative tolerance as
-# ties, resolved by lexicographic (dim, u, v)
-_TIE_RTOL = 1e-12
 
 
 def normalize_treatments(ndim: int, treatments: Sequence[str] | None) -> tuple[str, ...]:
@@ -67,46 +61,18 @@ class MergeCandidate(NamedTuple):
     quotient: float
 
 
-def _is_tie(a: float, b: float) -> bool:
-    return abs(a - b) <= _TIE_RTOL * max(1.0, abs(a), abs(b))
-
-
-def _scan(best: MergeCandidate | None, dim: int, us: np.ndarray, vs: np.ndarray,
-          g2: np.ndarray, df: int) -> MergeCandidate | None:
-    """Fold one axis's candidates, in lexicographic order, into the running
-    best.  A sequential scan, not an argmin: near-ties chain, and only this
-    order reproduces the documented rule exactly."""
-    for u, v, g, q in zip(us.tolist(), vs.tolist(), g2.tolist(), (g2 / df).tolist()):
-        if best is None or (q < best.quotient and not _is_tie(q, best.quotient)):
-            best = MergeCandidate(dim, u, v, g, df, q)
-    return best
-
-
-def _eligible(shape: Sequence[int], treatments: Sequence[str]) -> list[tuple[int, int]]:
-    """``(dim, df)`` of every axis with candidates: not fixed, at least two
-    categories, and at least two cells in the rest of the table."""
-    out = []
-    for dim, r in enumerate(shape):
-        other = math.prod(s for k, s in enumerate(shape) if k != dim)
-        if treatments[dim] != FIXED and r >= 2 and other >= 2:
-            out.append((dim, other - 1))
-    return out
-
-
 def select_merge(table: SparseTable, treatments: Sequence[str] | None = None) -> MergeCandidate | None:
     """The eligible pair with the minimal loss gradient, or None.
 
     A pair is eligible when its variable is not fixed, has at least two
     categories, and at least one other variable has more than one category
     (otherwise the merge eliminates no parameters).  Ties within relative
-    1e-12 go to the lexicographically smallest (dim, u, v).
+    1e-12 go to the lexicographically smallest (dim, u, v).  This is the
+    first step of :func:`run_pcc`, taken by the same engine.
     """
-    treatments = normalize_treatments(table.ndim, treatments)
-    best: MergeCandidate | None = None
-    for dim, _ in _eligible(table.shape, treatments):
-        us, vs, g2, df = _axis_candidates(table, dim, treatments[dim] == ORDINAL)
-        best = _scan(best, dim, us, vs, g2, df)
-    return best
+    from .collapse import _Collapse
+
+    return _Collapse(table, normalize_treatments(table.ndim, treatments)).select()
 
 
 @dataclass(frozen=True)

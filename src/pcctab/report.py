@@ -67,15 +67,14 @@ def render_pcc_trace(trace: PccTrace, precision: int = 2) -> str:
 def render_loss_matrix(matrix: LossMatrix, labels: Sequence[str], precision: int = 2) -> str:
     """Upper-triangular grid of pairwise losses; all pairs of one variable
     share the same df, noted on the comment line."""
-    by_pair = {(e.u, e.v): e for e in matrix.entries}
-    lines = [f"# mode={matrix.mode} df={matrix.entries[0].df if matrix.entries else 0}"]
+    grid = [[""] * matrix.size for _ in range(matrix.size)]
+    for u, v, g2 in zip(matrix.us.tolist(), matrix.vs.tolist(), matrix.losses.tolist()):
+        grid[u][v] = _dev(g2, precision)
+    # a variable with no pairs reports df=0
+    lines = [f"# mode={matrix.mode} df={matrix.df if matrix.losses.size else 0}"]
     lines.append("\t".join([""] + [labels[v] for v in range(matrix.size)]))
     for u in range(matrix.size):
-        row = [labels[u]]
-        for v in range(matrix.size):
-            e = by_pair.get((u, v))
-            row.append("" if e is None else _dev(e.g2, precision))
-        lines.append("\t".join(row))
+        lines.append("\t".join([labels[u]] + grid[u]))
     return "\n".join(lines) + "\n"
 
 

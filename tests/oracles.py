@@ -6,12 +6,17 @@ the fast paths cannot hide behind an identical bug here.  The exceptions
 are ``pair_slice`` and ``g2_independence``: the slice-by-slice pair-loss
 path the package first shipped, kept as a second reference for its batched
 kernel.  They take and return the package's ``SparseTable`` but call none
-of its statistics.  And ``reference_pcc_walk`` is the collapse as
-documented, one stateless ``select_merge`` and ``apply_partition`` per step:
-it checks that ``run_pcc``'s carried state picks the same merges with the
-same losses, bit for bit.  ``reference_sparse_table`` is the table build
-as it first shipped, one stable sort and a bounds check by column minima
-and maxima, kept to check the build's sort-free and packed-sort paths.
+of its statistics.  ``reference_select_merge`` is the documented selection
+rule as a plain scan over the public ``loss_matrix``, and
+``reference_pcc_walk`` the collapse as documented, one
+``reference_select_merge`` and ``apply_partition`` per step: they check
+that the one selection engine, fresh (``select_merge``) or carried from
+step to step (``run_pcc``), picks the same merges with the same losses,
+bit for bit.  ``loss_grid`` only lays ``loss_matrix``'s pairs out as an
+(r, r) array for the tests that read losses by position.
+``reference_sparse_table`` is the table build as it first shipped, one
+stable sort and a bounds check by column minima and maxima, kept to check
+the build's sort-free and packed-sort paths.
 ``reference_axis_sums`` is the loss kernel as it first shipped, pairing
 every cell and returning its own row totals, kept to check that the kernel
 that pairs only the cells sharing a column adds the same terms in the same
@@ -26,12 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from pcctab import (
+    MergeCandidate,
     Partition,
     PccStep,
     adjusted_rsq,
     apply_partition,
     compose_partitions,
-    select_merge,
+    loss_matrix,
 )
 from pcctab.errors import InputError
 from pcctab.pcc import normalize_treatments
@@ -436,8 +442,41 @@ def reference_read_counts(path, config=None):
     return names, categories, entries
 
 
+def loss_grid(table, dim, adjacent=False):
+    """``loss_matrix``'s losses of one axis as a symmetric (r, r) array with
+    a zero diagonal, ``nan`` at the pairs it does not score, and its df:
+    ``(g2, df)``."""
+    m = loss_matrix(table, dim, "ordinal" if adjacent else "nominal")
+    r = table.shape[dim]
+    g2 = np.full((r, r), np.nan)
+    np.fill_diagonal(g2, 0.0)
+    g2[m.us, m.vs] = g2[m.vs, m.us] = m.losses
+    return g2, m.df
+
+
+def reference_select_merge(table, treatments=None):
+    """The documented selection rule as a stateless scan: every eligible
+    axis in order (not fixed, two categories or more, two cells or more in
+    the rest of the table), its ``loss_matrix`` pairs in lexicographic
+    order, and a pair replaces the running best only when its quotient is
+    lower by more than relative 1e-12, so ties go to the smallest
+    ``(dim, u, v)``.  Returns a ``MergeCandidate`` or None."""
+    treatments = normalize_treatments(table.ndim, treatments)
+    best = None
+    for dim, r in enumerate(table.shape):
+        other = math.prod(s for k, s in enumerate(table.shape) if k != dim)
+        if treatments[dim] == "fixed" or r < 2 or other < 2:
+            continue
+        for e in loss_matrix(table, dim, treatments[dim]).entries:
+            q = e.quotient
+            if best is None or (q < best.quotient and abs(q - best.quotient)
+                                > 1e-12 * max(1.0, abs(q), abs(best.quotient))):
+                best = MergeCandidate(dim, e.u, e.v, e.g2, e.df, q)
+    return best
+
+
 def reference_pcc_walk(t, treatments, stop_quotient=None):
-    """The collapse as documented, one stateless ``select_merge`` and
+    """The collapse as documented, one ``reference_select_merge`` and
     ``apply_partition`` per step: ``(steps, partitions)``."""
     treatments = normalize_treatments(t.ndim, treatments)
     current, cumulative = t, Partition.identity(t.shape)
@@ -445,7 +484,7 @@ def reference_pcc_walk(t, treatments, stop_quotient=None):
     partitions = [cumulative]
     dev, dfres = 0.0, 0
     while True:
-        cand = select_merge(current, treatments)
+        cand = reference_select_merge(current, treatments)
         if cand is None:
             break
         if stop_quotient is not None and cand.quotient > stop_quotient:

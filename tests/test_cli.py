@@ -366,3 +366,38 @@ def test_long_collapse_matches_golden(out, tmp_path):
     data, cfg = _seeded_four_way(tmp_path)
     assert run(["pcc", "--data", data, "--config", cfg, "--out", out]) == 0
     assert (out / "pcc_trace.tsv").read_bytes() == (GOLDEN / "seeded4_pcc_trace.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("variable", ["race", "sex", "opinion", "age"])
+def test_loss_matrix_report_matches_golden(out, variable):
+    """Each ``lossmatrix`` report stays byte-identical to the one the
+    per-pair ``LossMatrix`` entries rendered (kept in tests/golden/)."""
+    assert run(["lossmatrix", "--data", "christensen_abortion", "--out", out]) == 0
+    name = f"lossmatrix_{variable}.tsv"
+    assert ((out / name).read_bytes()
+            == (GOLDEN / f"christensen_abortion_{name}").read_bytes())
+
+
+def test_loss_matrices_flag_matches_golden(out, tmp_path):
+    """``pcc --loss-matrices`` with ``age`` ordinal writes the same files,
+    byte for byte, as the per-pair ``LossMatrix`` entries rendered, the
+    ``mode=adjacent-only`` grids included (kept in tests/golden/)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variables": [{"name": "age", "treatment": "ordinal"}]}))
+    assert run(["pcc", "--data", "wermuth_cox", "--config", cfg, "--out", out,
+                "--loss-matrices"]) == 0
+    golden = GOLDEN / "wermuth_cox_age_ordinal"
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert "mode=adjacent-only" in (out / "pcc_loss_r00_age.tsv").read_text()
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def test_one_category_variable_reports_df_0(out, tmp_path):
+    """A variable with one category has no pairs; its header says df=0,
+    although a pair on it would have 2 df."""
+    data = tmp_path / "one.csv"
+    data.write_text("a,b,count\nx,u,1\nx,v,2\nx,w,3\n")
+    assert run(["lossmatrix", "--data", data, "--out", out]) == 0
+    assert (out / "lossmatrix_a.tsv").read_text() == "# mode=all-pairs df=0\n\tx\nx\t\n"

@@ -16,7 +16,7 @@ from pcctab import (
     run_pcc,
     select_merge,
 )
-from pcctab import collapse, infoloss
+from pcctab import collapse
 
 from oracles import (
     brute_force_best_pair,
@@ -103,17 +103,16 @@ class TestSelectMerge:
             assert (got.dim, got.u, got.v) == want[:3]
             assert got.quotient == pytest.approx(want[5], rel=1e-9, abs=1e-12)
 
-    def test_chained_near_ties_follow_scan_order(self, monkeypatch, from_dense):
+    def test_chained_near_ties_follow_scan_order(self):
         # scan order y, x, m with y = m + 1.5 tol and x = m + 0.8 tol: x ties y
         # and is passed over, m does not tie y and wins; picking the first
         # pair within tol of the minimum would give x instead
         m = 5.0
         tol = 1e-12 * m
         y, x = m + 1.5 * tol, m + 0.8 * tol
-        losses = {0: (np.array([[0.0, y, x], [y, 0.0, m], [x, m, 0.0]]), 1),
-                  1: (np.array([[0.0, 100.0], [100.0, 0.0]]), 2)}
-        monkeypatch.setattr(infoloss, "_axis_pair_g2", lambda table, dim, adjacent=False: losses[dim])
-        cand = select_merge(from_dense(np.ones((3, 2))))
+        cand = collapse._scan(None, 0, np.array([0, 0, 1]), np.array([1, 2, 2]),
+                              np.array([y, x, m]), 1)
+        cand = collapse._scan(cand, 1, np.array([0]), np.array([1]), np.array([100.0]), 2)
         assert (cand.dim, cand.u, cand.v) == (0, 1, 2)
         assert cand.g2 == m
 

@@ -42,8 +42,7 @@ from pcctab.report import (
     render_ratios,
 )
 from pcctab.hllm import IPF_MAX_ITER, IPF_TOL, _ipf, _ipf_batch
-from pcctab.infoloss import (_axis_pair_g2, _axis_sums, _deviance, _one_pair_g2, _other_cols,
-                             _xlogx)
+from pcctab.infoloss import _axis_sums, _deviance, _one_pair_g2, _other_cols, _xlogx
 from pcctab.pcc import _contiguous_partitions, _set_partitions, normalize_treatments
 from pcctab.table import group_weights
 
@@ -53,9 +52,11 @@ from oracles import (
     dense_deviance,
     dense_expand_probs,
     dense_pair_g2,
+    loss_grid,
     reference_axis_sums,
     reference_ipf,
     reference_pcc_walk,
+    reference_select_merge,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -200,8 +201,8 @@ def tie_heavy_tables(draw, max_dims=3, max_side=4):
 def test_axis_kernel_matches_dense_oracle(arr):
     t = SparseTable.from_dense(arr)
     for dim, r in enumerate(t.shape):
-        g2, df = _axis_pair_g2(t, dim)
-        adjacent, _ = _axis_pair_g2(t, dim, adjacent=True)
+        g2, df = loss_grid(t, dim)
+        adjacent, _ = loss_grid(t, dim, adjacent=True)
         assert df == int(np.prod(t.shape)) // r - 1
         for u, v in combinations(range(r), 2):
             # the absolute floor absorbs cancellation noise when the true loss is 0
@@ -222,6 +223,36 @@ def test_select_merge_matches_brute_force_on_ties(arr, data):
     else:
         assert (got.dim, got.u, got.v, got.df) == (want[0], want[1], want[2], want[4])
         assert math.isclose(got.g2, want[3], rel_tol=1e-9, abs_tol=1e-9)
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    """A tie-heavy table with random treatments."""
+    arr = draw(tie_heavy_tables())
+    return arr, [draw(st.sampled_from(["nominal", "ordinal", "fixed"])) for _ in arr.shape]
+
+
+@SETTINGS
+@given(tie_heavy_problems())
+@example((np.zeros((3, 3)), ["nominal", "nominal"]))
+@example((np.zeros((1, 4, 3)), ["nominal", "ordinal", "nominal"]))
+@example((np.ones((1, 1, 2)), ["nominal", "nominal", "nominal"]))
+@example((np.ones(3), ["nominal"]))
+def test_select_merge_equals_reference_scan_bitwise(problem):
+    """The engine ``select_merge`` and ``run_pcc`` share picks the pair the
+    stateless scan over ``loss_matrix`` picks, with the same loss and
+    quotient to the bit, tables with no stored cells and size-1 axes
+    included."""
+    arr, treatments = problem
+    t = SparseTable.from_dense(arr)
+    got = select_merge(t, treatments)
+    want = reference_select_merge(t, treatments)
+    if want is None:
+        assert got is None
+    else:
+        assert (got.dim, got.u, got.v, got.df) == (want.dim, want.u, want.v, want.df)
+        assert got.g2.hex() == want.g2.hex()
+        assert got.quotient.hex() == want.quotient.hex()
 
 
 @SETTINGS
@@ -671,7 +702,7 @@ def test_run_pcc_matches_stateless_walk_on_bundled_data(name, treatment, request
 def test_pair_evaluator_equals_full_axis_bitwise(arr, adjacent):
     t = SparseTable.from_dense(arr)
     for dim, r in enumerate(t.shape):
-        full, _ = _axis_pair_g2(t, dim, adjacent)
+        full, _ = loss_grid(t, dim, adjacent)
         # rows are the categories of dim, columns the other cells in flat order
         rows = np.moveaxis(arr, dim, 0).reshape(r, -1)
         for u, v in combinations(range(r), 2):
@@ -728,7 +759,7 @@ def test_rescoring_every_candidate_matches_stateless_walk(problem):
         return np.full(shared.shape, np.nan)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(collapse, "_carried_g2", unknown)
+        mp.setattr(collapse, "_pair_g2", unknown)
         trace = run_pcc(t, treatments, stop_quotient=stop)
     assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments, stop)
 
@@ -736,7 +767,7 @@ def test_rescoring_every_candidate_matches_stateless_walk(problem):
 @pytest.mark.parametrize("shape", [(12, 30), (8, 5, 6)])
 def test_rescoring_every_candidate_on_wide_tables(shape, monkeypatch):
     t = wide_table(3, shape)
-    monkeypatch.setattr(collapse, "_carried_g2",
+    monkeypatch.setattr(collapse, "_pair_g2",
                         lambda rows_u, rows_v, shared: np.full(shared.shape, np.nan))
     trace = run_pcc(t)
     assert (trace.steps, trace.partitions) == reference_pcc_walk(t, None)
@@ -751,14 +782,14 @@ def test_carried_drift_inside_window_changes_nothing(problem, seed):
     arr, treatments, stop = problem
     t = SparseTable.from_dense(arr)
     rng = np.random.default_rng(seed)
-    exact = collapse._carried_g2
+    exact = collapse._pair_g2
 
     def drifted(rows_u, rows_v, shared):
         noise = rng.uniform(-1.0, 1.0, shared.shape) * 2e-10 * t.total
         return exact(rows_u, rows_v, shared + noise)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(collapse, "_carried_g2", drifted)
+        mp.setattr(collapse, "_pair_g2", drifted)
         trace = run_pcc(t, treatments, stop_quotient=stop)
     assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments, stop)
 
