@@ -16,7 +16,7 @@ import numpy as np
 
 from .infoloss import _axis_sums, _candidate_pairs, _one_pair_g2, _other_cols, _pair_df, _pair_g2
 from .pcc import MergeCandidate
-from .table import FIXED, ORDINAL, SparseTable, _order
+from .table import FIXED, ORDINAL, SparseTable, _code_dtype, _order
 
 # quotient comparisons treat differences below this relative tolerance as
 # ties, resolved by lexicographic (dim, u, v)
@@ -100,9 +100,7 @@ class _Collapse:
         # every key, with its category name in front too, stays below the
         # number of cells of the original shape
         self.key_type = np.int32 if math.prod(shape) <= np.iinfo(np.int32).max else np.int64
-        # category ids are int16 unless an axis has more categories than that holds
-        code = np.int16 if max(shape) <= np.iinfo(np.int16).max else np.int32
-        self.coords = np.empty((K, cap), dtype=code)
+        self.coords = np.empty((K, cap), dtype=_code_dtype(shape))
         self.coords[:, :nnz] = table.coords.T
         self.keys = np.empty((A, cap), dtype=self.key_type)
         self.vals = np.empty(cap)

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .table import NOMINAL, TREATMENTS, CategoryScheme, SparseTable, VariableDef, _first
+from .table import (NOMINAL, TREATMENTS, CategoryScheme, SparseTable, VariableDef, _code_dtype,
+                    _first)
 
 __all__ = ["VariableConfig", "RunConfig", "read_config", "read_counts", "write_counts", "load_table"]
 
@@ -156,9 +157,10 @@ def load_table(path, config: RunConfig | None = None) -> tuple[CategoryScheme, S
 
 def _read_columns(path, config: RunConfig | None):
     """Parse a counts CSV into ``(names, categories, coords, counts)``: the
-    variable names, the ordered labels of each variable, an ``(n, K)`` intp
-    array of category codes and the ``n`` float64 counts, one row per data
-    record.
+    variable names, the ordered labels of each variable, an ``(n, K)`` array
+    of category codes and the ``n`` float64 counts, one row per data
+    record.  The codes take the dtype rule of :class:`SparseTable`: int16,
+    or int32 once a variable has more labels than int16 holds, then int64.
 
     A plain header line (:func:`_plain`) is parsed on its own.  Then the file is read ``_READ_BLOCK_BYTES`` at a time, cut
     at newlines, and :meth:`_Columns.take` codes each block from its bytes.
@@ -287,8 +289,10 @@ class _Columns:
         self.key_tables = [(np.empty(0, "<i8"), np.empty(0, np.intp), None)] * len(names)
         self.key_widths = [0] * len(names)
         # one buffer each for the codes and the counts, doubled when full;
-        # finish() returns views of the rows filled
-        self.codes = np.empty((_READ_BLOCK_ROWS, len(names)), dtype=np.intp)
+        # finish() returns views of the rows filled.  The codes' dtype is
+        # SparseTable's for the labels known so far; _code_labels widens it.
+        self.codes = np.empty((_READ_BLOCK_ROWS, len(names)),
+                              dtype=_code_dtype(map(len, self.index)))
         self.counts = np.empty(_READ_BLOCK_ROWS)
         self.rows = 0
 
@@ -440,12 +444,12 @@ class _Columns:
         for k, col in enumerate(fields[:-1]):
             code = self.raw_codes[k].__getitem__
             try:
-                self.codes[lo:hi, k] = np.fromiter(map(code, col), np.intp, stop)
+                self.codes[lo:hi, k] = np.fromiter(map(code, col), self.codes.dtype, stop)
             except KeyError:
                 # the block holds raw fields not seen before: code them, retry
                 unknown = self._code_labels(k, col)
                 if not unknown:
-                    self.codes[lo:hi, k] = np.fromiter(map(code, col), np.intp, stop)
+                    self.codes[lo:hi, k] = np.fromiter(map(code, col), self.codes.dtype, stop)
                     continue
                 row = next(i for i, text in enumerate(col) if text in unknown)
                 if row < bad:
@@ -460,7 +464,9 @@ class _Columns:
 
     def _code_labels(self, k, col) -> set[str]:
         """Give a code to every new raw field of column ``k``; return those
-        whose label is not among the variable's configured categories."""
+        whose label is not among the variable's configured categories.  The
+        first time the column has more labels than the code buffer's dtype
+        holds, the buffer is widened."""
         raw_codes, index = self.raw_codes[k], self.index[k]
         unknown = set()
         for text in dict.fromkeys(col):
@@ -474,6 +480,8 @@ class _Columns:
                     continue
                 code = index[label] = len(index)
             raw_codes[text] = code
+        if len(index) > np.iinfo(self.codes.dtype).max:
+            self.codes = self.codes.astype(_code_dtype([len(index)]))
         return unknown
 
     def _error(self, record, message) -> InputError:

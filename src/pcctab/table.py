@@ -35,6 +35,17 @@ _MAX_FLAT = int(np.iinfo(np.intp).max)
 MAX_VARIABLES = 63 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 31
 
 
+def _code_dtype(sizes: Iterable[int]) -> type[np.signedinteger]:
+    """The dtype category codes are stored in: int16, or int32 when a
+    variable has more categories than int16 holds, then int64.  ``sizes``
+    are the variables' category counts."""
+    most = max(sizes, default=0)
+    for dtype in (np.int16, np.int32):
+        if most <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
 def _check_dense(shape: Sequence[int]) -> None:
     """Raise :class:`FeasibilityError` before a dense array of ``shape``
     is allocated, if it would hold more than ``MAX_DENSE_CELLS`` cells."""
@@ -103,8 +114,13 @@ class SparseTable:
     """Immutable sparse array of nonnegative real counts over a K-way grid.
 
     ``coords`` is an ``(nnz, K)`` integer array in lexicographic order,
-    ``flat`` the cells' increasing flat indexes over ``shape`` (C order) and
-    ``counts`` the matching positive values.  Duplicate coordinates passed to
+    ``flat`` the cells' increasing intp flat indexes over ``shape`` (C
+    order) and ``counts`` the matching positive values.  ``coords`` is
+    stored in the narrowest dtype that holds every axis's category codes:
+    int16, or int32 when an axis has more categories than int16 holds, then
+    int64; widen it before arithmetic that could pass that range.  The
+    constructor takes coordinates of any integer dtype; others, booleans
+    included, raise :class:`InputError`.  Duplicate coordinates passed to
     the constructor are summed; zero cells are dropped; negative, NaN and
     infinite counts and cells whose duplicates sum past the float range
     raise :class:`InputError`; cells in a shape of more cells than an intp
@@ -125,7 +141,10 @@ class SparseTable:
         if K > MAX_VARIABLES:
             raise FeasibilityError(
                 f"a table of {K} variables has more than the {MAX_VARIABLES} allowed", K)
-        coords = np.zeros((0, K), dtype=np.intp) if coords is None else np.asarray(coords, dtype=np.intp)
+        code = _code_dtype(shape)
+        coords = np.zeros((0, K), dtype=code) if coords is None else np.asarray(coords)
+        if coords.dtype.kind not in "iu" and coords.size:
+            raise InputError(f"coordinates must be integers, got {coords.dtype}")
         counts = np.zeros(0) if counts is None else np.asarray(counts, dtype=np.float64)
         if coords.ndim == 1 and K == 1:
             coords = coords.reshape(-1, 1)
@@ -150,10 +169,11 @@ class SparseTable:
                 flat = np.ravel_multi_index(tuple(coords.T), shape)
             except ValueError:
                 raise InputError(f"coordinate out of bounds for shape {shape}") from None
-            flat, coords, counts = _sum_cells(flat, coords, counts)
+            # in bounds, so every code fits
+            flat, coords, counts = _sum_cells(flat, coords.astype(code, copy=False), counts)
         else:
             flat = np.zeros(0, dtype=np.intp)
-            coords = np.zeros((0, K), dtype=np.intp)
+            coords = np.zeros((0, K), dtype=code)
             counts = np.zeros(0)
         for arr in (flat, coords, counts):
             arr.setflags(write=False)
@@ -382,7 +402,8 @@ def apply_partition(table: SparseTable, partition: Partition) -> SparseTable:
         )
     if table.nnz == 0:
         return SparseTable(partition.group_counts)
-    cols = [np.asarray(partition.keys[k], dtype=np.intp)[table.coords[:, k]]
+    code = _code_dtype(partition.group_counts)
+    cols = [np.asarray(partition.keys[k], dtype=code)[table.coords[:, k]]
             for k in range(table.ndim)]
     return SparseTable(partition.group_counts, np.stack(cols, axis=1), table.counts)
 

@@ -346,13 +346,15 @@ def reference_sparse_table(shape, coords, counts):
     """The table build as it first shipped: bounds checked by each column's
     minimum and maximum, cells ordered by one stable sort of their flat
     indices, each cell's records summed in record order.  Returns
-    ``(coords, counts, total)`` as ``SparseTable`` stores them, with the
-    same errors for the checks it makes."""
+    ``(coords, counts, total)`` as ``SparseTable`` stores them, coords in
+    the narrowest of int16, int32 and int64 that holds every axis's number
+    of categories, with the same errors for the checks it makes."""
     shape = tuple(int(s) for s in shape)
+    code = next(t for t in (np.int16, np.int32, np.int64) if max(shape) <= np.iinfo(t).max)
     coords = np.asarray(coords, dtype=np.intp).reshape(-1, len(shape))
     counts = np.asarray(counts, dtype=np.float64).ravel()
     if not counts.size:
-        return np.zeros((0, len(shape)), dtype=np.intp), np.zeros(0), 0.0
+        return np.zeros((0, len(shape)), dtype=code), np.zeros(0), 0.0
     if not np.all(np.isfinite(counts)):
         raise InputError("non-finite count")
     if np.min(counts) < 0:
@@ -372,7 +374,7 @@ def reference_sparse_table(shape, coords, counts):
         raise InputError("the counts of one cell sum to a non-finite value")
     keep = merged > 0
     counts = merged[keep]
-    return coords[order[starts[keep]]], counts, float(counts.sum())
+    return coords[order[starts[keep]]].astype(code), counts, float(counts.sum())
 
 
 def reference_read_counts(path, config=None):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,10 @@ def _csv_loop(*args):
     raise AssertionError("the csv loop read a record")
 
 
+def _byte_path(*args):
+    raise AssertionError("the byte path read a block")
+
+
 @pytest.mark.parametrize("block", BYTE_BLOCKS)
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 @pytest.mark.parametrize("last", [True, False])
@@ -504,6 +509,69 @@ def test_column_of_thousands_of_labels(tmp_path, monkeypatch):
         f"p{i},q{i % 7},{i % 5}\n" for i in labels.tolist()))
     names, categories, entries = assert_byte_path_matches_reference(path, monkeypatch)
     assert len(categories[0]) == 2000
+
+
+@pytest.mark.parametrize("labels, dtype", [(2**15 - 1, np.int16), (2**15, np.int32)])
+@pytest.mark.parametrize("path_kind", ["bytes", "quoted", "configured"])
+def test_codes_widen_past_int16_labels(tmp_path, monkeypatch, labels, dtype, path_kind):
+    """A column of 32,767 labels keeps int16 codes and one of 32,768 takes
+    int32, whether the byte path or the csv loop reads it or a config lists
+    the labels; the codes are those of the row-at-a-time reference.  The
+    last label comes after records of the other column in the same block
+    and is followed by more records."""
+    rows = [("u", "v", "count")] + [(f"q{i % 7}", f"p{i}", str(i % 5 + 1)) for i in range(labels)]
+    rows += [(f"q{i % 7}", f"p{i * 7 % labels}", "1") for i in range(500)]
+    path = tmp_path / "wide.csv"
+    with open(path, "w", newline="") as fh:
+        quoting = csv.QUOTE_ALL if path_kind == "quoted" else csv.QUOTE_MINIMAL
+        csv.writer(fh, quoting=quoting, lineterminator="\n").writerows(rows)
+    config = None
+    if path_kind == "configured":
+        config = RunConfig((VariableConfig("v", tuple(f"p{i}" for i in range(labels))),))
+    if path_kind == "quoted":
+        monkeypatch.setattr(pcctab.io._Columns, "take", _byte_path)
+    else:
+        monkeypatch.setattr(pcctab.io._Columns, "add", _csv_loop)
+    _, _, entries = reference_read_counts(path, config)
+    want = np.array([coords for coords, _ in entries], dtype=np.intp)
+    _, categories, codes, _ = pcctab.io._read_columns(path, config)
+    assert codes.dtype == dtype and np.array_equal(codes, want)
+    assert len(categories[1]) == labels
+    got = outcome(load_table, path, config)
+    assert got[1][1].coords.dtype == dtype
+    assert same_tables(got, outcome(reference_load_table, path, config))
+
+
+# most bytes load_table may hold at once per record of a census-shape file,
+# the table it returns included.  int16 codes take about 87 here; intp codes
+# in the reader's buffer and the table took about 171.
+LOAD_BYTES_PER_RECORD = 128
+
+
+def test_load_table_memory_per_record(tmp_path):
+    """The traced peak of ``load_table`` on 20,000 distinct cells of a
+    30^4 x 10^3 table, read from their bytes."""
+    n = 20_000
+    rng = np.random.default_rng(17)
+    shape = (30, 30, 30, 30, 10, 10, 10)
+    cells = np.unravel_index(rng.choice(np.prod(shape), size=n, replace=False), shape)
+    path = tmp_path / "census.csv"
+    path.write_text(",".join(f"v{k}" for k in range(7)) + ",count\n" + "".join(
+        ",".join(f"c{x}" for x in row) + f",{count}\n"
+        for row, count in zip(np.stack(cells, axis=1).tolist(), rng.integers(1, 10, n).tolist())))
+    load_table(path)  # the first load's one-off allocations are not counted
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _, table = load_table(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert table.nnz == n
+    assert peak / n < LOAD_BYTES_PER_RECORD
 
 
 def test_keys_sharing_one_slot_are_searched_for(tmp_path, monkeypatch):

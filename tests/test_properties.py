@@ -2,8 +2,10 @@
 
 import math
 import re
+import tempfile
 from functools import reduce
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from pcctab import (
     expand_model,
     fit_hllpm,
     ipf_fit,
+    load_table,
     loss_matrix,
     model_df,
     pair_loss,
@@ -32,6 +35,7 @@ from pcctab import (
     pearson_ratios,
     run_pcc,
     select_merge,
+    write_counts,
 )
 from pcctab import collapse, hllm, report
 from pcctab.report import (
@@ -90,9 +94,62 @@ def test_sparse_table_sums_duplicates_like_dense_oracle(cells):
     np.add.at(dense, tuple(coords.T), counts)
     t = SparseTable(shape, coords, counts)
     want = np.argwhere(dense > 0)
-    assert t.coords.dtype == np.intp
+    # at most 4 categories per axis: int16 codes
+    assert t.coords.dtype == np.int16
     assert np.array_equal(t.coords, want)
     assert np.array_equal(t.counts, dense[tuple(want.T)])
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returned, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _results_of(shape, coords, counts, treatments, keys, path):
+    """Everything a table built from ``coords`` gives, as bytes and reprs:
+    the table, each loss matrix, the collapse trace, the deviance and the
+    collapsed table of the partition ``keys``, and the table read back
+    from its counts file written to ``path``."""
+    t = SparseTable(shape, coords, counts)
+    partition = Partition(keys)
+    scheme = CategoryScheme(tuple(VariableDef(f"v{k}", tuple(f"c{i}" for i in range(s)), tr)
+                                  for k, (s, tr) in enumerate(zip(shape, treatments))))
+
+    def round_trip():
+        write_counts(path, scheme, t)
+        again = load_table(path)[1]
+        return again.shape, again.coords.dtype, again.coords.tobytes(), again.counts.tobytes()
+
+    def collapsed():
+        c = apply_partition(t, partition)
+        return c.shape, c.coords.dtype, c.coords.tobytes(), c.counts.tobytes()
+
+    return (t.coords.dtype, t.coords.tobytes(), t.flat.tobytes(), t.counts.tobytes(), t.total,
+            [_outcome(lambda d: loss_matrix(t, d, treatments[d]).losses.tobytes(), d)
+             for d in range(len(shape))],
+            _outcome(lambda: repr(run_pcc(t, treatments))),
+            _outcome(lambda: np.float64(partition_deviance(t, partition)).tobytes()),
+            _outcome(collapsed), _outcome(round_trip))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_lists(), st.data())
+def test_any_integer_coords_give_the_results_of_intp(cells, data):
+    """Tables with zero counts, tied counts and size-1 axes built from int16,
+    int32, int64 or uint64 coordinates give bitwise what intp ones give."""
+    shape, coords, counts = cells
+    treatments = tuple(data.draw(st.sampled_from(["nominal", "ordinal"])) for _ in shape)
+    keys = tuple(tuple(data.draw(st.lists(st.integers(0, s - 1), min_size=s, max_size=s)))
+                 for s in shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        want = _results_of(shape, coords.astype(np.intp), counts, treatments, keys, path)
+        for dtype in (np.int16, np.int32, np.int64, np.uint64):
+            got = _results_of(shape, coords.astype(dtype), counts, treatments, keys, path)
+            assert got == want
 
 
 @st.composite

@@ -148,6 +148,28 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             t.flat[0] = 9
 
+    @pytest.mark.parametrize("coords", [[[0.5]], [[1.7]], [[True]]])
+    def test_non_integer_coordinates_rejected(self, coords):
+        # never truncated to a cell: 0.5 is not cell 0, 1.7 and True not cell 1
+        with pytest.raises(InputError, match="coordinates must be integers"):
+            SparseTable((3,), coords, [1.0])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64,
+                                       np.uint8, np.uint16, np.uint32, np.uint64])
+    def test_any_integer_coordinates_stored_as_int16(self, dtype):
+        coords = np.array([[2, 0], [0, 1], [2, 0]], dtype=dtype)
+        t = SparseTable((3, 2), coords, [1.0, 2.0, 3.0])
+        assert t.coords.dtype == np.int16 and t.flat.dtype == np.intp
+        assert t.coords.tolist() == [[0, 1], [2, 0]] and t.counts.tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("size, dtype", [(2**15 - 1, np.int16), (2**15, np.int32),
+                                             (2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_code_dtype_holds_the_largest_axis(self, size, dtype):
+        t = SparseTable((2, size), [[1, size - 1], [0, 0]], [1.0, 2.0])
+        assert t.coords.dtype == dtype
+        assert t.coords.tolist() == [[0, 0], [1, size - 1]]
+        assert SparseTable((2, size)).coords.dtype == dtype
+
 
 def build_outcome(build, shape, coords, counts):
     """``build``'s coords, counts and total as bytes, or the type and text
@@ -250,9 +272,13 @@ class TestBuildMatchesReference:
         monkeypatch.setattr(np, "argsort", no_sort)
         assert build_outcome(SparseTable, arr.shape, coords, counts) == want
         t = SparseTable.from_dense(arr)
-        assert t.coords.tobytes() == coords.tobytes() and t.counts.tobytes() == counts.tobytes()
+        assert t.coords.dtype == np.int16 and t.coords.tobytes() == coords.astype(np.int16).tobytes()
+        assert t.counts.tobytes() == counts.tobytes()
 
-    @pytest.mark.parametrize("coords", [[[0, -1]], [[0, 3]], [[2, 0]], [[1, 1], [-5, 9]]])
+    # 2**16 + 1 would wrap to 1 as int16 codes; 2**64 - 1 is -1 as an intp
+    @pytest.mark.parametrize("coords", [[[0, -1]], [[0, 3]], [[2, 0]], [[1, 1], [-5, 9]],
+                                        [[0, 2**16 + 1]],
+                                        np.array([[0, 2**64 - 1]], dtype=np.uint64)])
     def test_out_of_bounds_same_text(self, coords):
         got = assert_builds_like_reference((2, 3), coords, [1.0] * len(coords))
         assert got == (InputError, "coordinate out of bounds for shape (2, 3)")
