@@ -53,9 +53,19 @@ def _xlogx(t: np.ndarray) -> np.ndarray:
 
 def _other_cols(table: SparseTable, dim: int) -> np.ndarray:
     """Flat index of each cell over every axis but ``dim``: its column when
-    ``dim`` is read as the row variable, taken from the cell's flat index."""
+    ``dim`` is read as the row variable, taken from the cell's flat index.
+
+    A cell of category ``c`` on ``dim`` has the flat index ``(hi r + c)
+    inner + lo`` and the column ``hi inner + lo``, the flat index less ``(hi
+    (r - 1) + c) inner``, which is formed in place in the one array returned.
+    """
+    r = table.shape[dim]
     inner = math.prod(table.shape[dim + 1:])
-    return table.flat // (inner * table.shape[dim]) * inner + table.flat % inner
+    cols = table.flat // (r * inner)
+    cols *= r - 1
+    cols += table.coords[:, dim]
+    cols *= inner
+    return np.subtract(table.flat, cols, out=cols)
 
 
 def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
@@ -82,8 +92,10 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
     of partners, so working memory stays O(nnz + r^2) however many pairs
     share a column.
     """
-    order, keys = _order(cols * r + cats)
-    cols = keys // r
+    keys = np.multiply(cols, r, dtype=np.int64)
+    keys += cats
+    order, cols = _order(keys)
+    cols //= r
     # the cells that share their column with another
     shares = cols[1:] == cols[:-1]
     paired = np.zeros(cols.shape[0], dtype=bool)
@@ -91,9 +103,9 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
     paired[1:] |= shares
     if not paired.all():
         keep = np.flatnonzero(paired)
-        order, keys, cols = order[keep], keys[keep], cols[keep]
+        order, cols = order[keep], cols[keep]
     n = order.shape[0]
-    cats = keys - cols * r
+    cats = cats[order].astype(np.int64, copy=False)
     vals = vals[order]
     xvals = vals * np.log(vals)
     if parts is not None:

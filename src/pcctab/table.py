@@ -126,7 +126,8 @@ class SparseTable:
     raise :class:`InputError`; cells in a shape of more cells than an intp
     can number, or of more than ``MAX_VARIABLES`` variables, raise
     :class:`FeasibilityError`.  ``total`` is the sum of all stored counts
-    (``n``).
+    (``n``).  The table never keeps, or makes read-only, an array its caller
+    passed: its own arrays are always copies.
     """
 
     __slots__ = ("shape", "coords", "flat", "counts", "total")
@@ -193,8 +194,16 @@ class SparseTable:
         arr = np.asarray(array, dtype=np.float64)
         if arr.ndim == 0:
             raise InputError("dense array must have at least one dimension")
-        idx = np.nonzero(arr)
-        return cls(arr.shape, np.stack(idx, axis=1), arr[idx])
+        # each nonzero cell's coordinates, one axis at a time, from its C-order
+        # flat index and straight into the stored code dtype
+        dense = arr.ravel()
+        flat = np.flatnonzero(dense)
+        coords = np.empty((flat.size, arr.ndim), dtype=_code_dtype(arr.shape))
+        for k, size in enumerate(arr.shape):
+            coords[:, k] = flat // math.prod(arr.shape[k + 1:]) % size
+        counts = dense[flat]
+        del flat  # not held while the constructor builds its own cells
+        return cls(arr.shape, coords, counts)
 
     @property
     def ndim(self) -> int:
@@ -236,49 +245,59 @@ def _sum_cells(flat, coords, counts):
 
     Records already in strictly increasing order are not sorted; others
     take the stable sort :func:`_order`, so a cell's records stay in
-    record order.
+    record order.  ``flat`` is the caller's temporary and is consumed by
+    that sort; ``coords`` and ``counts`` are only read, and the arrays
+    returned never share their memory.
     """
-    order = None
-    if not np.all(flat[1:] > flat[:-1]):
-        order, flat = _order(flat)
-        if not np.all(flat[1:] > flat[:-1]):
-            # flat indices are nonnegative, so -1 marks the first as a run start
-            starts = np.flatnonzero(np.diff(flat, prepend=-1))
-            with np.errstate(over="ignore"):  # checked just below
-                merged = np.add.reduceat(counts[order], starts)
-            if not np.all(np.isfinite(merged)):
-                raise InputError("the counts of one cell sum to a non-finite value")
-            keep = merged > 0
-            starts = starts[keep]
-            return flat[starts], coords[order[starts]], merged[keep]
-        counts = counts[order]
+    if np.all(flat[1:] > flat[:-1]):
+        # still the caller's coords and counts: copied even if none is dropped
+        keep = counts > 0
+        return flat[keep], coords[keep], counts[keep]
+    order, flat = _order(flat)
+    counts = counts[order]
+    if np.all(flat[1:] > flat[:-1]):
+        coords = coords[order]
+    else:
+        # flat indices are nonnegative, so -1 marks the first as a run start
+        starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        with np.errstate(over="ignore"):  # checked just below
+            counts = np.add.reduceat(counts, starts)
+        if not np.all(np.isfinite(counts)):
+            raise InputError("the counts of one cell sum to a non-finite value")
+        flat, coords = flat[starts], coords[order[starts]]
+    # every array is a fresh gather now, so it is copied only to drop cells
     keep = counts > 0
-    return flat[keep], coords[keep if order is None else order[keep]], counts[keep]
+    if keep.all():
+        return flat, coords, counts
+    return flat[keep], coords[keep], counts[keep]
 
 
 def _order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable argsort of the nonnegative integer ``keys``, and the keys
+    """The stable argsort of the nonnegative int64 ``keys``, and the keys
     in that order.
 
-    Each key is packed with its position into one int64 word, ``key << b |
-    position`` with ``b`` the bit length of ``n - 1``, and the words are
-    sorted in place: they are distinct, so any sort gives the stable order,
-    and a plain sort of words is about twice as fast as an argsort of the
-    keys.  Keys too large to leave ``b`` bits free take
-    ``np.argsort(kind="stable")``.
+    ``keys`` is consumed: the caller passes an array it owns and does not
+    read again (a copy, if it must), and the sorted keys are returned in
+    that same buffer.  Each key is packed with its position into one word,
+    ``key << b | position`` with ``b`` the bit length of ``n - 1``, and the
+    words are sorted in place: they are distinct, so any sort gives the
+    stable order, and a plain sort of words is about twice as fast as an
+    argsort of the keys.  The positions are unpacked into the one
+    ``arange`` buffer that packed them.  Keys too large to leave ``b`` bits
+    free take ``np.argsort(kind="stable")``.
     """
     n = keys.shape[0]
     b = max(n - 1, 0).bit_length()
     if n == 0 or int(keys.max()) >> (63 - b):
         order = np.argsort(keys, kind="stable")
         return order, keys[order]
-    words = keys.astype(np.int64)
-    words <<= b
-    words |= np.arange(n)
-    words.sort()
-    order = words & ((1 << b) - 1)
-    words >>= b
-    return order, words
+    keys <<= b
+    order = np.arange(n)
+    keys |= order
+    keys.sort()
+    np.bitwise_and(keys, (1 << b) - 1, out=order)
+    keys >>= b
+    return order, keys
 
 
 def _canonical_key(key: Sequence[int]) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,8 +316,59 @@ class TestBuildMatchesReference:
         assert t.coords.tolist() == [[0] * 7, last] and t.counts.tolist() == [2.0, 4.0]
 
 
+class TestCallerArrays:
+    """A table copies what it keeps: it never shares, or makes read-only, an
+    array its caller passed, whether the records come in order (and so are
+    not gathered by a sort) or not."""
+
+    @pytest.mark.parametrize("order", ["sorted", "unsorted"])
+    def test_table_never_shares_a_callers_arrays(self, order):
+        # int16 codes are the stored dtype, so no conversion copies them
+        coords = np.array([[0, 1], [1, 0], [2, 1]], dtype=np.int16)
+        counts = np.array([1.0, 2.0, 3.0])
+        if order == "unsorted":
+            coords, counts = coords[::-1].copy(), counts[::-1].copy()
+        t = SparseTable((3, 2), coords, counts)
+        for arr in (t.coords, t.flat, t.counts):
+            assert not np.shares_memory(arr, coords) and not np.shares_memory(arr, counts)
+        assert coords.flags.writeable and counts.flags.writeable
+        coords[:] = 0
+        counts[:] = 5.0
+        assert t.coords.tolist() == [[0, 1], [1, 0], [2, 1]]
+        assert t.counts.tolist() == [1.0, 2.0, 3.0] and t.total == 6.0
+
+
+# the most bytes SparseTable.from_dense may trace per stored cell; a build
+# through intp coordinates (np.nonzero and a stacked copy of it) took 133
+FROM_DENSE_BYTES_PER_CELL = 95
+
+
+def test_from_dense_memory_per_cell():
+    """The traced peak of ``from_dense`` on a 16^5 table of about a million
+    nonzero cells, and its cells bitwise those of a build from ``np.nonzero``'s
+    coordinates."""
+    arr = np.random.default_rng(18).poisson(3, (16,) * 5).astype(np.float64)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        t = SparseTable.from_dense(arr)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    idx = np.nonzero(arr)
+    want = SparseTable(arr.shape, np.stack(idx, axis=1), arr[idx])
+    assert t.coords.dtype == want.coords.dtype == np.int16
+    assert t.coords.tobytes() == want.coords.tobytes()
+    assert t.flat.tobytes() == want.flat.tobytes()
+    assert t.counts.tobytes() == want.counts.tobytes()
+    assert peak / t.nnz < FROM_DENSE_BYTES_PER_CELL
+
+
 def assert_orders_stably(keys):
-    order, ordered = _order(keys)
+    order, ordered = _order(keys.copy())  # _order consumes the keys it is given
     want = np.argsort(keys, kind="stable")
     assert order.dtype == want.dtype and order.tolist() == want.tolist()
     assert ordered.tolist() == keys[want].tolist()
