@@ -57,22 +57,27 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--precision", type=int, default=2,
                         help="decimal places for deviances (ratios/R^2 use one more)")
-    common.add_argument("--stop-quotient", type=float, default=None,
-                        help="stop collapsing at the first step whose G2/df exceeds this")
-    common.add_argument("--loss-matrices", action="store_true",
-                        help="with pcc: also write the loss matrices at every step")
-    common.add_argument("--generators", default=None,
-                        help="bracketed model terms, e.g. \"[oa][ro][s]\"")
+    # each of these options goes only to the subcommands that read it; the
+    # others reject it as an unrecognized argument
+    stop = argparse.ArgumentParser(add_help=False)
+    stop.add_argument("--stop-quotient", type=float, default=None,
+                      help="stop collapsing at the first step whose G2/df exceeds this")
+    matrices = argparse.ArgumentParser(add_help=False)
+    matrices.add_argument("--loss-matrices", action="store_true",
+                          help="also write the loss matrices at every step")
+    generators = argparse.ArgumentParser(add_help=False)
+    generators.add_argument("--generators", default=None,
+                            help="bracketed model terms, e.g. \"[oa][ro][s]\"")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("pcc", "sequential paired-category collapsing trace"),
-        ("lossmatrix", "pairwise aggregation loss matrix per variable"),
-        ("hllm", "log-linear fit (--generators) or backward-selection trace"),
-        ("ratios", "Pearson ratios against independence or a fitted model"),
-        ("curve", "deviance-versus-parameters series for both model families"),
-        ("oracle", "exhaustive partition search (small tables only)"),
+    for name, options, help_text in [
+        ("pcc", [stop, matrices], "sequential paired-category collapsing trace"),
+        ("lossmatrix", [], "pairwise aggregation loss matrix per variable"),
+        ("hllm", [generators], "log-linear fit (--generators) or backward-selection trace"),
+        ("ratios", [generators], "Pearson ratios against independence or a fitted model"),
+        ("curve", [stop], "deviance-versus-parameters series for both model families"),
+        ("oracle", [], "exhaustive partition search (small tables only)"),
     ]:
-        sub.add_parser(name, parents=[common], help=help_text)
+        sub.add_parser(name, parents=[common, *options], help=help_text)
     return parser
 
 

@@ -15,23 +15,18 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .infoloss import _axis_sums, _candidate_pairs, _one_pair_g2, _other_cols, _pair_df, _pair_g2
-from .pcc import MergeCandidate
+from .pcc import MergeCandidate, _beats
 from .table import FIXED, ORDINAL, SparseTable, _code_dtype, _order
-
-# quotient comparisons treat differences below this relative tolerance as
-# ties, resolved by lexicographic (dim, u, v)
-_TIE_RTOL = 1e-12
 
 
 def _scan(best: MergeCandidate | None, dim: int, us: np.ndarray, vs: np.ndarray,
           g2: np.ndarray, df: int) -> MergeCandidate | None:
     """Fold one axis's candidates, in lexicographic order, into the running
-    best, which a candidate replaces only when its quotient is lower by more
-    than relative ``_TIE_RTOL``.  A sequential scan, not an argmin: near-ties
-    chain, and only this order reproduces the documented rule exactly."""
+    best, which a candidate replaces only when it :func:`~pcctab.pcc._beats`
+    it.  A sequential scan, not an argmin: near-ties chain, and only this
+    order reproduces the documented rule exactly."""
     for u, v, g, q in zip(us.tolist(), vs.tolist(), g2.tolist(), (g2 / df).tolist()):
-        if best is None or (q < best.quotient and abs(q - best.quotient)
-                            > _TIE_RTOL * max(1.0, abs(q), abs(best.quotient))):
+        if _beats(q, None if best is None else best.quotient):
             best = MergeCandidate(dim, u, v, g, df, q)
     return best
 

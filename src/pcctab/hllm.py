@@ -10,6 +10,7 @@ cyclic iterative proportional scaling against the generator marginals.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .infoloss import _deviance, _expanded_deviance, _group_coords
-from .pcc import adjusted_rsq
+from .infoloss import _deviance, _expanded_deviance
+from .pcc import _beats, _finish
 from .table import Partition, SparseTable, _check_dense, apply_partition
 
 __all__ = [
@@ -87,12 +88,6 @@ class ModelSpec:
             for size in range(1, len(g) + 1):
                 out.update(combinations(g, size))
         return tuple(sorted(out))
-
-    def variables(self) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for g in self.generators:
-            seen.update(g)
-        return tuple(sorted(seen))
 
     def remove(self, term: tuple[int, ...]) -> "ModelSpec":
         """Drop one maximal term, keeping the family hierarchical (the
@@ -173,10 +168,7 @@ def model_df(spec: ModelSpec, shape: Sequence[int]) -> int:
     for term in spec.closure():
         if any(k < 0 or k >= len(shape) for k in term):
             raise InputError(f"term {term} out of range for shape {shape}")
-        d = 1
-        for k in term:
-            d *= shape[k] - 1
-        total += d
+        total += _term_df(term, shape)
     return total
 
 
@@ -518,14 +510,16 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
                 for fitted, _, converged, _
                 in _ipf_batch(obs, table.total, specs, tol, max_iter, targets)]
 
-    def row(s: ModelSpec, dfmod: int, dev: float, converged: bool, dev_term: float,
-            df_term: int, candidates_converged: bool) -> dict:
-        return dict(spec=s, dev=dev, dfmod=dfmod, dfres=cells - 1 - dfmod,
-                    dev_term=dev_term, df_term=df_term, converged=converged,
-                    candidates_converged=candidates_converged)
+    rows: list[dict] = []
+
+    def add(s: ModelSpec, dfmod: int, dev: float, converged: bool, dev_term: float,
+            df_term: int, candidates_converged: bool) -> None:
+        rows.append(dict(r=len(rows), spec=s, dev=dev, dfmod=dfmod, dfres=cells - 1 - dfmod,
+                         dev_term=dev_term, df_term=df_term, converged=converged,
+                         candidates_converged=candidates_converged))
 
     (dev, converged), = score([spec])
-    rows = [row(spec, dfmod, dev, converged, 0.0, 0, converged)]
+    add(spec, dfmod, dev, converged, 0.0, 0, converged)
     while True:
         removable = [g for g in spec.generators if len(g) >= 2]
         if not removable:
@@ -537,23 +531,12 @@ def backward_select(table: SparseTable, start: ModelSpec | None = None,
             ddev = dev - rows[-1]["dev"]
             ddf = _term_df(term, table.shape)
             quotient = 0.0 if ddf == 0 else ddev / ddf
-            if best is None or (quotient < best[0]
-                                and abs(quotient - best[0]) > 1e-12 * max(1.0, abs(quotient), abs(best[0]))):
+            if _beats(quotient, None if best is None else best[0]):
                 best = (quotient, cand_spec, dev, converged, ddev, ddf)
         _, spec, dev, converged, ddev, ddf = best
         dfmod -= ddf
-        rows.append(row(spec, dfmod, dev, converged, ddev, ddf, all(c for _, c in scored)))
-    dev_last = rows[-1]["dev"]
-    dfres_last = rows[-1]["dfres"]
-    steps = tuple(
-        BackwardStep(r=i, spec=row["spec"], dev=row["dev"], dfmod=row["dfmod"],
-                     dfres=row["dfres"], dev_term=row["dev_term"], df_term=row["df_term"],
-                     adj_rsq=adjusted_rsq(row["dev"], row["dfres"], dev_last, dfres_last),
-                     converged=row["converged"],
-                     candidates_converged=row["candidates_converged"])
-        for i, row in enumerate(rows)
-    )
-    return BackwardTrace(steps=steps, shape=table.shape)
+        add(spec, dfmod, dev, converged, ddev, ddf, all(c for _, c in scored))
+    return BackwardTrace(steps=_finish(BackwardStep, rows), shape=table.shape)
 
 
 def fit_hllpm(original: SparseTable, partition: Partition, spec: ModelSpec,
@@ -568,16 +551,10 @@ def fit_hllpm(original: SparseTable, partition: Partition, spec: ModelSpec,
     adds none.  ``fitted`` is the fit on the collapsed table; ``shape``,
     ``dev`` and ``dfres`` refer to the original one.
     """
-    collapsed = apply_partition(original, partition)
-    dfmod = model_df(spec, collapsed.shape)  # checks the spec against the table first
-    fitted, iterations, converged, residual = _ipf(
-        collapsed.todense(), collapsed.total, spec, tol, max_iter, {})
-    dev = _expanded_deviance(original, partition,
-                             fitted[_group_coords(original, partition)] / original.total)
-    dfres = int(np.prod(original.shape, dtype=np.int64)) - 1 - dfmod
-    return FitResult(spec=spec, shape=original.shape, fitted=SparseTable.from_dense(fitted),
-                     dev=dev, dfmod=dfmod, dfres=dfres, iterations=iterations,
-                     converged=converged, max_residual=residual)
+    fit = ipf_fit(apply_partition(original, partition), spec, tol, max_iter)
+    return dataclasses.replace(
+        fit, shape=original.shape, dev=_expanded_deviance(original, partition, fit.fitted),
+        dfres=int(np.prod(original.shape, dtype=np.int64)) - 1 - fit.dfmod)
 
 
 def independence_expected(table: SparseTable) -> np.ndarray:

@@ -289,30 +289,25 @@ def partition_deviance(table: SparseTable, partition: Partition) -> float:
     The model is the collapsed table's probabilities expanded back to the
     original shape in proportion to the original one-way marginals, as
     :func:`~pcctab.expand_model` builds it densely; here it is evaluated at
-    the observed cells only, each reading its group's count from the
-    collapsed table's cells, so memory stays O(nnz) however large the shape.
+    the observed cells only, so memory stays O(nnz) however large the shape.
     """
-    collapsed = apply_partition(table, partition)
-    if table.total <= 0:
+    return _expanded_deviance(table, partition, apply_partition(table, partition))
+
+
+def _expanded_deviance(table: SparseTable, partition: Partition, collapsed: SparseTable) -> float:
+    """Deviance against ``table`` of the counts ``collapsed`` on the groups
+    of ``partition`` expanded to its shape: at each observed cell, its
+    group's count over n times each category's weight within its group,
+    times n.  Each cell finds its group among the collapsed cells by binary
+    search; a group ``collapsed`` does not hold reads 0."""
+    if table.nnz == 0:
         return 0.0
-    groups = _group_coords(table, partition)
-    at = np.searchsorted(collapsed.flat, np.ravel_multi_index(groups, collapsed.shape))
-    return _expanded_deviance(table, partition, collapsed.counts[at] / table.total)
-
-
-def _group_coords(table: SparseTable, partition: Partition) -> tuple[np.ndarray, ...]:
-    """Per axis, the group of each observed cell of ``table``."""
-    return tuple(np.asarray(key, dtype=np.intp)[table.coords[:, k]]
-                 for k, key in enumerate(partition.keys))
-
-
-def _expanded_deviance(table: SparseTable, partition: Partition, probs: np.ndarray) -> float:
-    """Deviance against ``table`` of the collapsed probabilities expanded to
-    its shape, ``probs`` holding the probability of each observed cell's
-    group: at each observed cell, that probability times each category's
-    weight within its group, times n."""
     coords = table.coords
-    e = probs
+    groups = np.ravel_multi_index(
+        tuple(np.asarray(key, dtype=np.intp)[coords[:, k]] for k, key in enumerate(partition.keys)),
+        collapsed.shape)
+    at = np.minimum(np.searchsorted(collapsed.flat, groups), max(collapsed.nnz - 1, 0))
+    e = np.where(collapsed.flat[at] == groups, collapsed.counts[at], 0.0) / table.total
     for k, w in enumerate(group_weights(partition, table.one_way_marginals())):
         e = e * w[coords[:, k]]
     return _deviance(table, e * table.total)

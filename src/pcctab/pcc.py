@@ -20,7 +20,7 @@ from itertools import product
 from typing import NamedTuple, Sequence
 
 from .errors import FeasibilityError, InputError
-from .infoloss import partition_deviance
+from .infoloss import _pair_df, partition_deviance
 from .table import FIXED, NOMINAL, ORDINAL, TREATMENTS, Partition, SparseTable
 
 __all__ = [
@@ -38,6 +38,18 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 1_000_000
+
+# quotient comparisons treat differences below this relative tolerance as
+# ties, resolved by the order the candidates are scanned in
+_TIE_RTOL = 1e-12
+
+
+def _beats(q: float, best: float | None) -> bool:
+    """Whether quotient ``q`` replaces the running best quotient ``best``
+    (None before the first candidate): only when it is lower by more than
+    relative ``_TIE_RTOL``, so a scan in lexicographic order gives every tie
+    to the first candidate."""
+    return best is None or (q < best and abs(q - best) > _TIE_RTOL * max(1.0, abs(q), abs(best)))
 
 
 def normalize_treatments(ndim: int, treatments: Sequence[str] | None) -> tuple[str, ...]:
@@ -112,11 +124,6 @@ class PccTrace:
     def final_dev(self) -> float:
         return self.steps[-1].dev
 
-    @property
-    def degenerate(self) -> bool:
-        """True when the table carries no interaction information at all."""
-        return self.final_dev == 0.0
-
     def partition_at(self, r: int) -> Partition:
         return self.partitions[r]
 
@@ -138,10 +145,17 @@ def adjusted_rsq(dev_r: float, dfres_r: int, dev_last: float, dfres_last: int) -
     return 1.0 - dev_r * dfres_last / (dev_last * dfres_r)
 
 
+def _finish(cls, rows: list[dict]) -> tuple:
+    """The trace rows ``cls(**row, adj_rsq=...)``, each row's adjusted R^2
+    taken against the last row."""
+    last = rows[-1]
+    return tuple(cls(**row, adj_rsq=adjusted_rsq(row["dev"], row["dfres"], last["dev"],
+                                                 last["dfres"]))
+                 for row in rows)
+
+
 def _merge_key(r: int, u: int, v: int) -> tuple[int, ...]:
     # key over current categories merging v into u (u < v); already canonical
-    if u > v:
-        u, v = v, u
     return tuple(u if c == v else (c if c < v else c - 1) for c in range(r))
 
 
@@ -209,8 +223,8 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
     state = _Collapse(table, treatments)
     cumulative = Partition.identity(table.shape)
 
-    raw: list[dict] = [dict(r=0, d=None, key=None, shape=table.shape, dev=0.0,
-                            dfres=0, dev_term=0.0, df_term=0, terminal=False)]
+    rows = [dict(r=0, d=None, key=None, shape=table.shape, dev=0.0, dfmod=cells_minus_one,
+                 dfres=0, dev_term=0.0, df_term=0, terminal=False)]
     partitions = [cumulative]
     dev = 0.0
     dfres = 0
@@ -232,32 +246,21 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
         r += 1
         dev += cand.g2
         dfres += cand.df
-        raw.append(dict(r=r, d=cand.dim, key=cumulative.keys[cand.dim], shape=state.shape,
-                        dev=dev, dfres=dfres, dev_term=cand.g2, df_term=cand.df,
-                        terminal=False))
+        rows.append(dict(r=r, d=cand.dim, key=cumulative.keys[cand.dim], shape=state.shape,
+                         dev=dev, dfmod=cells_minus_one - dfres, dfres=dfres, dev_term=cand.g2,
+                         df_term=cand.df, terminal=False))
         partitions.append(cumulative)
 
     if not stopped_early:
         nonfixed = [k for k in range(table.ndim) if treatments[k] != FIXED]
         if nonfixed:
             d0 = nonfixed[0]
-            df_term = math.prod(s for k, s in enumerate(state.shape) if k != d0) - 1
-            raw.append(dict(r=r + 1, d=d0, key=cumulative.keys[d0], shape=state.shape,
-                            dev=dev, dfres=dfres, dev_term=0.0, df_term=max(df_term, 0),
-                            terminal=True))
+            rows.append(dict(r=r + 1, d=d0, key=cumulative.keys[d0], shape=state.shape,
+                             dev=dev, dfmod=cells_minus_one - dfres, dfres=dfres, dev_term=0.0,
+                             df_term=_pair_df(state.shape, d0), terminal=True))
             partitions.append(cumulative)
 
-    dev_last = raw[-1]["dev"]
-    dfres_last = raw[-1]["dfres"]
-    steps = tuple(
-        PccStep(r=row["r"], d=row["d"], key=row["key"], shape=row["shape"], dev=row["dev"],
-                dfmod=cells_minus_one - row["dfres"], dfres=row["dfres"],
-                dev_term=row["dev_term"], df_term=row["df_term"],
-                adj_rsq=adjusted_rsq(row["dev"], row["dfres"], dev_last, dfres_last),
-                terminal=row["terminal"])
-        for row in raw
-    )
-    return PccTrace(steps=steps, partitions=tuple(partitions),
+    return PccTrace(steps=_finish(PccStep, rows), partitions=tuple(partitions),
                     original_shape=table.shape, treatments=treatments)
 
 

@@ -222,6 +222,19 @@ class TestErrorPaths:
     def test_usage_error_is_input_error(self, out, capsys):
         assert run(["explode", "--data", "wermuth_cox", "--out", out]) == 1
 
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag)
+        for flag, owners in [(["--stop-quotient", "2.5"], ("pcc", "curve")),
+                             (["--loss-matrices"], ("pcc",)),
+                             (["--generators", "[s]"], ("hllm", "ratios"))]
+        for command in ("pcc", "lossmatrix", "hllm", "ratios", "curve", "oracle")
+        if command not in owners
+    ])
+    def test_flag_of_another_command_exit_1(self, out, capsys, command, flag):
+        assert run([command, "--data", "wermuth_cox", "--out", out] + flag) == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["pcc", "lossmatrix", "hllm"])
     def test_infinite_count_exit_1(self, out, tmp_path, capsys, command):
         data = tmp_path / "inf.csv"

@@ -366,6 +366,23 @@ class TestBackwardSelect:
         monkeypatch.setattr(hllm, "_BATCH_CELLS", 2)  # one candidate per chunk
         assert backward_select(christensen_table) == want
 
+    def test_tied_terms_go_to_the_smaller_one(self):
+        # symmetric in variables 0 and 1, so after the three-way term removing
+        # (0, 2) or (1, 2) costs the same up to rounding: the two fits scale
+        # in different orders and may differ in the last bits, which a plain
+        # minimum would follow
+        x0, x1, x2 = np.meshgrid(np.arange(3), np.arange(3), np.arange(3), indexing="ij")
+        arr = np.round(40 * np.exp(1.2 * x0 * x1 + 0.3 * (x0 + x1) * x2 - 0.2 * x2))
+        assert (arr == arr.transpose(1, 0, 2)).all()
+        t = SparseTable.from_dense(arr)
+        two_way = ModelSpec(((0, 1), (0, 2), (1, 2)))
+        d02, d12 = (ipf_fit(t, two_way.remove(term)).dev for term in [(0, 2), (1, 2)])
+        assert d02 == pytest.approx(d12, rel=1e-12)
+        trace = backward_select(t)
+        assert trace.steps[1].spec == two_way
+        assert trace.steps[2].spec == two_way.remove((0, 2))
+        assert trace.steps[2].dev == d02
+
 
 class TestFitHllpm:
     def test_wermuth_row4_saturated(self, wermuth_table):

@@ -17,6 +17,7 @@ from pcctab import (
     select_merge,
 )
 from pcctab import collapse
+from pcctab.pcc import _beats
 
 from oracles import (
     brute_force_best_pair,
@@ -115,6 +116,19 @@ class TestSelectMerge:
         cand = collapse._scan(cand, 1, np.array([0]), np.array([1]), np.array([100.0]), 2)
         assert (cand.dim, cand.u, cand.v) == (0, 1, 2)
         assert cand.g2 == m
+
+    @pytest.mark.parametrize("q,best,want", [
+        (7.0, None, True),
+        (1000.0, 1000.0, False),
+        (1000.0 * (1 - 0.5e-12), 1000.0, False),
+        (1000.0 * (1 - 2e-12), 1000.0, True),
+        (1000.0 * (1 + 2e-12), 1000.0, False),
+        # below 1 the tolerance is absolute 1e-12
+        (0.5 - 0.5e-12, 0.5, False),
+        (0.5 - 2e-12, 0.5, True),
+    ])
+    def test_tie_rule(self, q, best, want):
+        assert _beats(q, best) is want
 
     def test_values_are_plain_floats(self, wermuth_table):
         cand = select_merge(wermuth_table)

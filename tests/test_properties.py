@@ -452,6 +452,12 @@ def test_fit_hllpm_matches_dense_expansion_oracle(problem):
     assert fit.shape == arr.shape and fit.fitted.shape == collapsed.shape
     assert fit.dfmod == model_df(spec, collapsed.shape)
     assert fit.dfres == arr.size - 1 - fit.dfmod
+    # the HLLPM is the collapsed table's own fit, rescored against the original
+    lone = ipf_fit(apply_partition(SparseTable.from_dense(arr), part), spec)
+    assert ((fit.spec, fit.fitted.coords.tobytes(), fit.fitted.counts.tobytes(), fit.dfmod,
+             fit.iterations, fit.converged, fit.max_residual)
+            == (lone.spec, lone.fitted.coords.tobytes(), lone.fitted.counts.tobytes(), lone.dfmod,
+                lone.iterations, lone.converged, lone.max_residual))
 
 
 def dense_gather_deviance(t, part, probs):
