@@ -25,7 +25,7 @@ from .errors import FeasibilityError, InputError, PcctabError
 from .hllm import ModelSpec, backward_select, ipf_fit, pearson_ratios
 from .infoloss import loss_matrix
 from .io import load_table, read_config
-from .pcc import DEFAULT_SIZE_CAP, exhaustive_partition_search, run_pcc
+from .pcc import exhaustive_partition_search, run_pcc
 from .report import (
     render_backward_trace,
     render_curve,
@@ -126,6 +126,13 @@ def _run(args) -> int:
     scheme, table = load_table(_resolve_data(args.data), config)
     not_converged = False
 
+    def fit_generators():
+        # the --generators model fitted by IPF; one that does not converge sets exit code 3
+        nonlocal not_converged
+        fit = ipf_fit(table, ModelSpec.from_brackets(args.generators, scheme.names))
+        not_converged |= not fit.converged
+        return fit
+
     if args.command == "pcc":
         trace = run_pcc(table, scheme.treatments, stop_quotient=args.stop_quotient)
         _write(out_dir, "pcc_trace.tsv", render_pcc_trace(trace, precision))
@@ -157,10 +164,7 @@ def _run(args) -> int:
 
     elif args.command == "hllm":
         if args.generators:
-            spec = ModelSpec.from_brackets(args.generators, scheme.names)
-            fit = ipf_fit(table, spec)
-            not_converged |= not fit.converged
-            _write(out_dir, "hllm_fit.tsv", render_fit(fit, scheme.names, precision))
+            _write(out_dir, "hllm_fit.tsv", render_fit(fit_generators(), scheme.names, precision))
         else:
             trace = backward_select(table)
             not_converged |= any(not s.converged for s in trace.steps)
@@ -168,14 +172,8 @@ def _run(args) -> int:
                    render_backward_trace(trace, scheme.names, precision))
 
     elif args.command == "ratios":
-        if args.generators:
-            spec = ModelSpec.from_brackets(args.generators, scheme.names)
-            fit = ipf_fit(table, spec)
-            not_converged |= not fit.converged
-            ratios = pearson_ratios(table, fit)
-        else:
-            ratios = pearson_ratios(table)
-        _write(out_dir, "ratios.tsv", render_ratios(ratios, scheme, precision))
+        fit = fit_generators() if args.generators else None
+        _write(out_dir, "ratios.tsv", render_ratios(pearson_ratios(table, fit), scheme, precision))
 
     elif args.command == "curve":
         # a table too large to fit densely fails at once, not after a long
@@ -189,8 +187,7 @@ def _run(args) -> int:
                             precision))
 
     elif args.command == "oracle":
-        results = exhaustive_partition_search(table, scheme.treatments,
-                                              size_cap=DEFAULT_SIZE_CAP)
+        results = exhaustive_partition_search(table, scheme.treatments)
         _write(out_dir, "oracle.tsv", render_oracle(results, precision))
 
     return 3 if not_converged else 0

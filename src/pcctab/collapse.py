@@ -44,26 +44,26 @@ class _Collapse:
     :func:`~pcctab.pcc.run_pcc`).
 
     Cells live at fixed positions in buffers that grow by appending.  Each
-    holds its coordinates in original category ids, its count, whether it
-    is alive and, per axis that can merge, its column key: the flat index of
-    its other coordinates over the original shape, computed once.  On every
-    axis a current category is named by the smallest original id it holds
-    (``rep`` maps current ids to names, ``cur`` back), so names increase
-    with the current ids and sorting cells by column key sorts them by
-    current column.  A merge of ``v`` into ``u`` renumbers no cell: ``u``'s
-    cells stay put with their merged counts, ``v``'s die, and those of
-    ``v``'s columns that ``u`` lacked come back as new cells under ``u``'s
-    name.
+    holds its coordinates in original category ids, its count and whether
+    it is alive.  On every axis a current category is named by the smallest
+    original id it holds (``rep`` maps current ids to names, ``cur`` back),
+    so names increase with the current ids, and sorting cells by column key,
+    the flat index of their other coordinates over the original shape,
+    sorts them by current column.  A merge of ``v`` into ``u`` renumbers no
+    cell: ``u``'s cells stay put with their merged counts, ``v``'s die, and
+    those of ``v``'s columns that ``u`` lacked come back as new cells under
+    ``u``'s name.
 
     Per axis that can merge, one index of int32 cell positions, sorted by
     category name and then column key (the compound keys kept alongside),
-    gives the cells of a category as one run and finds the cells of given
-    categories in given columns by binary search; :meth:`select` reads
-    each shortlisted pair through it once and :meth:`merge` works from the
-    winner's read.  It takes in the appended cells when it is next read and
-    skips dead cells; the dead leave the buffers and the indexes together
-    once the buffers are full, after at least a quarter table's worth of
-    appends.
+    gives the cells of a category as one run with their column keys, and
+    finds the cells of given categories in given columns by binary search;
+    :meth:`select` reads each shortlisted pair through it once and
+    :meth:`merge` works from the winner's read.  No cell stores its keys:
+    they come from the index, or from coordinates (:meth:`_keys`).  The
+    index takes in the appended cells when it is next read and skips dead
+    cells; the dead leave the buffers and the indexes together once the
+    buffers are full, after at least a quarter table's worth of appends.
     """
 
     def __init__(self, table: SparseTable, treatments: tuple[str, ...]):
@@ -73,12 +73,12 @@ class _Collapse:
         self.adjacent = tuple(t == ORDINAL for t in treatments)
         self.eligible = _eligible(shape, treatments)
         self.pairs: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-        # the axes that can ever merge, each with a slot in the key and index arrays
+        # the axes that can ever merge, each with a slot in the index arrays
         self.axes = [dim for dim, _ in self.eligible]
         self.slot = {dim: a for a, dim in enumerate(self.axes)}
         K, A, nnz = len(shape), len(self.axes), table.nnz
-        # column key of slot a = coords @ strides[:, a], below offset[a]; a
-        # merge on axis k shifts the keys of the cells it moves by strides[k]
+        # column key of slot a: the sum of coords[k] * strides[k, a], below
+        # offset[a]; the index puts the category name in front, times offset[a]
         self.strides = np.zeros((K, A), dtype=np.int64)
         self.offset = []
         for a, dim in enumerate(self.axes):
@@ -97,7 +97,6 @@ class _Collapse:
         self.key_type = np.int32 if math.prod(shape) <= np.iinfo(np.int32).max else np.int64
         self.coords = np.empty((K, cap), dtype=_code_dtype(shape))
         self.coords[:, :nnz] = table.coords.T
-        self.keys = np.empty((A, cap), dtype=self.key_type)
         self.vals = np.empty(cap)
         self.vals[:nnz] = table.counts
         self.alive = np.zeros(cap, dtype=bool)
@@ -114,9 +113,8 @@ class _Collapse:
         self.chosen: _PairRead | None = None
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for a, dim in enumerate(self.axes):
-            cols = self.keys[a, :nnz] = _other_cols(table, dim)
-            shared = _axis_sums(table.coords[:, dim], cols, table.counts, shape[dim],
-                                self.adjacent[dim])
+            shared = _axis_sums(table.coords[:, dim], _other_cols(table, dim), table.counts,
+                                shape[dim], self.adjacent[dim])
             self.sums[dim] = (table.one_way(dim), shared + shared.T)
 
     def select(self) -> MergeCandidate | None:
@@ -172,8 +170,8 @@ class _Collapse:
         column's offset pass; all of them enter the merged row."""
         a = self.slot[dim]
         # the two runs of the index, each sorted by column key
-        u_cells, v_cells = self._cells_of(a, u), self._cells_of(a, v)
-        u_keys, v_keys = self.keys[a, u_cells], self.keys[a, v_cells]
+        u_cells, u_keys = self._cells_of(a, u)
+        v_cells, v_keys = self._cells_of(a, v)
         u_vals, v_vals = self.vals[u_cells], self.vals[v_cells]
         at = np.minimum(np.searchsorted(u_keys, v_keys), max(u_keys.size - 1, 0))
         both = u_keys[at] == v_keys if u_keys.size else np.zeros(v_keys.size, dtype=bool)
@@ -194,33 +192,30 @@ class _Collapse:
         sums of every axis that stays eligible."""
         dim, u, v, _, u_cells, v_cells, u_vals, v_vals, at, both, near = self.chosen
         new_shape = tuple(s - (k == dim) for k, s in enumerate(self.shape))
-        # v's cells die; those of columns u lacks come back under u's name, which
-        # changes their key on every other axis
+        # v's cells die; those of columns u lacks come back under u's name
         moved = v_cells[~both]
-        new = np.concatenate([u_cells, moved])
+        coords = self.coords[:, np.concatenate([u_cells, moved])]
+        coords[dim] = self.rep[dim][u]
         # each merged cell's u- and v-part, 0 where that category has no cell in
         # the column; their sum a + b is the count apply_partition forms
         u_part = np.concatenate([u_vals, np.zeros(moved.size)])
-        v_part = np.zeros(new.size)
+        v_part = np.zeros(u_part.size)
         v_part[at[both]] = v_vals[both]
         v_part[u_vals.size:] = v_vals[~both]
         new_vals = u_part + v_part
-        rep_u, rep_v = int(self.rep[dim][u]), int(self.rep[dim][v])
-        shift = (rep_u - rep_v) * self.strides[dim]
         self.alive[v_cells] = False
 
         others = np.arange(self.shape[dim]) != v
         self.rep[dim] = self.rep[dim][others]
         self.cur[dim][self.rep[dim]] = np.arange(new_shape[dim])
         self.eligible = _eligible(new_shape, self.treatments)
-        deltas = self._deltas([k for k, _ in self.eligible if k != dim], new, (u_part, v_part),
-                              moved.size, shift)
+        deltas = self._deltas([k for k, _ in self.eligible if k != dim], coords, (u_part, v_part))
         sums = {}
         for k, _ in self.eligible:
             rows, shared = self.sums[k]
             if k == dim:
                 if self.adjacent[dim]:
-                    row = self._neighbour_row(dim, u, self.keys[self.slot[dim], new], new_vals)
+                    row = self._neighbour_row(dim, u, coords, new_vals)
                 else:
                     # u's and v's rows added; in a column holding both, each other
                     # cell's terms against x and y give way to one against x + y:
@@ -248,16 +243,14 @@ class _Collapse:
         self.shape = new_shape
 
         self.vals[u_cells] = new_vals[:u_cells.size]
-        coords = self.coords[:, moved]
-        coords[dim] = rep_u
-        self._append(coords, self.keys[:, moved] + shift[:, None], new_vals[u_cells.size:])
+        self._append(coords[:, u_cells.size:], new_vals[u_cells.size:])
 
-    def _deltas(self, axes: list[int], cells: np.ndarray, parts: tuple[np.ndarray, np.ndarray],
-                moved: int, shift: np.ndarray) -> dict[int, np.ndarray]:
+    def _deltas(self, axes: list[int], coords: np.ndarray, parts: tuple[np.ndarray, np.ndarray]
+                ) -> dict[int, np.ndarray]:
         """Change of the shared-column sums of the other eligible ``axes``
-        by a merge, from one kernel pass over the merged ``cells`` alone with
-        their u- and v-parts ``parts`` (see :func:`_axis_sums`); the last
-        ``moved`` cells come to u from v, shifting their keys by ``shift``.
+        by a merge, from one kernel pass over the merged cells alone, given
+        by their coordinates ``coords`` and their u- and v-parts ``parts``
+        (see :func:`_axis_sums`).
 
         Axes of one treatment share a pass, each with its own range of
         categories and column ids, so no two cells pair across axes and each
@@ -272,7 +265,7 @@ class _Collapse:
                 if self.adjacent[k] != adjacent:
                     continue
                 r_k, col_k = self.shape[k], self.offset[self.slot[k]]
-                if r == 0 or (cells.size * (len(groups[-1]) + 1) > _PASS_CELLS
+                if r == 0 or (coords.shape[1] * (len(groups[-1]) + 1) > _PASS_CELLS
                               or (col + col_k) * (r + r_k) >= 2**62):
                     groups.append([])
                     r = col = 0
@@ -284,10 +277,8 @@ class _Collapse:
             r = col = 0
             for k in group:
                 b = self.slot[k]
-                cats.append(self.cur[k][self.coords[k, cells]] + r)
-                keys = self.keys[b, cells].astype(np.int64)
-                keys[cells.size - moved:] += shift[b]
-                cols.append(keys + col)
+                cats.append(self.cur[k][coords[k]] + r)
+                cols.append(self._keys(b, coords) + col)
                 r += self.shape[k]
                 col += self.offset[b]
             p, q = (np.tile(part, len(group)) for part in parts)
@@ -300,20 +291,21 @@ class _Collapse:
                 lo = hi
         return out
 
-    def _neighbour_row(self, dim: int, u: int, keys: np.ndarray, vals: np.ndarray
+    def _neighbour_row(self, dim: int, u: int, coords: np.ndarray, vals: np.ndarray
                        ) -> np.ndarray:
-        """Shared-column sums of the category merged into ``u`` on the
-        ordinal axis ``dim``, in the new ids, whose cells have the column
-        ``keys`` and counts ``vals``.  The axis carries adjacent pairs only,
+        """Shared-column sums of the category merged into ``u`` on the ordinal
+        axis ``dim``, in the new ids, whose cells have the coordinates
+        ``coords`` and counts ``vals``.  The axis carries adjacent pairs only,
         so the merged category's two neighbour pairs are scored afresh."""
         a = self.slot[dim]
         r = self.shape[dim] - 1
         row = np.zeros(r)
-        near = [self._cells_of(a, c) if 0 <= c < r else _NO_CELLS for c in (u - 1, u + 1)]
+        (lo, lo_keys), (hi, hi_keys) = [
+            self._cells_of(a, c) if 0 <= c < r else (_NO_CELLS, _NO_CELLS) for c in (u - 1, u + 1)]
         sums = _axis_sums(
-            np.repeat(np.arange(3), [near[0].size, keys.size, near[1].size]),
-            np.concatenate([self.keys[a, near[0]], keys, self.keys[a, near[1]]]),
-            np.concatenate([self.vals[near[0]], vals, self.vals[near[1]]]), 3, True)
+            np.repeat(np.arange(3), [lo.size, vals.size, hi.size]),
+            np.concatenate([lo_keys, self._keys(a, coords), hi_keys]),
+            np.concatenate([self.vals[lo], vals, self.vals[hi]]), 3, True)
         if u > 0:
             row[u - 1] = sums[0, 1]
         if u < r - 1:
@@ -327,14 +319,29 @@ class _Collapse:
             pairs = self.pairs[at] = _candidate_pairs(*at)
         return pairs
 
-    def _cells_of(self, a: int, c: int) -> np.ndarray:
+    def _cells_of(self, a: int, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Live cells of current category ``c`` on slot ``a``'s axis, in
-        column order: one run of the index."""
+        column order, and their column keys: one run of the index."""
         self._index(a)
         name, off = int(self.rep[self.axes[a]][c]), self.offset[a]
         start, stop = np.searchsorted(self.index_key[a], [name * off, (name + 1) * off])
         cells = self.index_pos[a][start:stop]
-        return cells[self.alive[cells]]
+        alive = self.alive[cells]
+        return cells[alive], self.index_key[a][start:stop][alive] - name * off
+
+    def _keys(self, a: int, coords: np.ndarray, named: bool = False) -> np.ndarray:
+        """Column keys on slot ``a``'s axis of the cells with the original
+        ``coords``, one column each, or with ``named`` the index's compound
+        keys, formed an axis at a time: a widened copy of all the
+        coordinates would raise the collapse's peak memory."""
+        weights = self.strides[:, a].tolist()
+        if named:
+            weights[self.axes[a]] = self.offset[a]
+        keys = np.zeros(coords.shape[1], dtype=np.int64)
+        for row, w in zip(coords, weights):
+            if w:
+                keys += np.multiply(row, w, dtype=np.int64)
+        return keys
 
     def _cells_at(self, a: int, names: np.ndarray, keys: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,13 +357,12 @@ class _Collapse:
         hit = np.flatnonzero(index[at] == want)
         return self.index_pos[a][at[hit]], hit // keys.size, hit % keys.size
 
-    def _append(self, coords: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> None:
+    def _append(self, coords: np.ndarray, vals: np.ndarray) -> None:
         m = vals.size
         if self.size + m > self.vals.size:
             self._compact()
         lo, hi = self.size, self.size + m
         self.coords[:, lo:hi] = coords
-        self.keys[:, lo:hi] = keys
         self.vals[lo:hi] = vals
         self.alive[lo:hi] = True
         self.size = hi
@@ -366,8 +372,7 @@ class _Collapse:
         lo, hi = self.indexed[a], self.size
         if lo == hi:
             return
-        names = self.coords[self.axes[a], lo:hi].astype(np.int64)
-        order, keys = _order(names * self.offset[a] + self.keys[a, lo:hi])
+        order, keys = _order(self._keys(a, self.coords[:, lo:hi], named=True))
         self.index_key[a], self.index_pos[a] = _insert_sorted(
             (self.index_key[a], self.index_pos[a]),
             np.searchsorted(self.index_key[a], keys, "right"), (keys, order.astype(np.int32) + lo))
@@ -383,7 +388,7 @@ class _Collapse:
         np.cumsum(alive, out=kept[1:])
         live = np.flatnonzero(alive)
         # a row at a time, so the transient copy is one row
-        for row in (*self.coords, *self.keys, self.vals):
+        for row in (*self.coords, self.vals):
             row[:live.size] = row[live]
         self.alive[:live.size] = True
         self.alive[live.size:n] = False

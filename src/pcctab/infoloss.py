@@ -195,11 +195,10 @@ def pair_loss(table: SparseTable, dim: int, u: int, v: int) -> PairLoss:
     """Loss from merging categories ``u`` and ``v`` on ``dim``: the
     independence deviance of the 2 x (everything else) subtable.
 
-    The pair is reported as ``(min(u, v), max(u, v))``.  Only the two
-    categories' cells and the cells between them in the columns holding
-    both are read, and :func:`_one_pair_g2` adds them as the kernel of
-    :func:`loss_matrix` would, so ``pair_loss(t, d, u, v)`` and
-    ``pair_loss(t, d, v, u)`` are bitwise equal and match the matrix entry.
+    The pair is reported as ``(min(u, v), max(u, v))``.  It is the entry of
+    ``loss_matrix(table, dim)``, so it costs that one pass over the axis,
+    and ``pair_loss(t, d, u, v)`` and ``pair_loss(t, d, v, u)`` are bitwise
+    equal.
     """
     if dim < 0 or dim >= table.ndim:
         raise InputError(f"dim {dim} out of range")
@@ -208,19 +207,7 @@ def pair_loss(table: SparseTable, dim: int, u: int, v: int) -> PairLoss:
         raise InputError("u and v must differ")
     if not (0 <= u < r and 0 <= v < r):
         raise InputError(f"categories ({u}, {v}) out of range for size {r}")
-    u, v = min(u, v), max(u, v)
-    cats = table.coords[:, dim]
-    cols = _other_cols(table, dim)
-    # the cells are in lexicographic order, so each category's run is in column order
-    is_u, is_v = cats == u, cats == v
-    a, b = table.counts[is_u], table.counts[is_v]
-    both, in_a, in_b = np.intersect1d(cols[is_u], cols[is_v], assume_unique=True,
-                                      return_indices=True)
-    inner = cols[(cats > u) & (cats < v)]
-    between = np.bincount(np.searchsorted(both, inner[np.isin(inner, both)]),
-                          minlength=both.size)
-    g2 = _one_pair_g2(a, b, a[in_a], b[in_b], between)
-    return PairLoss(dim=dim, u=u, v=v, g2=g2, df=_pair_df(table.shape, dim))
+    return loss_matrix(table, dim).get(u, v)
 
 
 @dataclass(frozen=True, eq=False)

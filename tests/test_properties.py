@@ -861,19 +861,29 @@ def assert_carried_sums_fresh(t, treatments):
     """Collapse ``t`` fully and, after every merge, compare each eligible
     axis's carried row totals and shared-column sums with fresh ones over
     the live cells, the sums from a kernel pass: they must agree within
-    1e-12 n."""
+    1e-12 n.  Each current category's run of the index must also hold
+    exactly the live cells named by it, in strictly increasing column key,
+    with the keys their coordinates give."""
     state = collapse._Collapse(t, normalize_treatments(t.ndim, treatments))
     while state.select() is not None:
         state.merge()
         live = np.flatnonzero(state.alive[:state.size])
         for dim, _ in state.eligible:
+            slot = state.slot[dim]
+            keys = state._keys(slot, state.coords[:, live])
             cats = state.cur[dim][state.coords[dim, live]]
             rows = np.bincount(cats, weights=state.vals[live], minlength=state.shape[dim])
-            shared = _axis_sums(cats, state.keys[state.slot[dim], live].astype(np.int64),
-                                state.vals[live], state.shape[dim], state.adjacent[dim])
+            shared = _axis_sums(cats, keys, state.vals[live], state.shape[dim],
+                                state.adjacent[dim])
             carried_rows, carried_shared = state.sums[dim]
             assert np.abs(carried_rows - rows).max() <= 1e-12 * t.total
             assert np.abs(carried_shared - (shared + shared.T)).max() <= 1e-12 * t.total
+            for c in range(state.shape[dim]):
+                cells, run_keys = state._cells_of(slot, c)
+                named = live[state.coords[dim, live] == state.rep[dim][c]]
+                assert np.array_equal(np.sort(cells), named)
+                assert np.all(np.diff(run_keys) > 0)
+                assert np.array_equal(run_keys, state._keys(slot, state.coords[:, cells]))
 
 
 @SETTINGS
