@@ -14,7 +14,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .infoloss import _axis_sums, _candidate_pairs, _one_pair_g2, _other_cols, _pair_df, _pair_g2
+from .infoloss import (_axis_sums, _candidate_pairs, _merge_deltas, _one_pair_g2, _other_cols,
+                       _pair_df, _pair_g2)
 from .pcc import MergeCandidate, _beats
 from .table import FIXED, ORDINAL, SparseTable, _code_dtype, _order
 
@@ -41,7 +42,10 @@ def _eligible(shape: Sequence[int], treatments: Sequence[str]) -> list[tuple[int
 class _Collapse:
     """The table of a running collapse, with each eligible axis's row totals
     and symmetric shared-column sums carried from step to step (see
-    :func:`~pcctab.pcc.run_pcc`).
+    :func:`~pcctab.pcc.run_pcc`).  The sums start as full kernel passes
+    (:func:`~pcctab.infoloss._axis_sums`) and take each merge's change from
+    the pairing kernel (:meth:`_deltas`), so they only shortlist: the pairs
+    :meth:`select` compares are rescored exactly.
 
     Cells live at fixed positions in buffers that grow by appending.  Each
     holds its coordinates in original category ids, its count and whether
@@ -129,7 +133,11 @@ class _Collapse:
         self.chosen = None
         if not self.eligible:
             return None
-        pairs = [self._candidate_pairs(dim) for dim, _ in self.eligible]
+        # the candidate pairs of the sizes the axes have now; no other size is kept
+        at = [(self.shape[dim], self.adjacent[dim]) for dim, _ in self.eligible]
+        self.pairs = {key: self.pairs[key] if key in self.pairs else _candidate_pairs(*key)
+                      for key in at}
+        pairs = [self.pairs[key] for key in at]
         sums = [self.sums[dim] for dim, _ in self.eligible]
         sizes = [us.size for us, _ in pairs]
         carried = _pair_g2(
@@ -248,15 +256,15 @@ class _Collapse:
     def _deltas(self, axes: list[int], coords: np.ndarray, parts: tuple[np.ndarray, np.ndarray]
                 ) -> dict[int, np.ndarray]:
         """Change of the shared-column sums of the other eligible ``axes``
-        by a merge, from one kernel pass over the merged cells alone, given
-        by their coordinates ``coords`` and their u- and v-parts ``parts``
-        (see :func:`_axis_sums`).
+        by a merge, from the pairing kernel :func:`_merge_deltas` over the
+        merged cells alone, given by their coordinates ``coords`` and their
+        u- and v-parts ``parts``.
 
-        Axes of one treatment share a pass, each with its own range of
-        categories and column ids, so no two cells pair across axes and each
-        axis's block of the result adds the terms its own pass would, in the
-        same order; a pass takes at most ``_PASS_CELLS`` cells unless one
-        axis alone has more, and keeps its sort keys ``column * categories +
+        Axes of one treatment share a kernel call, each with its own range
+        of categories and column ids, so no two cells pair across axes and
+        each axis's block of the result holds the terms of its own pairs
+        alone; a call takes at most ``_PASS_CELLS`` cells unless one axis
+        alone has more, and keeps its sort keys ``column * categories +
         category`` below 2**62."""
         groups: list[list[int]] = []
         for adjacent in (False, True):
@@ -282,8 +290,8 @@ class _Collapse:
                 r += self.shape[k]
                 col += self.offset[b]
             p, q = (np.tile(part, len(group)) for part in parts)
-            delta = _axis_sums(np.concatenate(cats), np.concatenate(cols), p + q, r,
-                               self.adjacent[group[0]], (p, q))
+            delta = _merge_deltas(np.concatenate(cats), np.concatenate(cols), p, q, r,
+                                  self.adjacent[group[0]])
             lo = 0
             for k in group:
                 hi = lo + self.shape[k]
@@ -311,13 +319,6 @@ class _Collapse:
         if u < r - 1:
             row[u + 1] = sums[1, 2]
         return row
-
-    def _candidate_pairs(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
-        at = (self.shape[dim], self.adjacent[dim])
-        pairs = self.pairs.get(at)
-        if pairs is None:
-            pairs = self.pairs[at] = _candidate_pairs(*at)
-        return pairs
 
     def _cells_of(self, a: int, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Live cells of current category ``c`` on slot ``a``'s axis, in
@@ -426,8 +427,8 @@ _NO_CELLS = np.empty(0, dtype=np.int32)
 _NO_VALS = np.empty(0)
 _GAIN_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
-# most cells one kernel pass of _Collapse._deltas takes for several axes:
-# sharing a call saves its per-offset numpy calls, which dominate on small
+# most cells one kernel call of _Collapse._deltas takes for several axes:
+# sharing a call saves its fixed numpy calls, which dominate on small
 # slices, while large slices gain nothing and would only add memory
 _PASS_CELLS = 1 << 13
 

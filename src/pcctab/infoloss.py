@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -69,8 +70,7 @@ def _other_cols(table: SparseTable, dim: int) -> np.ndarray:
 
 
 def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
-               adjacent: bool = False, parts: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> np.ndarray:
+               adjacent: bool = False) -> np.ndarray:
     """Shared-column sums of one axis.
 
     The cells are given by category ``cats`` (in ``range(r)``), column id
@@ -79,19 +79,99 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
     ``sum_j h(a_uj, a_vj)`` over the columns holding both categories, with
     ``h(a, b) = x(a) + x(b) - x(a + b)`` and ``x(t) = t ln t``; entries on
     and below the diagonal are zero.  With ``adjacent`` only the ``v = u + 1``
-    entries are summed.  With ``parts = (p, q)``, where ``vals = p + q`` adds
-    the counts of two merged columns, each term is ``h(a, b) - h(a_p, b_p) -
-    h(a_q, b_q)`` instead, what the merge adds to ``shared``; a column that
-    only ``p`` or only ``q`` fills adds exactly 0.  The row totals the loss
-    also needs are a table's one-way marginal (:meth:`SparseTable.one_way`).
+    entries are summed.  The row totals the loss also needs are a table's
+    one-way marginal (:meth:`SparseTable.one_way`).
 
     Cells are sorted by (column, category), and a cell alone in its column,
     which pairs with none, is dropped before anything else is read of it;
     offset pass ``t`` pairs each remaining cell with the cell ``t`` places
     later in the same column, and the active set shrinks as columns run out
     of partners, so working memory stays O(nnz + r^2) however many pairs
-    share a column.
+    share a column.  Every entry is the fold of its terms in this order,
+    which :func:`_one_pair_g2` reproduces for one pair.  This is the one
+    kernel of fresh sums, for :func:`loss_matrix` and a collapse's start
+    and ordinal neighbour rows; what a merge changes comes from
+    :func:`_merge_deltas`.
     """
+    cats, vals, remaining = _paired_cells(cats, cols, r, vals)
+    xvals = vals * np.log(vals)
+    shared = np.zeros(r * r)
+    active = np.arange(cats.shape[0])
+    # a column holds each category at most once, so offsets stop below r
+    for t in range(1, 2 if adjacent else r):
+        active = active[remaining[active] >= t]
+        partner = active + t
+        if adjacent:
+            active = active[cats[partner] == cats[active] + 1]
+            partner = active + 1
+        if active.size == 0:
+            break
+        ab = vals[active] + vals[partner]
+        h = xvals[active] + xvals[partner] - ab * np.log(ab)
+        # within a column categories ascend, so every pair lands above the diagonal
+        shared += np.bincount(cats[active] * r + cats[partner], weights=h, minlength=r * r)
+    return shared.reshape(r, r)
+
+
+def _merge_deltas(cats: np.ndarray, cols: np.ndarray, p: np.ndarray, q: np.ndarray, r: int,
+                  adjacent: bool = False) -> np.ndarray:
+    """What a merge adds to the shared-column sums of another axis.
+
+    The merged cells are given as to :func:`_axis_sums`, each count ``m =
+    p + q`` split into the parts ``p`` and ``q`` that the two merged
+    categories held (0 where one held no cell).  ``delta[u, v]`` for ``u <
+    v`` is ``sum_j h(m_uj, m_vj) - h(p_uj, p_vj) - h(q_uj, q_vj)``, with
+    ``x(0) = 0``; entries on and below the diagonal, off the adjacent pairs
+    with ``adjacent``, and of columns that only ``p`` or only ``q`` fills
+    are exactly 0.
+
+    Cells are sorted and lone cells dropped as :func:`_axis_sums` does.
+    Then every pair of a column is formed at once, each remaining cell
+    repeated once per later cell of its column, and the terms are added
+    with one ``bincount`` per block of at most ``_PAIR_BLOCK`` pairs
+    (:func:`_pair_blocks`), so working memory stays bounded however long a
+    column is.  With
+    ``adjacent`` only consecutive cells whose categories differ by one
+    pair, fewer pairs than cells, in one ``bincount``.  The terms fold in
+    another order than :func:`_axis_sums` folds them: the carried sums
+    these deltas keep only shortlist candidates, which are rescored
+    exactly.
+    """
+    cats, p, q, remaining = _paired_cells(cats, cols, r, p, q)
+    m = p + q
+    xvals = m * np.log(m) - _xlogx(p) - _xlogx(q)
+    if adjacent:
+        left = np.flatnonzero(remaining > 0)
+        left = left[cats[left + 1] == cats[left] + 1]
+        blocks = [(left, left + 1)]
+    else:
+        blocks = _pair_blocks(remaining)
+    delta = np.zeros(r * r)
+    for left, right in blocks:
+        h = xvals[left]
+        h += xvals[right]
+        a = p[left]
+        a += p[right]
+        b = q[left]
+        b += q[right]
+        h += _xlogx(a)
+        h += _xlogx(b)
+        # the pair's merged count, positive
+        a += b
+        h -= a * np.log(a)
+        # within a column categories ascend, so every pair lands above the diagonal
+        key = cats[left]
+        key *= r
+        key += cats[right]
+        delta += np.bincount(key, weights=h, minlength=r * r)
+    return delta.reshape(r, r)
+
+
+def _paired_cells(cats: np.ndarray, cols: np.ndarray, r: int, *vals: np.ndarray
+                  ) -> tuple[np.ndarray, ...]:
+    """The cells that share their column with another, sorted by (column,
+    category): their categories as int64, each of ``vals`` in that order,
+    and how many cells follow each one in its column."""
     keys = np.multiply(cols, r, dtype=np.int64)
     keys += cats
     order, cols = _order(keys)
@@ -105,34 +185,36 @@ def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
         keep = np.flatnonzero(paired)
         order, cols = order[keep], cols[keep]
     n = order.shape[0]
-    cats = cats[order].astype(np.int64, copy=False)
-    vals = vals[order]
-    xvals = vals * np.log(vals)
-    if parts is not None:
-        p, q = parts[0][order], parts[1][order]
-        xvals = xvals - _xlogx(p) - _xlogx(q)
-    # cells after each one in its column: the offsets it still has partners at
     ends = np.append(np.flatnonzero(cols[1:] != cols[:-1]) + 1, n)
     remaining = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n) - 1
+    return (cats[order].astype(np.int64, copy=False), *(v[order] for v in vals), remaining)
 
-    shared = np.zeros(r * r)
-    active = np.arange(n)
-    # a column holds each category at most once, so offsets stop below r
-    for t in range(1, 2 if adjacent else r):
-        active = active[remaining[active] >= t]
-        partner = active + t
-        if adjacent:
-            active = active[cats[partner] == cats[active] + 1]
-            partner = active + 1
-        if active.size == 0:
-            break
-        ab = vals[active] + vals[partner]
-        h = xvals[active] + xvals[partner] - ab * np.log(ab)
-        if parts is not None:
-            h += _xlogx(p[active] + p[partner]) + _xlogx(q[active] + q[partner])
-        # within a column categories ascend, so every pair lands above the diagonal
-        shared += np.bincount(cats[active] * r + cats[partner], weights=h, minlength=r * r)
-    return shared.reshape(r, r)
+
+def _pair_blocks(remaining: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every pair ``(i, i + t)`` with ``1 <= t <= remaining[i]``, as
+    ``(left, right)`` index arrays ordered by ``i`` and then ``t``, in blocks
+    of whole cells: at most ``_PAIR_BLOCK`` pairs, unless one cell alone has
+    more (fewer than the categories of its axis)."""
+    ends = np.cumsum(remaining)
+    total = int(ends[-1]) if ends.size else 0
+    # pair j of cell i, numbered from ends[i] - remaining[i], has the partner j + shift[i]
+    shift = np.arange(1, remaining.size + 1) - (ends - remaining)
+    lo = done = 0
+    while done < total:
+        hi = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, "right")), lo + 1)
+        left = np.repeat(np.arange(lo, hi), remaining[lo:hi])
+        right = shift[left]
+        right += np.arange(done, done + left.size)
+        yield left, right
+        lo, done = hi, int(ends[hi - 1])
+
+
+# most pairs one bincount of _merge_deltas takes: bounds its working memory
+# when the columns of an axis are long, and keeps each per-pair array at
+# 64 KB, below glibc's default mmap threshold, so that blocks reuse heap
+# memory instead of mapping fresh pages (at 2**16 a pcc-sparse4 collapse
+# took about 1.5 times the minor faults and a higher peak)
+_PAIR_BLOCK = 1 << 13
 
 
 def _pair_g2(rows_u: np.ndarray, rows_v: np.ndarray, shared_uv: np.ndarray) -> np.ndarray:

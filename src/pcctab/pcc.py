@@ -176,24 +176,29 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
     - Each eligible axis carries its row totals and shared-column sums
       ``S[u, v] = sum_j h(a_uj, a_vj)`` from step to step.  A merge of
       ``(u, v)`` on axis ``d`` changes ``S`` of another axis only in the
-      columns that the merged cells fill: one kernel pass over the merged
-      cells alone, shared by the axes of one treatment, adds for each pair
-      in such a column ``h(m_a, m_b) - h(x_a, x_b) - h(y_a, y_b)``, where
-      ``m = x + y`` is a merged count and ``x`` and ``y`` are its u- and
-      v-parts (0 where that category had no cell in the column).  On ``d``
-      itself row and column ``v`` are dropped; on a nominal axis the merged
-      category's row is u's and v's rows added and corrected in the columns
-      that held both, on an ordinal axis its two neighbour pairs are scored
-      afresh.
+      columns that the merged cells fill: one call of the pairing kernel
+      ``infoloss._merge_deltas`` over the merged cells alone, shared by the
+      axes of one treatment, forms every pair of cells in such a column at
+      once and adds for each ``h(m_a, m_b) - h(x_a, x_b) - h(y_a, y_b)``,
+      where ``m = x + y`` is a merged count and ``x`` and ``y`` are its u-
+      and v-parts (0 where that category had no cell in the column).  On
+      ``d`` itself row and column ``v`` are dropped; on a nominal axis the
+      merged category's row is u's and v's rows added and corrected in the
+      columns that held both, on an ordinal axis its two neighbour pairs
+      are scored afresh.
     - The table is kept as cells in original category ids with per-axis
       indexes (see :class:`~pcctab.collapse._Collapse`), so a merge reads
       and writes only u's and v's cells and the cells sharing their
       columns, and renumbers nothing.  Each merged count is ``a + b`` as
       ``apply_partition`` forms it.
-    - Carried sums drift by rounding (measured at most 2.5e-15 n over the
-      60-merge collapse of a 15,000-cell table and 2.1e-15 n over the
-      142-merge collapse of a 60,000-cell census-shape table), so they only
-      shortlist.  Every candidate whose carried quotient lies within
+    - Carried sums are not bitwise what a fresh kernel pass over the
+      current table gives: the pairing kernel folds each delta's terms in
+      another order than the offset passes of ``infoloss._axis_sums``, and
+      the deltas add up over the merges.  They drift by rounding (measured
+      at most 3.9e-15 n over the 60-merge collapse of a 15,000-cell table
+      and 2.1e-15 n over the 142-merge collapse of a 60,000-cell
+      census-shape table), so they only shortlist, and the drift moves no
+      merge and no loss.  Every candidate whose carried quotient lies within
       ``W = 1e-7 max(1, |q_min|) + 1e-9 n / df`` of the carried minimum
       ``q_min`` (``n`` the table total, ``df`` the smallest of the eligible
       axes, so W bounds the drift of every quotient) is rescored exactly,

@@ -20,7 +20,8 @@ the build's sort-free and packed-sort paths.
 ``reference_axis_sums`` is the loss kernel as it first shipped, pairing
 every cell and returning its own row totals, kept to check that the kernel
 that pairs only the cells sharing a column adds the same terms in the same
-order.
+order, and, given ``parts``, that the delta kernel gives a merge's change
+within rounding.
 """
 
 import csv
@@ -100,7 +101,10 @@ def reference_axis_sums(cats, cols, vals, r, adjacent=False, parts=None):
     ``pcctab.infoloss._axis_sums`` takes and gives the shared sums: every
     cell sorted by (column, category) and paired in offset passes, whether
     or not its column holds another cell, and the rows added over the
-    sorted cells."""
+    sorted cells.  With ``parts = (p, q)``, where ``vals = p + q``, each
+    term is ``h(a, b) - h(a_p, b_p) - h(a_q, b_q)``, what
+    ``pcctab.infoloss._merge_deltas(cats, cols, p, q, r, adjacent)`` gives
+    by another summation order."""
     def xlogx(t):
         return t * np.log(np.maximum(t, 5e-324))
 

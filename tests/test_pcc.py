@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,20 @@ class TestCarriedCollapse:
         assert len(trace.steps) > 45
         assert compactions
         assert (trace.steps, trace.partitions) == reference_pcc_walk(t, None)
+
+    def test_wide_axis_collapse_keeps_memory_small(self):
+        """A collapse through every size of a 200-category axis holds only
+        the current sizes' candidate pairs: its traced peak stays under 5 MB
+        (about 2.6 MB), where one cached pair list per size an axis passed
+        through reached 21 MB."""
+        t = SparseTable.from_dense(np.random.default_rng(0).poisson(1.0, (200, 4, 3)))
+        tracemalloc.start()
+        try:
+            run_pcc(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestAdjustedRsq:

@@ -46,7 +46,9 @@ from pcctab.report import (
     render_ratios,
 )
 from pcctab.hllm import IPF_MAX_ITER, IPF_TOL, _ipf, _ipf_batch
-from pcctab.infoloss import _axis_sums, _deviance, _one_pair_g2, _other_cols, _xlogx
+from pcctab import infoloss
+from pcctab.infoloss import (_axis_sums, _deviance, _merge_deltas, _one_pair_g2, _other_cols,
+                             _xlogx)
 from pcctab.pcc import _contiguous_partitions, _set_partitions, normalize_treatments
 from pcctab.table import group_weights
 
@@ -912,11 +914,11 @@ def test_carried_sums_match_fresh_kernel_on_a_long_collapse(treatments):
 
 @SETTINGS
 @given(scaled_tie_heavy_tables(), st.booleans(), st.data())
-def test_axis_sums_parts_is_the_merge_change(arr, adjacent, data):
-    """With ``parts = (x, y)`` the kernel gives ``S(x + y) - S(x) - S(y)``,
-    each ``S`` a plain pass over that vector's positive cells, within 1e-12
-    of the magnitudes of the ``t ln t`` terms that enter each entry; x or y
-    is 0 in some cells."""
+def test_merge_deltas_is_the_merge_change(arr, adjacent, data):
+    """With parts ``(x, y)`` the delta kernel gives ``S(x + y) - S(x) -
+    S(y)``, each ``S`` a plain pass over that vector's positive cells,
+    within 1e-12 of the magnitudes of the ``t ln t`` terms that enter each
+    entry; x or y is 0 in some cells."""
     # per cell: x only, y only, or both
     split = data.draw(arrays(np.int8, arr.shape, elements=st.integers(0, 2)))
     x = np.where(split == 1, 0.0, arr)
@@ -932,11 +934,10 @@ def test_axis_sums_parts_is_the_merge_change(arr, adjacent, data):
 
     for dim, r in enumerate(arr.shape):
         cols = _other_cols(merged, dim)
-        got = _axis_sums(coords[:, dim], cols, m[flat], r, adjacent, (x[flat], y[flat]))
+        got = _merge_deltas(coords[:, dim], cols, x[flat], y[flat], r, adjacent)
         want = plain(m) - plain(x) - plain(y)
         # a merge that only renames columns changes nothing, exactly
-        none = _axis_sums(coords[:, dim], cols, m[flat], r, adjacent,
-                          (m[flat], np.zeros(len(coords))))
+        none = _merge_deltas(coords[:, dim], cols, m[flat], np.zeros(len(coords)), r, adjacent)
         assert not none.any()
         rows = [np.moveaxis(v, dim, 0).reshape(r, -1) for v in (m, x, y)]
         for u in range(r):
@@ -973,16 +974,81 @@ def kernel_cases(draw):
     return t, dim, p[cells], q[cells]
 
 
+def pair_term_scale(cats, cols, r, adjacent, *vals):
+    """Per entry ``[u, v]``, the summed magnitudes of the ``t ln t`` terms
+    that the pairs of ``u`` and ``v`` in one column add to it, of each of
+    ``vals``: the scale a change of summation order moves the entry by."""
+    scale = np.zeros((r, r))
+    for col in np.unique(cols):
+        at = np.flatnonzero(cols == col)
+        for i, j in combinations(at[np.argsort(cats[at])], 2):
+            if adjacent and cats[j] != cats[i] + 1:
+                continue
+            for v in vals:
+                scale[cats[i], cats[j]] += np.abs(_xlogx(np.array([v[i], v[j], v[i] + v[j]]))).sum()
+    return scale
+
+
 @SETTINGS
-@given(kernel_cases(), st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
-def test_axis_sums_equals_reference_kernel_bitwise(case, adjacent, with_parts, seed):
+@given(kernel_cases(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_merge_deltas_matches_reference_kernel(case, adjacent, seed):
+    """The delta kernel, which pairs a column's cells all at once, gives the
+    offset-pass reference's merge change within 1e-12 of each entry's term
+    magnitudes, with the cells in any order, and exactly 0 where no pair of
+    cells enters."""
+    t, dim, p, q = case
+    order = np.random.default_rng(seed).permutation(t.nnz)
+    cats, cols = t.coords[order, dim], _other_cols(t, dim)[order]
+    p, q, r = p[order], q[order], t.shape[dim]
+    _, want = reference_axis_sums(cats, cols, p + q, r, adjacent, (p, q))
+    got = _merge_deltas(cats, cols, p, q, r, adjacent)
+    scale = pair_term_scale(cats, cols, r, adjacent, p + q, p, q)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@SETTINGS
+@given(kernel_cases(), st.booleans())
+def test_merge_deltas_in_blocks_of_a_few_pairs(case, adjacent):
+    """Split into bincounts of three pairs, the delta kernel agrees with one
+    bincount over every pair within 1e-12 of the term magnitudes."""
+    t, dim, p, q = case
+    cells = (t.coords[:, dim], _other_cols(t, dim), p, q, t.shape[dim], adjacent)
+    whole = _merge_deltas(*cells)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(infoloss, "_PAIR_BLOCK", 3)
+        blocked = _merge_deltas(*cells)
+    scale = pair_term_scale(*cells[:2], t.shape[dim], adjacent, p + q, p, q)
+    assert np.all(np.abs(blocked - whole) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("treatments", [None, ["ordinal", "nominal", "ordinal"]],
+                         ids=["nominal", "mixed"])
+def test_collapse_with_small_pair_blocks_keeps_the_trace(treatments):
+    """A collapse whose delta passes run in blocks of 64 pairs, on a table
+    whose first axis puts up to 60 cells in a column, writes the same trace
+    bit for bit."""
+    t = SparseTable.from_dense(np.random.default_rng(0).poisson(1.0, (60, 6, 4)))
+
+    def rows(trace):
+        return [(s.d, s.key, s.shape, float(s.dev).hex(), float(s.dev_term).hex())
+                for s in trace.steps]
+
+    want = rows(run_pcc(t, treatments))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(infoloss, "_PAIR_BLOCK", 64)
+        assert rows(run_pcc(t, treatments)) == want
+
+
+@SETTINGS
+@given(kernel_cases(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_axis_sums_equals_reference_kernel_bitwise(case, adjacent, seed):
     """The kernel that pairs only the cells sharing a column gives the
     reference kernel's shared sums bit for bit, with the cells handed in any
     order, and the table's one-way marginal gives its row totals."""
-    t, dim, p, q = case
+    t, dim, _, _ = case
     order = np.random.default_rng(seed).permutation(t.nnz)
     cells = (t.coords[order, dim], _other_cols(t, dim)[order], t.counts[order], t.shape[dim],
-             adjacent, (p[order], q[order]) if with_parts else None)
+             adjacent)
     rows, shared = reference_axis_sums(*cells)
     got = _axis_sums(*cells)
     assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in shared.ravel().tolist()]
