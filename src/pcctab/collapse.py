@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .infoloss import (_axis_sums, _candidate_pairs, _merge_deltas, _one_pair_g2, _other_cols,
-                       _pair_df, _pair_g2)
+from .infoloss import (_axis_sums, _candidate_pairs, _merge_deltas, _one_pair_g2, _pair_df,
+                       _pair_g2, _paired_cells, _table_cells)
 from .pcc import MergeCandidate, _beats
 from .table import FIXED, ORDINAL, SparseTable, _code_dtype, _order
 
@@ -117,8 +117,7 @@ class _Collapse:
         self.chosen: _PairRead | None = None
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for a, dim in enumerate(self.axes):
-            shared = _axis_sums(table.coords[:, dim], _other_cols(table, dim), table.counts,
-                                shape[dim], self.adjacent[dim])
+            shared = _axis_sums(*_table_cells(table, dim), shape[dim], self.adjacent[dim])
             self.sums[dim] = (table.one_way(dim), shared + shared.T)
 
     def select(self) -> MergeCandidate | None:
@@ -310,10 +309,10 @@ class _Collapse:
         row = np.zeros(r)
         (lo, lo_keys), (hi, hi_keys) = [
             self._cells_of(a, c) if 0 <= c < r else (_NO_CELLS, _NO_CELLS) for c in (u - 1, u + 1)]
-        sums = _axis_sums(
+        sums = _axis_sums(*_paired_cells(
             np.repeat(np.arange(3), [lo.size, vals.size, hi.size]),
-            np.concatenate([lo_keys, self._keys(a, coords), hi_keys]),
-            np.concatenate([self.vals[lo], vals, self.vals[hi]]), 3, True)
+            np.concatenate([lo_keys, self._keys(a, coords), hi_keys]), 3,
+            np.concatenate([self.vals[lo], vals, self.vals[hi]])), 3, True)
         if u > 0:
             row[u - 1] = sums[0, 1]
         if u < r - 1:
@@ -325,7 +324,8 @@ class _Collapse:
         column order, and their column keys: one run of the index."""
         self._index(a)
         name, off = int(self.rep[self.axes[a]][c]), self.offset[a]
-        start, stop = np.searchsorted(self.index_key[a], [name * off, (name + 1) * off])
+        bounds = np.array([name * off, (name + 1) * off], dtype=self.key_type)
+        start, stop = np.searchsorted(self.index_key[a], bounds)
         cells = self.index_pos[a][start:stop]
         alive = self.alive[cells]
         return cells[alive], self.index_key[a][start:stop][alive] - name * off
@@ -353,7 +353,7 @@ class _Collapse:
         category merged away on some axis, in its own name or in its key."""
         self._index(a)
         index = self.index_key[a]
-        want = (names[:, None] * self.offset[a] + keys[None, :]).ravel()
+        want = (names.astype(self.key_type)[:, None] * self.offset[a] + keys[None, :]).ravel()
         at = np.minimum(np.searchsorted(index, want), index.size - 1)
         hit = np.flatnonzero(index[at] == want)
         return self.index_pos[a][at[hit]], hit // keys.size, hit % keys.size
@@ -374,6 +374,7 @@ class _Collapse:
         if lo == hi:
             return
         order, keys = _order(self._keys(a, self.coords[:, lo:hi], named=True))
+        keys = keys.astype(self.key_type, copy=False)
         self.index_key[a], self.index_pos[a] = _insert_sorted(
             (self.index_key[a], self.index_pos[a]),
             np.searchsorted(self.index_key[a], keys, "right"), (keys, order.astype(np.int32) + lo))

@@ -52,48 +52,61 @@ def _xlogx(t: np.ndarray) -> np.ndarray:
     return t * np.log(np.maximum(t, 5e-324))
 
 
-def _other_cols(table: SparseTable, dim: int) -> np.ndarray:
+def _other_cols(table: SparseTable, dim: int, dtype: type[np.signedinteger] = np.int64
+                ) -> np.ndarray:
     """Flat index of each cell over every axis but ``dim``: its column when
     ``dim`` is read as the row variable, taken from the cell's flat index.
 
     A cell of category ``c`` on ``dim`` has the flat index ``(hi r + c)
     inner + lo`` and the column ``hi inner + lo``, the flat index less ``(hi
-    (r - 1) + c) inner``, which is formed in place in the one array returned.
+    (r - 1) + c) inner``, which is formed in place in the one array returned,
+    of ``dtype``: any integer type that holds the flat indexes.
     """
     r = table.shape[dim]
     inner = math.prod(table.shape[dim + 1:])
-    cols = table.flat // (r * inner)
+    flat = table.flat.astype(dtype, copy=False)
+    cols = flat // (r * inner)
     cols *= r - 1
     cols += table.coords[:, dim]
     cols *= inner
-    return np.subtract(table.flat, cols, out=cols)
+    return np.subtract(flat, cols, out=cols)
 
 
-def _axis_sums(cats: np.ndarray, cols: np.ndarray, vals: np.ndarray, r: int,
+def _axis_sums(cats: np.ndarray, vals: np.ndarray, remaining: np.ndarray, r: int,
                adjacent: bool = False) -> np.ndarray:
     """Shared-column sums of one axis.
 
-    The cells are given by category ``cats`` (in ``range(r)``), column id
-    ``cols`` and positive count ``vals``, in any order; each (column,
-    category) occurs at most once.  ``shared[u, v]`` for ``u < v`` is
-    ``sum_j h(a_uj, a_vj)`` over the columns holding both categories, with
-    ``h(a, b) = x(a) + x(b) - x(a + b)`` and ``x(t) = t ln t``; entries on
-    and below the diagonal are zero.  With ``adjacent`` only the ``v = u + 1``
+    The cells are those that share their column with another, as a front
+    end returns them, sorted by (column, category): category ``cats`` (in
+    ``range(r)``), positive count ``vals`` and how many cells follow each
+    in its column, ``remaining``.  ``shared[u, v]`` for ``u < v`` is ``sum_j
+    h(a_uj, a_vj)`` over the columns holding both categories, with ``h(a,
+    b) = x(a) + x(b) - x(a + b)`` and ``x(t) = t ln t``; entries on and
+    below the diagonal are zero.  With ``adjacent`` only the ``v = u + 1``
     entries are summed.  The row totals the loss also needs are a table's
     one-way marginal (:meth:`SparseTable.one_way`).
 
-    Cells are sorted by (column, category), and a cell alone in its column,
-    which pairs with none, is dropped before anything else is read of it;
-    offset pass ``t`` pairs each remaining cell with the cell ``t`` places
-    later in the same column, and the active set shrinks as columns run out
-    of partners, so working memory stays O(nnz + r^2) however many pairs
+    Two front ends give the cells.  :func:`_paired_cells` takes loose
+    cells, in any order with their column ids (a collapse's ordinal
+    neighbour rows), and sorts each (column, category) key packed with the
+    cell's position.  :func:`_table_cells` takes a table's axis, for
+    :func:`loss_matrix` and a collapse's start.  Where the axis's columns
+    hold under ``_KEY_CELLS_PER_COLUMN`` cells on average, so that few
+    cells pair, it sorts the keys alone and reads back the counts of the
+    cells that pair (:func:`_key_cells`); elsewhere it hands the table's
+    cells to :func:`_paired_cells`.  Both sort the same distinct keys and
+    take each kept cell's stored count, neither recomputed nor re-added,
+    so they return the same arrays bit for bit, and the sums agree bit for
+    bit too.
+
+    Offset pass ``t`` pairs each cell with the cell ``t`` places later in
+    the same column, and the active set shrinks as columns run out of
+    partners, so working memory stays O(nnz + r^2) however many pairs
     share a column.  Every entry is the fold of its terms in this order,
     which :func:`_one_pair_g2` reproduces for one pair.  This is the one
-    kernel of fresh sums, for :func:`loss_matrix` and a collapse's start
-    and ordinal neighbour rows; what a merge changes comes from
+    kernel of fresh sums; what a merge changes comes from
     :func:`_merge_deltas`.
     """
-    cats, vals, remaining = _paired_cells(cats, cols, r, vals)
     xvals = vals * np.log(vals)
     shared = np.zeros(r * r)
     active = np.arange(cats.shape[0])
@@ -117,15 +130,16 @@ def _merge_deltas(cats: np.ndarray, cols: np.ndarray, p: np.ndarray, q: np.ndarr
                   adjacent: bool = False) -> np.ndarray:
     """What a merge adds to the shared-column sums of another axis.
 
-    The merged cells are given as to :func:`_axis_sums`, each count ``m =
-    p + q`` split into the parts ``p`` and ``q`` that the two merged
-    categories held (0 where one held no cell).  ``delta[u, v]`` for ``u <
-    v`` is ``sum_j h(m_uj, m_vj) - h(p_uj, p_vj) - h(q_uj, q_vj)``, with
-    ``x(0) = 0``; entries on and below the diagonal, off the adjacent pairs
-    with ``adjacent``, and of columns that only ``p`` or only ``q`` fills
-    are exactly 0.
+    The merged cells are given by category ``cats`` (in ``range(r)``) and
+    column id ``cols``, in any order, each (column, category) at most once,
+    and each count ``m = p + q`` split into the parts ``p`` and ``q`` that
+    the two merged categories held (0 where one held no cell).
+    ``delta[u, v]`` for ``u < v`` is ``sum_j h(m_uj, m_vj) - h(p_uj, p_vj)
+    - h(q_uj, q_vj)``, with ``x(0) = 0``; entries on and below the
+    diagonal, off the adjacent pairs with ``adjacent``, and of columns that
+    only ``p`` or only ``q`` fills are exactly 0.
 
-    Cells are sorted and lone cells dropped as :func:`_axis_sums` does.
+    Cells are sorted and lone cells dropped by :func:`_paired_cells`.
     Then every pair of a column is formed at once, each remaining cell
     repeated once per later cell of its column, and the terms are added
     with one ``bincount`` per block of at most ``_PAIR_BLOCK`` pairs
@@ -176,18 +190,83 @@ def _paired_cells(cats: np.ndarray, cols: np.ndarray, r: int, *vals: np.ndarray
     keys += cats
     order, cols = _order(keys)
     cols //= r
-    # the cells that share their column with another
+    keep, _, remaining = _column_runs(cols)
+    if keep is not None:
+        order = order[keep]
+    return (cats[order].astype(np.int64, copy=False), *(v[order] for v in vals), remaining)
+
+
+def _table_cells(table: SparseTable, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cats, vals, remaining)`` of :func:`_paired_cells` for the cells of
+    ``table`` on axis ``dim``: the front end of a fresh loss pass.
+
+    An axis whose columns hold fewer than ``_KEY_CELLS_PER_COLUMN`` cells
+    on average, ``nnz r / prod(shape)``, leaves most cells alone in their
+    column unless its categories are strongly skewed, so only its keys are
+    sorted (:func:`_key_cells`); on others most cells pair, and the packed
+    sort of :func:`_paired_cells`, which carries every cell's position, is
+    the cheaper.
+    """
+    r = table.shape[dim]
+    if table.nnz * r < _KEY_CELLS_PER_COLUMN * math.prod(table.shape):
+        return _key_cells(table, dim)
+    return _paired_cells(table.coords[:, dim], _other_cols(table, dim), r, table.counts)
+
+
+def _key_cells(table: SparseTable, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_paired_cells` of the cells of ``table`` on axis ``dim``,
+    from their (column, category) keys alone.
+
+    The keys ``column * r + category`` are below ``prod(shape)``, so they
+    are formed and sorted in 32 bits when that fits, with no positions
+    packed in.  Only the keys whose column repeats are kept; each is turned
+    back into its cell's flat index, and the cell's count is read at that
+    index in ``table.flat`` by binary search, with the indexes searched in
+    increasing order, which keeps the search within the cache.
+    """
+    r = table.shape[dim]
+    inner = math.prod(table.shape[dim + 1:])
+    key_type = np.int32 if math.prod(table.shape) <= np.iinfo(np.int32).max else np.int64
+    keys = _other_cols(table, dim, key_type)
+    keys *= r
+    keys += table.coords[:, dim]
+    keys.sort()
+    keep, cols, remaining = _column_runs(keys // r)
+    if keep is not None:
+        keys = keys[keep]
+    # int64 like table.flat, so that the binary search copies neither side
+    cols = cols.astype(np.int64)
+    cats = keys.astype(np.int64)
+    cats -= cols * r
+    # the flat index (hi r + c) inner + lo of the column hi inner + lo
+    flat = cols // inner
+    flat *= r - 1
+    flat += cats
+    flat *= inner
+    flat += cols
+    order, flat = _order(flat)
+    vals = np.empty(flat.shape[0])
+    vals[order] = table.counts[np.searchsorted(table.flat, flat)]
+    return cats, vals, remaining
+
+
+def _column_runs(cols: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """For the column ids ``cols`` of cells in ascending order: the
+    positions of the cells that share their column with another (None when
+    all do), the column ids of those cells, and how many cells follow each
+    one in its column."""
     shares = cols[1:] == cols[:-1]
     paired = np.zeros(cols.shape[0], dtype=bool)
     paired[:-1] = shares
     paired[1:] |= shares
+    keep = None
     if not paired.all():
         keep = np.flatnonzero(paired)
-        order, cols = order[keep], cols[keep]
-    n = order.shape[0]
+        cols = cols[keep]
+    n = cols.shape[0]
     ends = np.append(np.flatnonzero(cols[1:] != cols[:-1]) + 1, n)
     remaining = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n) - 1
-    return (cats[order].astype(np.int64, copy=False), *(v[order] for v in vals), remaining)
+    return keep, cols, remaining
 
 
 def _pair_blocks(remaining: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -215,6 +294,12 @@ def _pair_blocks(remaining: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray
 # memory instead of mapping fresh pages (at 2**16 a pcc-sparse4 collapse
 # took about 1.5 times the minor faults and a higher peak)
 _PAIR_BLOCK = 1 << 13
+
+# mean cells per column, nnz r / prod(shape), below which a fresh loss pass
+# sorts keys alone (_table_cells).  Sorting keys alone won while at most
+# about 15-20% of the cells paired and lost up to 2x above that; under
+# uniform cells 0.05 pairs about 5%, and skewed categories pair more
+_KEY_CELLS_PER_COLUMN = 0.05
 
 
 def _pair_g2(rows_u: np.ndarray, rows_v: np.ndarray, shared_uv: np.ndarray) -> np.ndarray:
@@ -335,6 +420,16 @@ def loss_matrix(table: SparseTable, dim: int, treatment: str = NOMINAL) -> LossM
 
     ``nominal`` evaluates all C(r, 2) pairs, ``ordinal`` only the r - 1
     adjacent pairs.  Fixed variables have no matrix.
+
+    The pass pairs only the cells that share a column of ``dim``.  On an
+    axis whose columns hold under ``_KEY_CELLS_PER_COLUMN`` cells on
+    average, as in a sparse census table, those cells are found by sorting
+    the cells' (column, category) keys alone, in 32 bits where the shape
+    has at most 2**31 - 1 cells, and their counts are read back by binary
+    search; on a denser axis every cell is sorted with its position
+    (:func:`_table_cells`).  Either way the kernel receives the
+    same cells in the same order with the same counts, so the losses are
+    bitwise the same.
     """
     if dim < 0 or dim >= table.ndim:
         raise InputError(f"dim {dim} out of range")
@@ -345,7 +440,7 @@ def loss_matrix(table: SparseTable, dim: int, treatment: str = NOMINAL) -> LossM
     r = table.shape[dim]
     adjacent = treatment == ORDINAL
     us, vs = _candidate_pairs(r, adjacent)
-    shared = _axis_sums(table.coords[:, dim], _other_cols(table, dim), table.counts, r, adjacent)
+    shared = _axis_sums(*_table_cells(table, dim), r, adjacent)
     rows = table.one_way(dim)
     return LossMatrix(dim=dim, size=r, mode="adjacent-only" if adjacent else "all-pairs",
                       df=_pair_df(table.shape, dim), us=us, vs=vs,

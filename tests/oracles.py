@@ -98,13 +98,13 @@ def pair_slice(table, dim, u, v):
 
 def reference_axis_sums(cats, cols, vals, r, adjacent=False, parts=None):
     """Row totals and shared-column sums of one axis, ``(rows, shared)``, as
-    ``pcctab.infoloss._axis_sums`` takes and gives the shared sums: every
-    cell sorted by (column, category) and paired in offset passes, whether
-    or not its column holds another cell, and the rows added over the
-    sorted cells.  With ``parts = (p, q)``, where ``vals = p + q``, each
-    term is ``h(a, b) - h(a_p, b_p) - h(a_q, b_q)``, what
-    ``pcctab.infoloss._merge_deltas(cats, cols, p, q, r, adjacent)`` gives
-    by another summation order."""
+    ``pcctab.infoloss._axis_sums`` gives the shared sums of these cells once
+    a front end has paired them: every cell sorted by (column, category)
+    and paired in offset passes, whether or not its column holds another
+    cell, and the rows added over the sorted cells.  With ``parts = (p,
+    q)``, where ``vals = p + q``, each term is ``h(a, b) - h(a_p, b_p) -
+    h(a_q, b_q)``, what ``pcctab.infoloss._merge_deltas(cats, cols, p, q,
+    r, adjacent)`` gives by another summation order."""
     def xlogx(t):
         return t * np.log(np.maximum(t, 5e-324))
 

@@ -396,6 +396,29 @@ class TestCarriedCollapse:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
+    def test_index_lookups_copy_no_index(self):
+        """Finding a category's run, or given categories in given columns, in
+        a collapse's index of 125,000 cells allocates under one byte per
+        index entry: the searches take needles of the index's own int32
+        keys, where int64 needles made numpy copy the whole index to int64
+        on every call, 8 bytes an entry."""
+        t = SparseTable.from_dense(np.random.default_rng(0).poisson(2.0, (50, 50, 50)) + 1.0)
+        state = collapse._Collapse(t, ("nominal",) * 3)
+        _, keys = state._cells_of(0, 0)  # builds the index of axis 0
+        peaks = []
+        tracemalloc.start()
+        try:
+            for lookup in (lambda: state._cells_of(0, 1),
+                           lambda: state._cells_at(0, state.rep[0][2:5], keys[:10])):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                lookup()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert state.index_key[0].size == t.nnz == 125_000
+        assert max(peaks) < t.nnz
+
 
 class TestAdjustedRsq:
     def test_row6_value(self):

@@ -47,8 +47,8 @@ from pcctab.report import (
 )
 from pcctab.hllm import IPF_MAX_ITER, IPF_TOL, _ipf, _ipf_batch
 from pcctab import infoloss
-from pcctab.infoloss import (_axis_sums, _deviance, _merge_deltas, _one_pair_g2, _other_cols,
-                             _xlogx)
+from pcctab.infoloss import (_axis_sums, _deviance, _key_cells, _merge_deltas, _one_pair_g2,
+                             _other_cols, _paired_cells, _xlogx)
 from pcctab.pcc import _contiguous_partitions, _set_partitions, normalize_treatments
 from pcctab.table import group_weights
 
@@ -875,8 +875,8 @@ def assert_carried_sums_fresh(t, treatments):
             keys = state._keys(slot, state.coords[:, live])
             cats = state.cur[dim][state.coords[dim, live]]
             rows = np.bincount(cats, weights=state.vals[live], minlength=state.shape[dim])
-            shared = _axis_sums(cats, keys, state.vals[live], state.shape[dim],
-                                state.adjacent[dim])
+            shared = _axis_sums(*_paired_cells(cats, keys, state.shape[dim], state.vals[live]),
+                                state.shape[dim], state.adjacent[dim])
             carried_rows, carried_shared = state.sums[dim]
             assert np.abs(carried_rows - rows).max() <= 1e-12 * t.total
             assert np.abs(carried_shared - (shared + shared.T)).max() <= 1e-12 * t.total
@@ -930,7 +930,8 @@ def test_merge_deltas_is_the_merge_change(arr, adjacent, data):
 
     def plain(vals):
         pos = vals[flat] > 0
-        return _axis_sums(coords[pos, dim], cols[pos], vals[flat][pos], r, adjacent)
+        return _axis_sums(*_paired_cells(coords[pos, dim], cols[pos], r, vals[flat][pos]), r,
+                          adjacent)
 
     for dim, r in enumerate(arr.shape):
         cols = _other_cols(merged, dim)
@@ -1047,13 +1048,92 @@ def test_axis_sums_equals_reference_kernel_bitwise(case, adjacent, seed):
     order, and the table's one-way marginal gives its row totals."""
     t, dim, _, _ = case
     order = np.random.default_rng(seed).permutation(t.nnz)
-    cells = (t.coords[order, dim], _other_cols(t, dim)[order], t.counts[order], t.shape[dim],
-             adjacent)
-    rows, shared = reference_axis_sums(*cells)
-    got = _axis_sums(*cells)
+    cats, cols, vals = t.coords[order, dim], _other_cols(t, dim)[order], t.counts[order]
+    r = t.shape[dim]
+    rows, shared = reference_axis_sums(cats, cols, vals, r, adjacent)
+    got = _axis_sums(*_paired_cells(cats, cols, r, vals), r, adjacent)
     assert [x.hex() for x in got.ravel().tolist()] == [x.hex() for x in shared.ravel().tolist()]
     assert ([x.hex() for x in t.one_way_marginals()[dim].tolist()]
             == [x.hex() for x in rows.tolist()])
+
+
+@st.composite
+def front_end_cases(draw):
+    """A table, one of its axes and a treatment: sides of 1 to 6, with 0 to
+    2 cells or a twentieth, a quarter or all of the cells filled, and in a
+    third of the tables only the first cell of each column of the axis
+    kept, so that no two cells share a column."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    dim = draw(st.integers(0, len(shape) - 1))
+    treatment = draw(st.sampled_from(["nominal", "ordinal"]))
+    size = math.prod(shape)
+    nnz = min(draw(st.one_of(st.integers(0, 2), st.sampled_from([size // 20, size // 4, size]))),
+              size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flat = np.sort(rng.choice(size, nnz, replace=False))
+    t = SparseTable(shape, np.stack(np.unravel_index(flat, shape), axis=1),
+                    rng.choice([0.1, 0.3, 1.0, 2.5, 7.0], nnz))
+    if draw(st.integers(0, 2)) == 0:
+        first = np.unique(_other_cols(t, dim), return_index=True)[1]
+        t = SparseTable(shape, t.coords[first], t.counts[first])
+    return t, dim, treatment
+
+
+def assert_front_ends_agree(t, dim, treatment):
+    """The two front ends of a fresh loss pass give the same cells bit for
+    bit, and ``loss_matrix`` through either gives the losses of the
+    reference kernel's sums bit for bit."""
+    r, cols = t.shape[dim], _other_cols(t, dim)
+    packed = _paired_cells(t.coords[:, dim], cols, r, t.counts)
+    keyed = _key_cells(t, dim)
+    assert [(a.dtype, a.tobytes()) for a in keyed] == [(a.dtype, a.tobytes()) for a in packed]
+    adjacent = treatment == "ordinal"
+    rows, shared = reference_axis_sums(t.coords[:, dim], cols, t.counts, r, adjacent)
+    us, vs = infoloss._candidate_pairs(r, adjacent)
+    want = [x.hex() for x in infoloss._pair_g2(rows[us], rows[vs], shared[us, vs]).tolist()]
+    # a bound of 0 always takes the packed sort, and infinity always the key sort
+    for per_column in (0.0, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(infoloss, "_KEY_CELLS_PER_COLUMN", per_column)
+            got = loss_matrix(t, dim, treatment).losses
+        assert [x.hex() for x in got.tolist()] == want
+
+
+@SETTINGS
+@given(front_end_cases())
+def test_front_ends_of_a_loss_pass_agree_bitwise(case):
+    assert_front_ends_agree(*case)
+
+
+def lone_cell_table():
+    """Four cells on the diagonal of (4, 5, 6): no two share a column on
+    any axis."""
+    c = np.arange(4)
+    return SparseTable((4, 5, 6), np.stack([c, c, c], axis=1), [1.0, 2.5, 0.3, 7.0])
+
+
+def huge_sparse_table():
+    """About 1,200 cells of the (50,) * 6 shape, 1.6e10 cells, more than
+    int32 keys number: 300 random cells, each copied four times with one
+    random coordinate drawn afresh, so every axis has columns of several
+    cells."""
+    rng = np.random.default_rng(4)
+    shape = (50,) * 6
+    base = rng.integers(0, 50, (300, 6))
+    coords = np.repeat(base, 4, axis=0)
+    moved = rng.integers(0, 6, coords.shape[0])
+    coords[np.arange(coords.shape[0]), moved] = rng.integers(0, 50, coords.shape[0])
+    t = SparseTable(shape, coords, rng.choice([0.1, 0.3, 1.0, 2.5, 7.0], coords.shape[0]))
+    assert math.prod(shape) > 2**31 and t.nnz > 1000
+    return t
+
+
+@pytest.mark.parametrize("treatment", ["nominal", "ordinal"])
+@pytest.mark.parametrize("make", [lone_cell_table, huge_sparse_table], ids=["lone", "huge"])
+def test_front_ends_agree_on_lone_cells_and_int64_keys(make, treatment):
+    t = make()
+    for dim in range(t.ndim):
+        assert_front_ends_agree(t, dim, treatment)
 
 
 @st.composite
