@@ -207,14 +207,15 @@ def _ipf_batch(obs: np.ndarray, n: float, specs: Sequence[ModelSpec], tol: float
     """The IPF engine: cyclic proportional scaling of a batch of dense fits.
 
     ``obs`` is the dense observed table and ``n`` its total.  ``targets``
-    maps a generator's complement axes to the observed marginal over them
-    and the generator's :func:`_layout`; missing entries are added, so
-    callers fitting several models to one table pass the same dict to
-    share them.  Yields, per spec and in
-    order, the dense fit, the number of cycles run, whether the worst
-    marginal residual of the last cycle is at most ``tol``, and that
-    residual (0.0 for the grand-mean model, which has no generator to
-    scale).  Each fit is bitwise the one a batch of one gives.
+    maps a generator's complement axes to the observed marginal over them,
+    the generator's :func:`_layout` and whether that marginal is finite
+    and positive everywhere; missing entries are added, so callers
+    fitting several models to one table pass the same dict to share them.
+    Yields, per spec and in order, the dense fit, the number of cycles
+    run, whether the worst marginal residual of the last cycle is at most
+    ``tol``, and that residual (0.0 for the grand-mean model, which has no
+    generator to scale).  Each fit is bitwise the one a batch of one
+    gives.
     """
     if n <= 0:
         raise InputError("cannot fit an empty table")
@@ -233,9 +234,9 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
     The cycle walks the sorted union of the specs' generators; as each
     spec's own sorted generators are a subsequence of it, every fit is
     scaled in exactly its single-fit order.  A generator's members are
-    scaled through their rows of the stack: a view when the rows are one
-    contiguous run, else a gathered copy.  A fit leaves the stack at the
-    end of the cycle in which it converged and is frozen there.
+    scaled in place, through a view of the stack for each contiguous run
+    of their rows.  A fit leaves the stack at the end of the cycle in
+    which it converged and is frozen there.
 
     Each member's generator marginal is bitwise the
     ``np.add.reduce(fit, axis=axes, keepdims=True)`` of a lone fit.  On a
@@ -251,8 +252,23 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
     two ``add.reduce`` calls sum the runs and then the run sums in the
     same order.  ``test_marginal_matches_add_reduce_bitwise`` and the
     ``reference_ipf`` tests pin this order and fail if numpy changes it.
-    The ratio ``target / cur`` is a plain division when every marginal is
-    positive, else zero where a marginal is not.
+
+    The checked step divides ``target / cur`` plainly when every marginal
+    is positive, else gives zero where a marginal is not.  A chunk whose
+    targets are all finite and positive (each flagged once, when it
+    enters ``targets``) divides plainly without that check, under
+    ``np.errstate`` that raises on division by zero, overflow and invalid
+    operations.  The cells start at ``n / size > 0``, and a marginal can
+    then only become zero, inf or NaN through cells that underflow to
+    zero, overflow, ``0 * inf`` or ``inf / inf``.  The last three raise
+    where they happen, and a zero marginal raises when a positive target
+    is divided by it, before it scales any cell.  Until something raises,
+    every marginal is finite and positive, so the checked step would have
+    divided plainly too.  On a raise the chunk discards its fits and
+    reruns from the uniform start with the checked step, under the
+    caller's numpy settings, so fits and warnings are the checked step's.
+    A chunk with a zero or non-finite target runs the checked step from
+    the start.
 
     Each step writes its gaps ``cur - target`` into one buffer, which is
     reduced by ``maximum`` per fit and step, so a NaN gap stays NaN, then
@@ -276,38 +292,56 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
             owners.setdefault(g, set()).add(i)
     if not ids:
         return results
-    steps = []
+    steps, positive = [], True
     for g in sorted(owners):
         axes = tuple(k for k in range(obs.ndim) if k not in g)
         entry = targets.get(axes)
         if entry is None:
-            entry = targets[axes] = (np.add.reduce(obs, axis=axes, keepdims=True),
-                                     _layout(obs.shape, g))
-        steps.append((tuple(k + 1 for k in axes), *entry, owners[g]))
+            target = np.add.reduce(obs, axis=axes, keepdims=True)
+            entry = targets[axes] = (target, _layout(obs.shape, g),
+                                     bool(0 < target.min() and target.max() < np.inf))
+        target, cells, finite_positive = entry
+        positive = positive and finite_positive
+        steps.append((tuple(k + 1 for k in axes), target, cells, owners[g]))
+    if positive:
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                return _cycles(obs, n, steps, ids, results, tol, max_iter, True)
+        except FloatingPointError:
+            pass  # a marginal met zero, inf or NaN: rerun with the checked step
+    return _cycles(obs, n, steps, ids, results, tol, max_iter, False)
+
+
+def _cycles(obs, n, steps, ids, results, tol, max_iter, positive) -> list:
+    """The cycles of :func:`_ipf_chunk` from the uniform start, filling
+    ``results`` at every one of ``ids``; with ``positive`` set, each step
+    divides without checking its marginals for zeros."""
     stack = np.full((len(ids),) + obs.shape, n / obs.size)
-    plan = _Plan(steps, ids, obs.size)
+    plan = _Plan(steps, ids, stack)
     for cycle in range(1, max_iter + 1):
-        flat = stack.reshape(-1)
         gate = plan.gate if cycle < max_iter else -1
         ending = True  # whether this cycle can still end some fit
-        for j, (rows, axes, index, target, diff) in enumerate(plan.steps):
+        for j, (blocks, axes, index, target, diff) in enumerate(plan.steps):
             # ufuncs called directly: ndarray.sum/np.max add a Python
             # wrapper that costs more than the arithmetic on small tables
-            block = stack[rows]
-            if index is None:
-                cur = np.add.reduce(block, axis=axes, keepdims=True)
+            if index is not None:
+                cur = _marginal(plan.flat, index, obs.ndim)
+            elif len(blocks) == 1:
+                cur = np.add.reduce(blocks[0][0], axis=axes, keepdims=True)
             else:
-                cur = _marginal(flat, index).reshape(diff.shape)
+                cur = np.empty(diff.shape)
+                for block, part in blocks:
+                    np.add.reduce(block, axis=axes, keepdims=True, out=cur[part])
             if ending:
                 np.subtract(cur, target, out=diff)
                 if j == gate:
                     ending = not (plan.worst(j + 1) > tol).all()
-            if np.minimum.reduce(cur, axis=None) > 0:
-                block *= np.divide(target, cur)
+            if positive or np.minimum.reduce(cur, axis=None) > 0:
+                ratio = np.divide(target, cur, out=cur)
             else:
-                block *= np.divide(target, cur, out=np.zeros(cur.shape), where=cur > 0)
-            if not isinstance(rows, slice):  # a gathered copy
-                stack[rows] = block
+                ratio = np.divide(target, cur, out=np.zeros(cur.shape), where=cur > 0)
+            for block, part in blocks:
+                block *= ratio if part is None else ratio[part]
         if not ending:
             continue
         worst = plan.worst(len(plan.steps)).tolist()
@@ -322,26 +356,31 @@ def _ipf_chunk(obs, n, specs, tol, max_iter, targets) -> list:
             break
         staying = [row for row, d in enumerate(done) if not d]
         stack, ids = stack[staying], [ids[row] for row in staying]
-        plan = _Plan(steps, ids, obs.size)
+        plan = _Plan(steps, ids, stack)
     return results
 
 
 class _Plan:
-    """The steps that scale some of the live fits ``ids`` (the rows of the
-    stack of ``size``-cell fits), and the buffers for their gaps.
+    """The steps that scale some of the live fits ``ids``, the rows of
+    ``stack``, and the buffers for their gaps.
 
-    Each of ``steps`` holds its members' rows (a slice when they are one
-    contiguous run, else an index array), its reduced axes, its take index
-    (None when the rows are reduced in place), its target and a view of
-    one buffer for its members' gaps, shaped as their marginals.
-    ``gate`` is the index of the step that ends the shortest run of steps
-    from the first that scales every live fit.
+    Each of ``steps`` holds its members' blocks (a view of the stack for
+    each contiguous run of their rows, with that run's slice of the
+    members, or None when the run holds them all), its reduced axes, its
+    take index into ``flat`` (None when the blocks are reduced in place),
+    its target and a view of one buffer for its members' gaps, shaped as
+    their marginals.  ``gate`` is the index of the step that ends the
+    shortest run of steps from the first that scales every live fit.
     """
 
-    __slots__ = ("steps", "gate", "_diffs", "_starts", "_where", "_gaps", "_ends")
+    __slots__ = ("steps", "gate", "flat", "_diffs", "_starts", "_where", "_gaps", "_ends")
 
-    def __init__(self, steps, ids, size):
-        offsets = np.arange(0, len(ids) * size, size, dtype=np.int32)
+    def __init__(self, steps, ids, stack):
+        size = math.prod(stack.shape[1:])
+        # each fit's first flat cell, on the fits axis of a _layout index
+        offsets = np.arange(0, len(ids) * size, size, dtype=np.int32).reshape(
+            (-1,) + (1,) * (stack.ndim - 1))
+        self.flat = stack.reshape(-1)
         live = []
         for axes, target, cells, owners in steps:
             rows = [row for row, i in enumerate(ids) if i in owners]
@@ -352,12 +391,13 @@ class _Plan:
         starts, where, seen, first = [], [], set(), 0
         for j, (axes, target, cells, rows) in enumerate(live):
             m, last = target.size, first + target.size * len(rows)
-            if rows[-1] - rows[0] + 1 == len(rows):
-                members = slice(rows[0], rows[-1] + 1)
+            breaks = [0] + [k for k in range(1, len(rows)) if rows[k] != rows[k - 1] + 1]
+            if len(breaks) == 1:
+                blocks = [(stack[rows[0]:rows[-1] + 1], None)]
             else:
-                members = np.array(rows)
-            self.steps.append((members, axes,
-                               None if cells is None else cells + offsets[members, None],
+                blocks = [(stack[rows[a]:rows[b - 1] + 1], slice(a, b))
+                          for a, b in zip(breaks, breaks[1:] + [len(rows)])]
+            self.steps.append((blocks, axes, None if cells is None else cells + offsets[rows],
                                target, diffs[first:last].reshape((len(rows),) + target.shape)))
             starts.extend(range(first, last, m))
             where.extend(j * len(ids) + row for row in rows)
@@ -386,26 +426,29 @@ def _layout(shape, g) -> np.ndarray | None:
     generator ``g`` sums them, as int32 flat indices; None when the
     trailing reduced run (the cells after the last axis of ``g`` longer
     than one) has 8 cells or more, as the table's own order serves then.
-    With L the run, M the kept cells and R the other reduced positions,
-    each in C order, the cells are shaped ``(R, L, 1, M)``, or ``(R, 1,
-    M)`` when L = 1.  The axis of length 1 is for the fits: adding each
-    fit's first flat cell there gives its take index."""
+    With L the run and R the other reduced positions, each in C order,
+    the cells are shaped ``(R, L, 1, *kept)``, or ``(R, 1, *kept)`` when
+    L = 1, where ``kept`` is the marginal's shape (``keepdims``).  The
+    axis of length 1 is for the fits: adding each fit's first flat cell
+    there gives its take index."""
     last = max((k for k in g if shape[k] > 1), default=-1)
     run = math.prod(shape[last + 1:])
     if run >= 8:
         return None
     reduced = [k for k in range(last + 1) if k not in g]
+    kept = tuple(s if k in g else 1 for k, s in enumerate(shape))
     cells = np.arange(math.prod(shape), dtype=np.int32).reshape(shape[:last + 1] + (run,))
     cells = cells.transpose(reduced + [last + 1] + [k for k in range(last + 1) if k in g])
-    cells = cells.reshape(math.prod(shape[k] for k in reduced), run, 1, -1)
+    cells = cells.reshape((math.prod(shape[k] for k in reduced), run, 1) + kept)
     return np.ascontiguousarray(cells if run > 1 else cells[:, 0])
 
 
-def _marginal(flat, index) -> np.ndarray:
-    """The marginals of the fits in the flat stack ``flat`` read through a
-    take index of :func:`_layout` cells, shaped (fits, kept cells)."""
+def _marginal(flat, index, ndim) -> np.ndarray:
+    """The marginals of the fits of ``ndim`` axes in the flat stack
+    ``flat``, read through a take index of :func:`_layout` cells, shaped
+    (fits, *kept)."""
     block = flat.take(index)
-    if block.ndim == 4:  # sum each run first
+    if block.ndim == ndim + 3:  # sum each run first
         block = np.add.reduce(block, axis=1)
     return np.add.reduce(block, axis=0)
 

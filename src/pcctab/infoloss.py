@@ -222,7 +222,8 @@ def _key_cells(table: SparseTable, dim: int) -> tuple[np.ndarray, np.ndarray, np
     packed in.  Only the keys whose column repeats are kept; each is turned
     back into its cell's flat index, and the cell's count is read at that
     index in ``table.flat`` by binary search, with the indexes searched in
-    increasing order, which keeps the search within the cache.
+    increasing order, which keeps the search within the cache.  A table
+    whose cells are not in flat-index order is searched through a sorter.
     """
     r = table.shape[dim]
     inner = math.prod(table.shape[dim + 1:])
@@ -245,8 +246,12 @@ def _key_cells(table: SparseTable, dim: int) -> tuple[np.ndarray, np.ndarray, np
     flat *= inner
     flat += cols
     order, flat = _order(flat)
+    at = np.searchsorted(table.flat, flat)
+    if not np.array_equal(table.flat.take(at, mode="clip"), flat):
+        sorter = np.argsort(table.flat)
+        at = sorter[np.searchsorted(table.flat, flat, sorter=sorter)]
     vals = np.empty(flat.shape[0])
-    vals[order] = table.counts[np.searchsorted(table.flat, flat)]
+    vals[order] = table.counts[at]
     return cats, vals, remaining
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,12 @@ class TestIpfFit:
         ("corners", 1000, 1000, False),
         # a zero generator marginal, so the ratio takes its masked form
         ("zero_slice", 1000, 9, True),
+        # a zero cell under generator marginals that all stay positive
+        ("zero_cell", 1000, 7, True),
+        # a size-1 axis
+        ("size_one", 1000, 2, True),
+        # counts near 1e300: no overflow, and no convergence at an absolute tol
+        ("scaled_up", 1000, 1000, False),
     ])
     def test_fit_at_the_edges_matches_reference_bitwise(self, christensen_table, from_dense,
                                                          name, max_iter, cycles, converged):
@@ -246,6 +254,12 @@ class TestIpfFit:
             obs = christensen_table.todense()
             if name == "zero_slice":
                 obs[:, :, 0, :] = 0.0
+            elif name == "zero_cell":
+                obs[0, 1, 2, 3] = 0.0
+            elif name == "size_one":
+                obs = obs.sum(axis=1, keepdims=True)
+            elif name == "scaled_up":
+                obs *= 1e300
             t = from_dense(obs)
             generators = ((0, 1), (0, 2), (1, 2), (2, 3))
         spec = ModelSpec(generators)
@@ -254,14 +268,73 @@ class TestIpfFit:
             obs, t.total, generators, max_iter=max_iter, with_residual=True)
         assert (iterations, want_converged) == (cycles, converged)
         fit = ipf_fit(t, spec, max_iter=max_iter)
-        assert np.array_equal(fit.fitted.todense(), want)
-        assert (fit.iterations, fit.converged, fit.max_residual) == (cycles, converged, residual)
+        assert fit.fitted.todense().tobytes() == want.tobytes()
+        assert (fit.iterations, fit.converged, fit.max_residual.hex()) == (
+            cycles, converged, residual.hex())
         # and as one member of a batch whose other fits leave earlier or later
         batch = [ModelSpec.main_effects(t.ndim), spec, ModelSpec.saturated(t.ndim),
                  ModelSpec(generators[1:])]
         got = list(hllm._ipf_batch(obs, t.total, batch, hllm.IPF_TOL, max_iter, {}))[1]
-        assert np.array_equal(got[0], want)
-        assert got[1:] == (cycles, converged, residual)
+        assert got[0].tobytes() == want.tobytes()
+        assert (*got[1:3], float(got[3]).hex()) == (cycles, converged, residual.hex())
+
+    # every generator marginal is finite and positive, but the first step
+    # scales the 1e-300 slice by about 1e-600, which underflows to zero
+    UNDERFLOW = [[[1e300, 2e300], [3e300, 1e300]], [[1e-300, 2e-300], [3e-300, 1e-300]]]
+
+    def test_underflow_reruns_with_the_checked_step(self, from_dense, monkeypatch):
+        t = from_dense(self.UNDERFLOW)
+        obs = t.todense()
+        specs = [ModelSpec.main_effects(3), ModelSpec(((0, 1), (2,))),
+                 ModelSpec(((0, 1), (0, 2), (1, 2)))]
+        positive = []
+        cycles = hllm._cycles
+
+        def spy(*args):
+            positive.append(args[-1])
+            return cycles(*args)
+
+        def fit(targets):
+            with warnings.catch_warnings(record=True) as seen, np.errstate(
+                    divide="warn", over="warn", invalid="warn", under="ignore"):
+                warnings.simplefilter("always")
+                fits = list(hllm._ipf_batch(obs, t.total, specs, hllm.IPF_TOL, 1000, targets))
+            return fits, [(w.category, str(w.message)) for w in seen]
+
+        monkeypatch.setattr(hllm, "_cycles", spy)
+        targets: dict = {}
+        got, warned = fit(targets)
+        assert positive == [True, False]  # the plain divide raised, and the chunk reran
+        # flagged as not all positive, the chunk takes the checked step from the start
+        positive.clear()
+        want, want_warned = fit({axes: (target, cells, False)
+                                 for axes, (target, cells, _) in targets.items()})
+        assert positive == [False]
+        assert warned == want_warned
+        for spec, (fitted, *rest), (want_fitted, *want_rest) in zip(specs, got, want):
+            ref, *ref_rest = reference_ipf(obs, t.total, spec.generators, with_residual=True)
+            assert fitted.tobytes() == want_fitted.tobytes() == ref.tobytes()
+            assert (*rest[:2], float(rest[2]).hex()) == (*want_rest[:2], float(want_rest[2]).hex())
+            assert (*rest[:2], float(rest[2]).hex()) == (*ref_rest[:2], ref_rest[2].hex())
+            assert not fitted[1].any()  # the 1e-300 slice underflowed
+
+    def test_numpy_error_settings_are_kept(self, christensen_table, from_dense):
+        before = np.geterr()
+        ipf_fit(christensen_table, ModelSpec.main_effects(4))
+        backward_select(christensen_table)
+        assert np.geterr() == before
+        t = from_dense(self.UNDERFLOW)
+        # the underflowed slice leaves observed cells with a zero fit
+        for call in (lambda: ipf_fit(t, ModelSpec.main_effects(3)), lambda: backward_select(t)):
+            with pytest.raises(DegeneracyError):
+                call()
+            assert np.geterr() == before
+            with np.errstate(all="raise"):
+                # the rerun underflows under the caller's settings, as the checked step did
+                with pytest.raises(FloatingPointError, match="underflow"):
+                    call()
+                assert np.geterr() == dict.fromkeys(before, "raise")
+            assert np.geterr() == before
 
     @pytest.mark.parametrize("call", [
         lambda t, spec: ipf_fit(t, spec),

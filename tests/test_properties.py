@@ -557,6 +557,37 @@ def test_backward_select_matches_reference_walk(problem, saturated, max_iter):
         assert s.adj_rsq == adjusted_rsq(s.dev, s.dfres, last.dev, last.dfres)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(ipf_problems(min_dims=2),
+                 # every cell, and so every generator marginal, positive
+                 ipf_problems(min_dims=2).map(lambda p: (p[0] + 0.37, p[1]))),
+       st.booleans(), st.sampled_from([3, 1000]))
+def test_backward_select_candidate_fits_match_reference_bitwise(problem, saturated, max_iter):
+    """Every fit a backward walk makes, the starting model's included, is
+    its lone ``reference_ipf`` fit: cells, cycles, flag and residual."""
+    arr, spec = problem
+    t = SparseTable.from_dense(arr)
+    obs = t.todense()
+    fits = []
+    batch = _ipf_batch
+
+    def recording(obs, n, specs, *args):
+        for s, fit in zip(specs, batch(obs, n, specs, *args)):
+            fits.append((s, fit))
+            yield fit
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hllm, "_ipf_batch", recording)
+        backward_select(t, ModelSpec.saturated(t.ndim) if saturated else spec, max_iter=max_iter)
+    assert fits
+    for s, (fitted, cycles, converged, residual) in fits:
+        want, want_cycles, want_converged, want_residual = reference_ipf(
+            obs, t.total, s.generators, IPF_TOL, max_iter, with_residual=True)
+        assert fitted.shape == want.shape and fitted.tobytes() == want.tobytes()
+        assert (cycles, converged, float(residual).hex()) == (
+            want_cycles, want_converged, want_residual.hex())
+
+
 @pytest.mark.parametrize("name", ["wermuth_table", "christensen_table"])
 def test_backward_select_matches_reference_walk_on_bundled_data(name, request):
     t = request.getfixturevalue(name)
@@ -629,11 +660,12 @@ def test_batched_ipf_matches_reference_bitwise_on_wide_axes(problem, max_iter):
 @pytest.mark.parametrize("max_iter", [4, 1000])
 def test_batched_ipf_matches_reference_bitwise_past_pairwise_blocks(shape, max_iter):
     # the trailing reduced run of [0] (144 and 200 cells) passes 128, where
-    # numpy's pairwise sum recurses
+    # numpy's pairwise sum recurses; the members of [0] and of [01] are two
+    # runs of rows each, so those are reduced one run at a time
     rng = np.random.default_rng(11)
     arr = rng.uniform(0.01, 50.0, shape) * (rng.random(shape) > 0.3)
-    batch = [ModelSpec(((0,),)), ModelSpec.main_effects(3), ModelSpec(((0,), (1, 2))),
-             ModelSpec(((0, 1), (0, 2))), ModelSpec(((0, 1), (1, 2)))]
+    batch = [ModelSpec(((0,),)), ModelSpec(((0, 1), (0, 2))), ModelSpec.main_effects(3),
+             ModelSpec(((0,), (1, 2))), ModelSpec(((0, 1), (1, 2)))]
     check_batch_against_reference(arr, batch, max_iter)
 
 
@@ -666,8 +698,9 @@ def check_marginals_bitwise(stack):
             for rows in members:
                 want = np.add.reduce(stack[rows], axis=axes, keepdims=True)
                 offsets = np.array(rows, dtype=np.int32) * np.int32(size)
-                got = hllm._marginal(flat, cells + offsets[:, None])
-                assert got.shape == (len(rows), want[0].size)
+                got = hllm._marginal(flat, cells + offsets.reshape((-1,) + (1,) * len(shape)),
+                                     len(shape))
+                assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (
                     f"numpy sums the marginal over {g} of {shape} in another order "
                     "than hllm._ipf_chunk assumes")
@@ -743,8 +776,17 @@ def shuffled(t, seed):
     return out
 
 
+def _one_column_of_three():
+    arr = np.zeros((3, 4, 4, 4))
+    arr[:, 0, 0, 0] = 1.0
+    return arr
+
+
 @SETTINGS
 @given(collapse_problems(), st.integers(0, 2**32 - 1))
+# sparse enough for the key-only front end on axis 0, whose count lookup
+# searched table.flat as if it were sorted
+@example((_one_column_of_three(), ["nominal"] * 4, None), 0)
 def test_run_pcc_ignores_cell_order(problem, seed):
     arr, treatments, stop = problem
     t = SparseTable.from_dense(arr)
