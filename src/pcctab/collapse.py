@@ -3,6 +3,10 @@ from step to step so that a merge touches only the cells it changes, and
 the one selection engine, which :func:`~pcctab.pcc.select_merge` runs on a
 fresh state.
 
+A cell is its flat index over the original shape, as in a
+:class:`~pcctab.table.SparseTable`, split into a category and a column key
+by the one rule of :func:`~pcctab.infoloss._other_cols`.
+
 ``run_pcc`` and ``select_merge`` import this module on first use, so a
 process that never collapses does not load it.
 """
@@ -14,10 +18,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .infoloss import (_axis_sums, _candidate_pairs, _merge_deltas, _one_pair_g2, _pair_df,
-                       _pair_g2, _paired_cells, _table_cells)
+from .infoloss import (_axis_sums, _candidate_pairs, _merge_deltas, _one_pair_g2, _other_cols,
+                       _pair_df, _pair_g2, _paired_cells, _table_cells)
 from .pcc import MergeCandidate, _beats
-from .table import FIXED, ORDINAL, SparseTable, _code_dtype, _order
+from .table import FIXED, ORDINAL, SparseTable, _order
 
 
 def _scan(best: MergeCandidate | None, dim: int, us: np.ndarray, vs: np.ndarray,
@@ -48,30 +52,33 @@ class _Collapse:
     :meth:`select` compares are rescored exactly.
 
     Cells live at fixed positions in buffers that grow by appending.  Each
-    holds its coordinates in original category ids, its count and whether
-    it is alive.  On every axis a current category is named by the smallest
+    holds its flat index over the original shape, its count and whether it
+    is alive.  On every axis a current category is named by the smallest
     original id it holds (``rep`` maps current ids to names, ``cur`` back),
-    so names increase with the current ids, and sorting cells by column key,
-    the flat index of their other coordinates over the original shape,
-    sorts them by current column.  A merge of ``v`` into ``u`` renumbers no
-    cell: ``u``'s cells stay put with their merged counts, ``v``'s die, and
-    those of ``v``'s columns that ``u`` lacked come back as new cells under
-    ``u``'s name.
+    so names increase with the current ids, and a flat index ``(hi r + c)
+    inner + lo`` splits into the name ``c`` and the column key ``hi inner +
+    lo`` (:meth:`_split`), by which cells sort in current column order.  A
+    merge of ``v`` into ``u`` renumbers no cell: ``u``'s cells stay put with
+    their merged counts, ``v``'s die, and those of ``v``'s columns that
+    ``u`` lacked come back as new cells under ``u``'s name.
 
     Per axis that can merge, one index of int32 cell positions, sorted by
-    category name and then column key (the compound keys kept alongside),
-    gives the cells of a category as one run with their column keys, and
-    finds the cells of given categories in given columns by binary search;
-    :meth:`select` reads each shortlisted pair through it once and
-    :meth:`merge` works from the winner's read.  No cell stores its keys:
-    they come from the index, or from coordinates (:meth:`_keys`).  The
+    category name and then column key (the compound keys ``name offset +
+    key`` kept alongside), gives the cells of a category as one run with
+    their column keys, and finds the cells of given categories in given
+    columns by binary search; :meth:`select` reads each shortlisted pair
+    through it once and :meth:`merge` works from the winner's read.  The
     index takes in the appended cells when it is next read and skips dead
     cells; the dead leave the buffers and the indexes together once the
     buffers are full, after at least a quarter table's worth of appends.
     """
 
     def __init__(self, table: SparseTable, treatments: tuple[str, ...]):
-        shape = self.shape = table.shape
+        if np.any(table.flat[1:] <= table.flat[:-1]):
+            # cells out of flat order, which only a table built around its
+            # constructor holds: _table_cells searches them by flat index
+            table = SparseTable(table.shape, table.coords, table.counts)
+        shape = self.shape = self.origin = table.shape
         self.n = table.total
         self.treatments = treatments
         self.adjacent = tuple(t == ORDINAL for t in treatments)
@@ -80,38 +87,30 @@ class _Collapse:
         # the axes that can ever merge, each with a slot in the index arrays
         self.axes = [dim for dim, _ in self.eligible]
         self.slot = {dim: a for a, dim in enumerate(self.axes)}
-        K, A, nnz = len(shape), len(self.axes), table.nnz
-        # column key of slot a: the sum of coords[k] * strides[k, a], below
-        # offset[a]; the index puts the category name in front, times offset[a]
-        self.strides = np.zeros((K, A), dtype=np.int64)
-        self.offset = []
-        for a, dim in enumerate(self.axes):
-            step = 1
-            for k in reversed(range(K)):
-                if k != dim:
-                    self.strides[k, a] = step
-                    step *= shape[k]
-            self.offset.append(step)
+        # each axis's stride in a flat index, and each slot's number of columns,
+        # which its keys stay below and the index multiplies its names by
+        self.inner = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+        self.offset = [math.prod(shape) // shape[dim] for dim in self.axes]
         self.rep = [np.arange(s) for s in shape]
         self.cur = [np.arange(s) for s in shape]
 
+        self.size = nnz = table.nnz
         cap = nnz + max(nnz // 4, 16)
         # every key, with its category name in front too, stays below the
         # number of cells of the original shape
         self.key_type = np.int32 if math.prod(shape) <= np.iinfo(np.int32).max else np.int64
-        self.coords = np.empty((K, cap), dtype=_code_dtype(shape))
-        self.coords[:, :nnz] = table.coords.T
+        self.flat = np.empty(cap, dtype=np.int64)
+        self.flat[:nnz] = table.flat
         self.vals = np.empty(cap)
         self.vals[:nnz] = table.counts
         self.alive = np.zeros(cap, dtype=bool)
         self.alive[:nnz] = True
-        self.size = nnz
         # per slot: the index, cell positions sorted by category name and then
         # column key, with those compound keys, and how many stored cells it has
         # taken in
         self.index_key = [np.empty(0, dtype=self.key_type) for _ in self.axes]
         self.index_pos = [_NO_CELLS for _ in self.axes]
-        self.indexed = [0] * A
+        self.indexed = [0] * len(self.axes)
 
         # the read of the pair select last returned, which merge consumes
         self.chosen: _PairRead | None = None
@@ -201,8 +200,8 @@ class _Collapse:
         new_shape = tuple(s - (k == dim) for k, s in enumerate(self.shape))
         # v's cells die; those of columns u lacks come back under u's name
         moved = v_cells[~both]
-        coords = self.coords[:, np.concatenate([u_cells, moved])]
-        coords[dim] = self.rep[dim][u]
+        flat = self.flat[np.concatenate([u_cells, moved])]
+        flat[u_cells.size:] += (int(self.rep[dim][u]) - int(self.rep[dim][v])) * self.inner[dim]
         # each merged cell's u- and v-part, 0 where that category has no cell in
         # the column; their sum a + b is the count apply_partition forms
         u_part = np.concatenate([u_vals, np.zeros(moved.size)])
@@ -216,13 +215,13 @@ class _Collapse:
         self.rep[dim] = self.rep[dim][others]
         self.cur[dim][self.rep[dim]] = np.arange(new_shape[dim])
         self.eligible = _eligible(new_shape, self.treatments)
-        deltas = self._deltas([k for k, _ in self.eligible if k != dim], coords, (u_part, v_part))
+        deltas = self._deltas([k for k, _ in self.eligible if k != dim], flat, (u_part, v_part))
         sums = {}
         for k, _ in self.eligible:
             rows, shared = self.sums[k]
             if k == dim:
                 if self.adjacent[dim]:
-                    row = self._neighbour_row(dim, u, coords, new_vals)
+                    row = self._neighbour_row(dim, u, flat, new_vals)
                 else:
                     # u's and v's rows added; in a column holding both, each other
                     # cell's terms against x and y give way to one against x + y:
@@ -250,13 +249,13 @@ class _Collapse:
         self.shape = new_shape
 
         self.vals[u_cells] = new_vals[:u_cells.size]
-        self._append(coords[:, u_cells.size:], new_vals[u_cells.size:])
+        self._append(flat[u_cells.size:], new_vals[u_cells.size:])
 
-    def _deltas(self, axes: list[int], coords: np.ndarray, parts: tuple[np.ndarray, np.ndarray]
+    def _deltas(self, axes: list[int], flat: np.ndarray, parts: tuple[np.ndarray, np.ndarray]
                 ) -> dict[int, np.ndarray]:
         """Change of the shared-column sums of the other eligible ``axes``
         by a merge, from the pairing kernel :func:`_merge_deltas` over the
-        merged cells alone, given by their coordinates ``coords`` and their
+        merged cells alone, given by their flat indexes ``flat`` and their
         u- and v-parts ``parts``.
 
         Axes of one treatment share a kernel call, each with its own range
@@ -272,7 +271,7 @@ class _Collapse:
                 if self.adjacent[k] != adjacent:
                     continue
                 r_k, col_k = self.shape[k], self.offset[self.slot[k]]
-                if r == 0 or (coords.shape[1] * (len(groups[-1]) + 1) > _PASS_CELLS
+                if r == 0 or (flat.size * (len(groups[-1]) + 1) > _PASS_CELLS
                               or (col + col_k) * (r + r_k) >= 2**62):
                     groups.append([])
                     r = col = 0
@@ -283,11 +282,11 @@ class _Collapse:
             cats, cols = [], []
             r = col = 0
             for k in group:
-                b = self.slot[k]
-                cats.append(self.cur[k][coords[k]] + r)
-                cols.append(self._keys(b, coords) + col)
+                names, keys = self._split(k, flat)
+                cats.append(self.cur[k][names] + r)
+                cols.append(keys + col)
                 r += self.shape[k]
-                col += self.offset[b]
+                col += self.offset[self.slot[k]]
             p, q = (np.tile(part, len(group)) for part in parts)
             delta = _merge_deltas(np.concatenate(cats), np.concatenate(cols), p, q, r,
                                   self.adjacent[group[0]])
@@ -298,11 +297,11 @@ class _Collapse:
                 lo = hi
         return out
 
-    def _neighbour_row(self, dim: int, u: int, coords: np.ndarray, vals: np.ndarray
+    def _neighbour_row(self, dim: int, u: int, flat: np.ndarray, vals: np.ndarray
                        ) -> np.ndarray:
         """Shared-column sums of the category merged into ``u`` on the ordinal
-        axis ``dim``, in the new ids, whose cells have the coordinates
-        ``coords`` and counts ``vals``.  The axis carries adjacent pairs only,
+        axis ``dim``, in the new ids, whose cells have the flat indexes
+        ``flat`` and counts ``vals``.  The axis carries adjacent pairs only,
         so the merged category's two neighbour pairs are scored afresh."""
         a = self.slot[dim]
         r = self.shape[dim] - 1
@@ -311,7 +310,7 @@ class _Collapse:
             self._cells_of(a, c) if 0 <= c < r else (_NO_CELLS, _NO_CELLS) for c in (u - 1, u + 1)]
         sums = _axis_sums(*_paired_cells(
             np.repeat(np.arange(3), [lo.size, vals.size, hi.size]),
-            np.concatenate([lo_keys, self._keys(a, coords), hi_keys]), 3,
+            np.concatenate([lo_keys, self._split(dim, flat)[1], hi_keys]), 3,
             np.concatenate([self.vals[lo], vals, self.vals[hi]])), 3, True)
         if u > 0:
             row[u - 1] = sums[0, 1]
@@ -330,19 +329,14 @@ class _Collapse:
         alive = self.alive[cells]
         return cells[alive], self.index_key[a][start:stop][alive] - name * off
 
-    def _keys(self, a: int, coords: np.ndarray, named: bool = False) -> np.ndarray:
-        """Column keys on slot ``a``'s axis of the cells with the original
-        ``coords``, one column each, or with ``named`` the index's compound
-        keys, formed an axis at a time: a widened copy of all the
-        coordinates would raise the collapse's peak memory."""
-        weights = self.strides[:, a].tolist()
-        if named:
-            weights[self.axes[a]] = self.offset[a]
-        keys = np.zeros(coords.shape[1], dtype=np.int64)
-        for row, w in zip(coords, weights):
-            if w:
-                keys += np.multiply(row, w, dtype=np.int64)
-        return keys
+    def _split(self, dim: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The category names on ``dim`` of the cells with the flat indexes
+        ``flat`` and their column keys: ``(hi r + c) inner + lo`` over the
+        original shape splits into ``c`` and ``hi inner + lo``, by the rule
+        of :func:`_other_cols`."""
+        names = flat // self.inner[dim]
+        names %= self.origin[dim]
+        return names, _other_cols(flat, names, self.origin, dim)
 
     def _cells_at(self, a: int, names: np.ndarray, keys: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,12 +352,12 @@ class _Collapse:
         hit = np.flatnonzero(index[at] == want)
         return self.index_pos[a][at[hit]], hit // keys.size, hit % keys.size
 
-    def _append(self, coords: np.ndarray, vals: np.ndarray) -> None:
+    def _append(self, flat: np.ndarray, vals: np.ndarray) -> None:
         m = vals.size
         if self.size + m > self.vals.size:
             self._compact()
         lo, hi = self.size, self.size + m
-        self.coords[:, lo:hi] = coords
+        self.flat[lo:hi] = flat
         self.vals[lo:hi] = vals
         self.alive[lo:hi] = True
         self.size = hi
@@ -373,7 +367,10 @@ class _Collapse:
         lo, hi = self.indexed[a], self.size
         if lo == hi:
             return
-        order, keys = _order(self._keys(a, self.coords[:, lo:hi], named=True))
+        names, keys = self._split(self.axes[a], self.flat[lo:hi])
+        keys += np.multiply(names, self.offset[a], out=names)
+        del names  # freed before the sort: kept, it raised the 600k peak 5 MB
+        order, keys = _order(keys)
         keys = keys.astype(self.key_type, copy=False)
         self.index_key[a], self.index_pos[a] = _insert_sorted(
             (self.index_key[a], self.index_pos[a]),
@@ -390,7 +387,7 @@ class _Collapse:
         np.cumsum(alive, out=kept[1:])
         live = np.flatnonzero(alive)
         # a row at a time, so the transient copy is one row
-        for row in (*self.coords, self.vals):
+        for row in (self.flat, self.vals):
             row[:live.size] = row[live]
         self.alive[:live.size] = True
         self.alive[live.size:n] = False

@@ -52,22 +52,24 @@ def _xlogx(t: np.ndarray) -> np.ndarray:
     return t * np.log(np.maximum(t, 5e-324))
 
 
-def _other_cols(table: SparseTable, dim: int, dtype: type[np.signedinteger] = np.int64
-                ) -> np.ndarray:
+def _other_cols(flat: np.ndarray, cats: np.ndarray, shape: tuple[int, ...], dim: int,
+                dtype: type[np.signedinteger] = np.int64) -> np.ndarray:
     """Flat index of each cell over every axis but ``dim``: its column when
-    ``dim`` is read as the row variable, taken from the cell's flat index.
+    ``dim`` is read as the row variable, from the cells' flat indexes
+    ``flat`` over ``shape`` and their categories ``cats`` on ``dim``.
 
     A cell of category ``c`` on ``dim`` has the flat index ``(hi r + c)
     inner + lo`` and the column ``hi inner + lo``, the flat index less ``(hi
     (r - 1) + c) inner``, which is formed in place in the one array returned,
-    of ``dtype``: any integer type that holds the flat indexes.
+    of ``dtype``: any integer type that holds the flat indexes.  The cells
+    of a table and those of a collapse are split by this one rule.
     """
-    r = table.shape[dim]
-    inner = math.prod(table.shape[dim + 1:])
-    flat = table.flat.astype(dtype, copy=False)
+    r = shape[dim]
+    inner = math.prod(shape[dim + 1:])
+    flat = flat.astype(dtype, copy=False)
     cols = flat // (r * inner)
     cols *= r - 1
-    cols += table.coords[:, dim]
+    cols += cats
     cols *= inner
     return np.subtract(flat, cols, out=cols)
 
@@ -210,7 +212,8 @@ def _table_cells(table: SparseTable, dim: int) -> tuple[np.ndarray, np.ndarray, 
     r = table.shape[dim]
     if table.nnz * r < _KEY_CELLS_PER_COLUMN * math.prod(table.shape):
         return _key_cells(table, dim)
-    return _paired_cells(table.coords[:, dim], _other_cols(table, dim), r, table.counts)
+    cats = table.coords[:, dim]
+    return _paired_cells(cats, _other_cols(table.flat, cats, table.shape, dim), r, table.counts)
 
 
 def _key_cells(table: SparseTable, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -222,13 +225,14 @@ def _key_cells(table: SparseTable, dim: int) -> tuple[np.ndarray, np.ndarray, np
     packed in.  Only the keys whose column repeats are kept; each is turned
     back into its cell's flat index, and the cell's count is read at that
     index in ``table.flat`` by binary search, with the indexes searched in
-    increasing order, which keeps the search within the cache.  A table
-    whose cells are not in flat-index order is searched through a sorter.
+    increasing order, which keeps the search within the cache.  Each index
+    is rebuilt from one of the table's own cells, and ``table.flat``
+    strictly increases, so the search lands on that cell.
     """
     r = table.shape[dim]
     inner = math.prod(table.shape[dim + 1:])
     key_type = np.int32 if math.prod(table.shape) <= np.iinfo(np.int32).max else np.int64
-    keys = _other_cols(table, dim, key_type)
+    keys = _other_cols(table.flat, table.coords[:, dim], table.shape, dim, key_type)
     keys *= r
     keys += table.coords[:, dim]
     keys.sort()
@@ -246,12 +250,8 @@ def _key_cells(table: SparseTable, dim: int) -> tuple[np.ndarray, np.ndarray, np
     flat *= inner
     flat += cols
     order, flat = _order(flat)
-    at = np.searchsorted(table.flat, flat)
-    if not np.array_equal(table.flat.take(at, mode="clip"), flat):
-        sorter = np.argsort(table.flat)
-        at = sorter[np.searchsorted(table.flat, flat, sorter=sorter)]
     vals = np.empty(flat.shape[0])
-    vals[order] = table.counts[at]
+    vals[order] = table.counts[np.searchsorted(table.flat, flat)]
     return cats, vals, remaining
 
 

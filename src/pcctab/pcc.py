@@ -186,11 +186,11 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
       merged category's row is u's and v's rows added and corrected in the
       columns that held both, on an ordinal axis its two neighbour pairs
       are scored afresh.
-    - The table is kept as cells in original category ids with per-axis
-      indexes (see :class:`~pcctab.collapse._Collapse`), so a merge reads
-      and writes only u's and v's cells and the cells sharing their
-      columns, and renumbers nothing.  Each merged count is ``a + b`` as
-      ``apply_partition`` forms it.
+    - The table is kept as cells in flat indexes over the original shape,
+      with per-axis indexes (see :class:`~pcctab.collapse._Collapse`), so
+      a merge reads and writes only u's and v's cells and the cells
+      sharing their columns, and renumbers nothing.  Each merged count is
+      ``a + b`` as ``apply_partition`` forms it.
     - Carried sums are not bitwise what a fresh kernel pass over the
       current table gives: the pairing kernel folds each delta's terms in
       another order than the offset passes of ``infoloss._axis_sums``, and

@@ -912,10 +912,17 @@ def assert_carried_sums_fresh(t, treatments):
     while state.select() is not None:
         state.merge()
         live = np.flatnonzero(state.alive[:state.size])
+        coords = np.unravel_index(state.flat[live], t.shape)
         for dim, _ in state.eligible:
             slot = state.slot[dim]
-            keys = state._keys(slot, state.coords[:, live])
-            cats = state.cur[dim][state.coords[dim, live]]
+            names, keys = state._split(dim, state.flat[live])
+            # the split gives each cell's name and the flat index of its other
+            # coordinates over the original shape
+            others = [k for k in range(t.ndim) if k != dim]
+            assert np.array_equal(names, coords[dim])
+            assert np.array_equal(keys, np.ravel_multi_index(
+                tuple(coords[k] for k in others), tuple(t.shape[k] for k in others)))
+            cats = state.cur[dim][names]
             rows = np.bincount(cats, weights=state.vals[live], minlength=state.shape[dim])
             shared = _axis_sums(*_paired_cells(cats, keys, state.shape[dim], state.vals[live]),
                                 state.shape[dim], state.adjacent[dim])
@@ -924,10 +931,10 @@ def assert_carried_sums_fresh(t, treatments):
             assert np.abs(carried_shared - (shared + shared.T)).max() <= 1e-12 * t.total
             for c in range(state.shape[dim]):
                 cells, run_keys = state._cells_of(slot, c)
-                named = live[state.coords[dim, live] == state.rep[dim][c]]
+                named = live[coords[dim] == state.rep[dim][c]]
                 assert np.array_equal(np.sort(cells), named)
                 assert np.all(np.diff(run_keys) > 0)
-                assert np.array_equal(run_keys, state._keys(slot, state.coords[:, cells]))
+                assert np.array_equal(run_keys, keys[np.searchsorted(live, cells)])
 
 
 @SETTINGS
@@ -954,6 +961,11 @@ def test_carried_sums_match_fresh_kernel_on_a_long_collapse(treatments):
     assert_carried_sums_fresh(sparse4_table(5), treatments)
 
 
+def table_cols(t, dim):
+    """Each cell's column on axis ``dim`` of the table ``t``."""
+    return _other_cols(t.flat, t.coords[:, dim], t.shape, dim)
+
+
 @SETTINGS
 @given(scaled_tie_heavy_tables(), st.booleans(), st.data())
 def test_merge_deltas_is_the_merge_change(arr, adjacent, data):
@@ -976,7 +988,7 @@ def test_merge_deltas_is_the_merge_change(arr, adjacent, data):
                           adjacent)
 
     for dim, r in enumerate(arr.shape):
-        cols = _other_cols(merged, dim)
+        cols = table_cols(merged, dim)
         got = _merge_deltas(coords[:, dim], cols, x[flat], y[flat], r, adjacent)
         want = plain(m) - plain(x) - plain(y)
         # a merge that only renames columns changes nothing, exactly
@@ -1041,7 +1053,7 @@ def test_merge_deltas_matches_reference_kernel(case, adjacent, seed):
     cells enters."""
     t, dim, p, q = case
     order = np.random.default_rng(seed).permutation(t.nnz)
-    cats, cols = t.coords[order, dim], _other_cols(t, dim)[order]
+    cats, cols = t.coords[order, dim], table_cols(t, dim)[order]
     p, q, r = p[order], q[order], t.shape[dim]
     _, want = reference_axis_sums(cats, cols, p + q, r, adjacent, (p, q))
     got = _merge_deltas(cats, cols, p, q, r, adjacent)
@@ -1055,7 +1067,7 @@ def test_merge_deltas_in_blocks_of_a_few_pairs(case, adjacent):
     """Split into bincounts of three pairs, the delta kernel agrees with one
     bincount over every pair within 1e-12 of the term magnitudes."""
     t, dim, p, q = case
-    cells = (t.coords[:, dim], _other_cols(t, dim), p, q, t.shape[dim], adjacent)
+    cells = (t.coords[:, dim], table_cols(t, dim), p, q, t.shape[dim], adjacent)
     whole = _merge_deltas(*cells)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(infoloss, "_PAIR_BLOCK", 3)
@@ -1090,7 +1102,7 @@ def test_axis_sums_equals_reference_kernel_bitwise(case, adjacent, seed):
     order, and the table's one-way marginal gives its row totals."""
     t, dim, _, _ = case
     order = np.random.default_rng(seed).permutation(t.nnz)
-    cats, cols, vals = t.coords[order, dim], _other_cols(t, dim)[order], t.counts[order]
+    cats, cols, vals = t.coords[order, dim], table_cols(t, dim)[order], t.counts[order]
     r = t.shape[dim]
     rows, shared = reference_axis_sums(cats, cols, vals, r, adjacent)
     got = _axis_sums(*_paired_cells(cats, cols, r, vals), r, adjacent)
@@ -1116,7 +1128,7 @@ def front_end_cases(draw):
     t = SparseTable(shape, np.stack(np.unravel_index(flat, shape), axis=1),
                     rng.choice([0.1, 0.3, 1.0, 2.5, 7.0], nnz))
     if draw(st.integers(0, 2)) == 0:
-        first = np.unique(_other_cols(t, dim), return_index=True)[1]
+        first = np.unique(table_cols(t, dim), return_index=True)[1]
         t = SparseTable(shape, t.coords[first], t.counts[first])
     return t, dim, treatment
 
@@ -1125,7 +1137,7 @@ def assert_front_ends_agree(t, dim, treatment):
     """The two front ends of a fresh loss pass give the same cells bit for
     bit, and ``loss_matrix`` through either gives the losses of the
     reference kernel's sums bit for bit."""
-    r, cols = t.shape[dim], _other_cols(t, dim)
+    r, cols = t.shape[dim], table_cols(t, dim)
     packed = _paired_cells(t.coords[:, dim], cols, r, t.counts)
     keyed = _key_cells(t, dim)
     assert [(a.dtype, a.tobytes()) for a in keyed] == [(a.dtype, a.tobytes()) for a in packed]
@@ -1176,6 +1188,16 @@ def test_front_ends_agree_on_lone_cells_and_int64_keys(make, treatment):
     t = make()
     for dim in range(t.ndim):
         assert_front_ends_agree(t, dim, treatment)
+
+
+@pytest.mark.parametrize("treatment", ["nominal", "ordinal"])
+def test_run_pcc_matches_stateless_walk_with_int64_keys(treatment):
+    """A collapse whose index keys pass int32, as those of a table of more
+    than 2**31 cells do."""
+    t = huge_sparse_table()
+    treatments = [treatment] * t.ndim
+    trace = run_pcc(t, treatments)
+    assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments)
 
 
 @st.composite
