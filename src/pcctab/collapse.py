@@ -124,9 +124,10 @@ class _Collapse:
         table, by the rule :func:`~pcctab.pcc.select_merge` documents.
 
         Candidates whose carried quotient lies within the window of the
-        carried minimum are rescored exactly, pair by pair, from their own
-        cells (:meth:`_read`); all of them are when any carried quotient is
-        not finite.  The winner's read is kept for :meth:`merge`.
+        carried minimum, all of them when any carried quotient is not
+        finite, are rescored exactly from their own cells (:meth:`_read`) in
+        scan order until the best quotient is exactly 0, which no later pair
+        can beat.  The winner's read is kept for :meth:`merge`.
         """
         self.chosen = None
         if not self.eligible:
@@ -151,21 +152,17 @@ class _Collapse:
             window = math.inf
         shortlist = ~(carried > window)  # nan stays in
         best: MergeCandidate | None = None
-        reads = {}
         start = 0
         for (dim, df), (us, vs), size in zip(self.eligible, pairs, sizes):
-            keep = shortlist[start:start + size]
+            for i in np.flatnonzero(shortlist[start:start + size]).tolist():
+                if best is not None and best.quotient == 0.0:
+                    # losses are clamped at 0 and _beats needs a lower quotient
+                    return best
+                read = self._read(dim, int(us[i]), int(vs[i]))
+                won = _scan(best, dim, us[i:i + 1], vs[i:i + 1], np.array([read.g2]), df)
+                if won is not best:
+                    best, self.chosen = won, read
             start += size
-            if not keep.any():
-                continue
-            us, vs = us[keep], vs[keep]
-            g2 = np.empty(us.size)
-            for i, (u, v) in enumerate(zip(us.tolist(), vs.tolist())):
-                read = reads[dim, u, v] = self._read(dim, u, v)
-                g2[i] = read.g2
-            best = _scan(best, dim, us, vs, g2, df)
-        if best is not None:
-            self.chosen = reads[best.dim, best.u, best.v]
         return best
 
     def _read(self, dim: int, u: int, v: int) -> _PairRead:
@@ -232,8 +229,11 @@ class _Collapse:
                     z, w, which = near
                     if z.size:
                         x, y = u_vals[at[both]][which], v_vals[both][which]
-                        t = np.array([x + y, x + z, y + z, x, y, z, x + y + z])
-                        gain = _GAIN_SIGNS @ (t * np.log(t))
+                        gain = (x + y) * np.log(x + y)
+                        for t in (x + z, y + z):
+                            gain += t * np.log(t)
+                        for t in (x, y, z, x + y + z):
+                            gain -= t * np.log(t)
                         # w skips u and v; the new ids skip u only
                         row = row + np.bincount(w + (w >= u), weights=gain, minlength=row.size)
                 merged_rows = rows[others]
@@ -423,7 +423,6 @@ class _PairRead(NamedTuple):
 
 _NO_CELLS = np.empty(0, dtype=np.int32)
 _NO_VALS = np.empty(0)
-_GAIN_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 # most cells one kernel call of _Collapse._deltas takes for several axes:
 # sharing a call saves its fixed numpy calls, which dominate on small

@@ -195,23 +195,28 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
       current table gives: the pairing kernel folds each delta's terms in
       another order than the offset passes of ``infoloss._axis_sums``, and
       the deltas add up over the merges.  They drift by rounding (measured
-      at most 3.9e-15 n over the 60-merge collapse of a 15,000-cell table
-      and 2.1e-15 n over the 142-merge collapse of a 60,000-cell
+      at most 4.8e-15 n over the 60-merge collapse of a 15,000-cell table
+      and 1.9e-15 n over the 142-merge collapse of a 60,000-cell
       census-shape table), so they only shortlist, and the drift moves no
       merge and no loss.  Every candidate whose carried quotient lies within
       ``W = 1e-7 max(1, |q_min|) + 1e-9 n / df`` of the carried minimum
       ``q_min`` (``n`` the table total, ``df`` the smallest of the eligible
-      axes, so W bounds the drift of every quotient) is rescored exactly,
-      pair by pair, from its own cells: u's and v's cells and, in the
-      columns holding both, the other categories' cells, those between
-      ``u`` and ``v`` setting the offset pass each column's term has in the
-      kernel.  ``infoloss._one_pair_g2`` folds them in the kernel's order,
-      so each rescored loss equals its full-axis entry bit for bit.  The
-      sequential 1e-12 tie scan then runs over the rescored candidates; W
+      axes, so W bounds the drift of every quotient) is shortlisted, and
+      every candidate is when any carried quotient is not finite.  The
+      shortlist is rescored exactly, one pair at a time in scan order, from
+      each pair's own cells: u's and v's cells and, in the columns holding
+      both, the other categories' cells, those between ``u`` and ``v``
+      setting the offset pass each column's term has in the kernel.
+      ``infoloss._one_pair_g2`` folds them in the kernel's order, so each
+      rescored loss equals its full-axis entry bit for bit.  The sequential
+      1e-12 tie scan folds each rescored candidate into the running best; W
       is 1e5 times wider than a tie, so a chain of ties would need about
-      1e5 links to reach past it.  If any carried quotient is not finite,
-      every candidate is rescored.  The merge then works from the winner's
-      read: its merged counts, the cells that move and, on a nominal axis,
+      1e5 links to reach past it.  The reading stops once the best quotient
+      is exactly 0: losses are clamped at 0 and only a strictly lower
+      quotient replaces the best, so no later candidate can win.  A pair
+      with an empty category loses exactly 0, so while one is empty a step
+      reads about one pair.  The merge then works from the winner's read:
+      its merged counts, the cells that move and, on a nominal axis,
       the correction of the merged category's row.
     """
     if table.total <= 0:

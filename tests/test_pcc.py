@@ -382,6 +382,34 @@ class TestCarriedCollapse:
         assert compactions
         assert (trace.steps, trace.partitions) == reference_pcc_walk(t, None)
 
+    def test_empty_categories_cost_about_one_read_a_merge(self, monkeypatch):
+        """Six of the 60 categories of axis 0 hold no individual, so every
+        pair with one of them loses exactly 0, and a step stops reading
+        pairs at the first: the collapse reads at most two pairs a merge
+        (80 for 76 merges; reading every shortlisted pair takes 1,243)."""
+        rng = np.random.default_rng(3)
+        weights = rng.dirichlet(np.full(60, 0.5))
+        n = 60 * 48
+        arr = np.zeros((60, 12, 8))
+        np.add.at(arr, (rng.choice(60, n, p=weights), rng.integers(0, 12, n),
+                        rng.integers(0, 8, n)), 1.0)
+        t = SparseTable.from_dense(arr)
+        assert t.shape == (60, 12, 8)
+        assert np.count_nonzero(t.one_way(0) == 0) == 6
+        reads = []
+        read = collapse._Collapse._read
+
+        def counted(state, *pair):
+            reads.append(pair)
+            return read(state, *pair)
+
+        monkeypatch.setattr(collapse._Collapse, "_read", counted)
+        trace = run_pcc(t)
+        merges = len(trace.steps) - 2  # all rows but row 0 and the terminal row
+        assert trace.steps[-1].terminal and merges == 76
+        assert len(reads) <= 2 * merges
+        assert (trace.steps, trace.partitions) == reference_pcc_walk(t, None)
+
     def test_wide_axis_collapse_keeps_memory_small(self):
         """A collapse through every size of a 200-category axis holds only
         the current sizes' candidate pairs: its traced peak stays under 5 MB
