@@ -19,21 +19,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .infoloss import (_axis_sums, _candidate_pairs, _merge_deltas, _one_pair_g2, _other_cols,
-                       _pair_df, _pair_g2, _paired_cells, _table_cells)
+                       _pair_df, _pair_g2, _table_cells)
 from .pcc import MergeCandidate, _beats
 from .table import FIXED, ORDINAL, SparseTable, _order
-
-
-def _scan(best: MergeCandidate | None, dim: int, us: np.ndarray, vs: np.ndarray,
-          g2: np.ndarray, df: int) -> MergeCandidate | None:
-    """Fold one axis's candidates, in lexicographic order, into the running
-    best, which a candidate replaces only when it :func:`~pcctab.pcc._beats`
-    it.  A sequential scan, not an argmin: near-ties chain, and only this
-    order reproduces the documented rule exactly."""
-    for u, v, g, q in zip(us.tolist(), vs.tolist(), g2.tolist(), (g2 / df).tolist()):
-        if _beats(q, None if best is None else best.quotient):
-            best = MergeCandidate(dim, u, v, g, df, q)
-    return best
 
 
 def _eligible(shape: Sequence[int], treatments: Sequence[str]) -> list[tuple[int, int]]:
@@ -48,8 +36,9 @@ class _Collapse:
     and symmetric shared-column sums carried from step to step (see
     :func:`~pcctab.pcc.run_pcc`).  The sums start as full kernel passes
     (:func:`~pcctab.infoloss._axis_sums`) and take each merge's change from
-    the pairing kernel (:meth:`_deltas`), so they only shortlist: the pairs
-    :meth:`select` compares are rescored exactly.
+    the pairing kernel (:meth:`_deltas`), so they only shortlist; after
+    that first pass :meth:`_read` is the one exact evaluator of a pair, of
+    the shortlist :meth:`select` compares and of an ordinal merged row.
 
     Cells live at fixed positions in buffers that grow by appending.  Each
     holds its flat index over the original shape, its count and whether it
@@ -74,10 +63,6 @@ class _Collapse:
     """
 
     def __init__(self, table: SparseTable, treatments: tuple[str, ...]):
-        if np.any(table.flat[1:] <= table.flat[:-1]):
-            # cells out of flat order, which only a table built around its
-            # constructor holds: _table_cells searches them by flat index
-            table = SparseTable(table.shape, table.coords, table.counts)
         shape = self.shape = self.origin = table.shape
         self.n = table.total
         self.treatments = treatments
@@ -115,7 +100,7 @@ class _Collapse:
         # the read of the pair select last returned, which merge consumes
         self.chosen: _PairRead | None = None
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for a, dim in enumerate(self.axes):
+        for dim in self.axes:
             shared = _axis_sums(*_table_cells(table, dim), shape[dim], self.adjacent[dim])
             self.sums[dim] = (table.one_way(dim), shared + shared.T)
 
@@ -126,8 +111,10 @@ class _Collapse:
         Candidates whose carried quotient lies within the window of the
         carried minimum, all of them when any carried quotient is not
         finite, are rescored exactly from their own cells (:meth:`_read`) in
-        scan order until the best quotient is exactly 0, which no later pair
-        can beat.  The winner's read is kept for :meth:`merge`.
+        scan order, each replacing the running best only when its quotient
+        :func:`~pcctab.pcc._beats` it (near-ties chain, so a fold in this
+        order, not an argmin), until the best quotient is exactly 0, which
+        no later pair can beat.  The winner's read is kept for :meth:`merge`.
         """
         self.chosen = None
         if not self.eligible:
@@ -159,18 +146,19 @@ class _Collapse:
                     # losses are clamped at 0 and _beats needs a lower quotient
                     return best
                 read = self._read(dim, int(us[i]), int(vs[i]))
-                won = _scan(best, dim, us[i:i + 1], vs[i:i + 1], np.array([read.g2]), df)
-                if won is not best:
-                    best, self.chosen = won, read
+                q = read.g2 / df
+                if _beats(q, None if best is None else best.quotient):
+                    best, self.chosen = MergeCandidate(dim, read.u, read.v, read.g2, df, q), read
             start += size
         return best
 
     def _read(self, dim: int, u: int, v: int) -> _PairRead:
         """Read the cells that the loss of merging ``v`` into ``u < v`` on
-        ``dim`` depends on, and score it by :func:`_one_pair_g2`: u's and
-        v's runs of the index and, on a nominal axis, the other categories'
-        cells in the columns holding both.  Those between u and v set each
-        column's offset pass; all of them enter the merged row."""
+        ``dim`` depends on, and score it and its shared-column sum by
+        :func:`_one_pair_g2`: u's and v's runs of the index and, on a
+        nominal axis, the other categories' cells in the columns holding
+        both.  Those between u and v set each column's offset pass; all of
+        them enter the merged row."""
         a = self.slot[dim]
         # the two runs of the index, each sorted by column key
         u_cells, u_keys = self._cells_of(a, u)
@@ -178,22 +166,23 @@ class _Collapse:
         u_vals, v_vals = self.vals[u_cells], self.vals[v_cells]
         at = np.minimum(np.searchsorted(u_keys, v_keys), max(u_keys.size - 1, 0))
         both = u_keys[at] == v_keys if u_keys.size else np.zeros(v_keys.size, dtype=bool)
-        shared = v_keys[both]
+        shared_keys = v_keys[both]
         others = (_NO_VALS, _NO_CELLS, _NO_CELLS)
-        between = np.zeros(shared.size, dtype=np.intp)
-        if shared.size and not self.adjacent[dim]:
-            cells, w, which = self._cells_at(a, np.delete(self.rep[dim], [u, v]), shared)
+        between = np.zeros(shared_keys.size, dtype=np.intp)
+        if shared_keys.size and not self.adjacent[dim]:
+            cells, w, which = self._cells_at(a, np.delete(self.rep[dim], [u, v]), shared_keys)
             others = (self.vals[cells], w, which)
             # w counts the other categories skipping u and v, so u <= w < v - 1 lie between
-            between = np.bincount(which[(w >= u) & (w < v - 1)], minlength=shared.size)
-        g2 = _one_pair_g2(u_vals, v_vals, u_vals[at[both]], v_vals[both], between)
-        return _PairRead(dim, u, v, g2, u_cells, v_cells, u_vals, v_vals, at, both, others)
+            between = np.bincount(which[(w >= u) & (w < v - 1)], minlength=shared_keys.size)
+        scores = _one_pair_g2(u_vals, v_vals, u_vals[at[both]], v_vals[both], between)
+        return _PairRead(dim, u, v, *scores, u_cells, v_cells, u_vals, v_vals, at, both, others)
 
     def merge(self) -> None:
         """Merge the pair :meth:`select` last returned, ``v`` into ``u < v``
-        on its axis, from the cells its read holds, and update the carried
-        sums of every axis that stays eligible."""
-        dim, u, v, _, u_cells, v_cells, u_vals, v_vals, at, both, near = self.chosen
+        on its axis: write the merged cells its read gives, then update the
+        carried sums of each axis still eligible, reading an ordinal axis's
+        merged row, its two neighbour pairs, from the written cells."""
+        dim, u, v, _, _, u_cells, v_cells, u_vals, v_vals, at, both, near = self.chosen
         new_shape = tuple(s - (k == dim) for k, s in enumerate(self.shape))
         # v's cells die; those of columns u lacks come back under u's name
         moved = v_cells[~both]
@@ -207,6 +196,8 @@ class _Collapse:
         v_part[u_vals.size:] = v_vals[~both]
         new_vals = u_part + v_part
         self.alive[v_cells] = False
+        self.vals[u_cells] = new_vals[:u_cells.size]
+        self._append(flat[u_cells.size:], new_vals[u_cells.size:])
 
         others = np.arange(self.shape[dim]) != v
         self.rep[dim] = self.rep[dim][others]
@@ -218,7 +209,10 @@ class _Collapse:
             rows, shared = self.sums[k]
             if k == dim:
                 if self.adjacent[dim]:
-                    row = self._neighbour_row(dim, u, flat, new_vals)
+                    row = np.zeros(new_shape[dim])
+                    for c in (u - 1, u + 1):
+                        if 0 <= c < row.size:
+                            row[c] = self._read(dim, min(c, u), max(c, u)).shared
                 else:
                     # u's and v's rows added; in a column holding both, each other
                     # cell's terms against x and y give way to one against x + y:
@@ -247,9 +241,6 @@ class _Collapse:
             sums[k] = (rows, shared)
         self.sums = sums
         self.shape = new_shape
-
-        self.vals[u_cells] = new_vals[:u_cells.size]
-        self._append(flat[u_cells.size:], new_vals[u_cells.size:])
 
     def _deltas(self, axes: list[int], flat: np.ndarray, parts: tuple[np.ndarray, np.ndarray]
                 ) -> dict[int, np.ndarray]:
@@ -296,27 +287,6 @@ class _Collapse:
                 out[k] = delta[lo:hi, lo:hi]
                 lo = hi
         return out
-
-    def _neighbour_row(self, dim: int, u: int, flat: np.ndarray, vals: np.ndarray
-                       ) -> np.ndarray:
-        """Shared-column sums of the category merged into ``u`` on the ordinal
-        axis ``dim``, in the new ids, whose cells have the flat indexes
-        ``flat`` and counts ``vals``.  The axis carries adjacent pairs only,
-        so the merged category's two neighbour pairs are scored afresh."""
-        a = self.slot[dim]
-        r = self.shape[dim] - 1
-        row = np.zeros(r)
-        (lo, lo_keys), (hi, hi_keys) = [
-            self._cells_of(a, c) if 0 <= c < r else (_NO_CELLS, _NO_CELLS) for c in (u - 1, u + 1)]
-        sums = _axis_sums(*_paired_cells(
-            np.repeat(np.arange(3), [lo.size, vals.size, hi.size]),
-            np.concatenate([lo_keys, self._split(dim, flat)[1], hi_keys]), 3,
-            np.concatenate([self.vals[lo], vals, self.vals[hi]])), 3, True)
-        if u > 0:
-            row[u - 1] = sums[0, 1]
-        if u < r - 1:
-            row[u + 1] = sums[1, 2]
-        return row
 
     def _cells_of(self, a: int, c: int) -> tuple[np.ndarray, np.ndarray]:
         """Live cells of current category ``c`` on slot ``a``'s axis, in
@@ -402,16 +372,18 @@ class _Collapse:
 
 class _PairRead(NamedTuple):
     """One candidate pair ``u < v`` on ``dim`` as :meth:`_Collapse._read`
-    read it, with its loss ``g2``: each category's cells and counts in
-    column order; for each of v's cells where its column sits in u's run
-    and whether u holds it; and ``others``, the other categories' counts
-    in the columns holding both, each with the index of its category among
-    the others and of its column (none on an ordinal axis)."""
+    read it, with its loss ``g2`` and shared-column sum ``shared``: each
+    category's cells and counts in column order; for each of v's cells
+    where its column sits in u's run and whether u holds it; and
+    ``others``, the other categories' counts in the columns holding both,
+    each with the index of its category among the others and of its column
+    (none on an ordinal axis)."""
 
     dim: int
     u: int
     v: int
     g2: float
+    shared: float
     u_cells: np.ndarray
     v_cells: np.ndarray
     u_vals: np.ndarray

@@ -453,12 +453,6 @@ def _marginal(flat, index, ndim) -> np.ndarray:
     return np.add.reduce(block, axis=0)
 
 
-def _ipf(obs: np.ndarray, n: float, spec: ModelSpec, tol: float, max_iter: int,
-         targets: dict) -> tuple[np.ndarray, int, bool, float]:
-    """One fit through :func:`_ipf_batch`, as a batch of one."""
-    return next(_ipf_batch(obs, n, (spec,), tol, max_iter, targets))
-
-
 def ipf_fit(table: SparseTable, spec: ModelSpec, tol: float = IPF_TOL,
             max_iter: int = IPF_MAX_ITER) -> FitResult:
     """Fit a hierarchical model by iterative proportional scaling.
@@ -471,8 +465,8 @@ def ipf_fit(table: SparseTable, spec: ModelSpec, tol: float = IPF_TOL,
     candidate models by deviance alone and builds no such table for them.
     """
     dfmod = model_df(spec, table.shape)  # checks the spec against the table first
-    fitted, iterations, converged, residual = _ipf(
-        table.todense(), table.total, spec, tol, max_iter, {})
+    fitted, iterations, converged, residual = next(
+        _ipf_batch(table.todense(), table.total, (spec,), tol, max_iter, {}))
     dev = _deviance(table, fitted.reshape(-1).take(table.flat))
     dfres = int(np.prod(table.shape, dtype=np.int64)) - 1 - dfmod
     return FitResult(spec=spec, shape=table.shape, fitted=SparseTable.from_dense(fitted),

@@ -88,15 +88,14 @@ def _axis_sums(cats: np.ndarray, vals: np.ndarray, remaining: np.ndarray, r: int
     entries are summed.  The row totals the loss also needs are a table's
     one-way marginal (:meth:`SparseTable.one_way`).
 
-    Two front ends give the cells.  :func:`_paired_cells` takes loose
-    cells, in any order with their column ids (a collapse's ordinal
-    neighbour rows), and sorts each (column, category) key packed with the
-    cell's position.  :func:`_table_cells` takes a table's axis, for
-    :func:`loss_matrix` and a collapse's start.  Where the axis's columns
-    hold under ``_KEY_CELLS_PER_COLUMN`` cells on average, so that few
-    cells pair, it sorts the keys alone and reads back the counts of the
-    cells that pair (:func:`_key_cells`); elsewhere it hands the table's
-    cells to :func:`_paired_cells`.  Both sort the same distinct keys and
+    The cells come from :func:`_table_cells`, which takes a table's axis,
+    for :func:`loss_matrix` and a collapse's start.  Where the axis's
+    columns hold under ``_KEY_CELLS_PER_COLUMN`` cells on average, so that
+    few cells pair, it sorts the keys alone and reads back the counts of
+    the cells that pair (:func:`_key_cells`); elsewhere it hands the
+    table's cells to :func:`_paired_cells`, which takes loose cells in any
+    order with their column ids and sorts each (column, category) key
+    packed with the cell's position.  Both sort the same distinct keys and
     take each kept cell's stored count, neither recomputed nor re-added,
     so they return the same arrays bit for bit, and the sums agree bit for
     bit too.
@@ -332,9 +331,10 @@ def _pair_df(shape: tuple[int, ...], dim: int) -> int:
 
 
 def _one_pair_g2(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 between: np.ndarray) -> float:
+                 between: np.ndarray) -> tuple[float, float]:
     """Aggregation loss of one category pair ``u < v``, bitwise its entry of
-    :func:`loss_matrix`.
+    :func:`loss_matrix`, and the pair's shared-column sum, bitwise its entry
+    of :func:`_axis_sums`.
 
     ``a`` and ``b`` are the counts of ``u`` and ``v`` in column order, ``x``
     and ``y`` their counts in the columns holding both, again in column
@@ -351,7 +351,7 @@ def _one_pair_g2(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
     shared = 0.0
     for term in np.bincount(between, weights=h).tolist():
         shared += term
-    return float(_pair_g2(rows[:1], rows[1:], np.array([shared]))[0])
+    return float(_pair_g2(rows[:1], rows[1:], np.array([shared]))[0]), shared
 
 
 def _candidate_pairs(r: int, adjacent: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -184,8 +184,10 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
       and v-parts (0 where that category had no cell in the column).  On
       ``d`` itself row and column ``v`` are dropped; on a nominal axis the
       merged category's row is u's and v's rows added and corrected in the
-      columns that held both, on an ordinal axis its two neighbour pairs
-      are scored afresh.
+      columns that held both; on an ordinal axis, once the merged cells are
+      written, its two neighbour pairs' sums are read afresh by the one
+      pair reader that rescores the shortlist (below), which gives them
+      bitwise as a fresh kernel pass would.
     - The table is kept as cells in flat indexes over the original shape,
       with per-axis indexes (see :class:`~pcctab.collapse._Collapse`), so
       a merge reads and writes only u's and v's cells and the cells

@@ -128,6 +128,11 @@ class SparseTable:
     :class:`FeasibilityError`.  ``total`` is the sum of all stored counts
     (``n``).  The table never keeps, or makes read-only, an array its caller
     passed: its own arrays are always copies.
+
+    Every function that takes a table relies on ``flat`` strictly
+    increasing, searching it by binary search or reading its cells in flat
+    order, and only the constructor establishes that order; no function
+    checks it again.
     """
 
     __slots__ = ("shape", "coords", "flat", "counts", "total")

@@ -105,18 +105,24 @@ class TestSelectMerge:
             assert (got.dim, got.u, got.v) == want[:3]
             assert got.quotient == pytest.approx(want[5], rel=1e-9, abs=1e-12)
 
-    def test_chained_near_ties_follow_scan_order(self):
+    def test_chained_near_ties_follow_scan_order(self, monkeypatch):
         # scan order y, x, m with y = m + 1.5 tol and x = m + 0.8 tol: x ties y
         # and is passed over, m does not tie y and wins; picking the first
-        # pair within tol of the minimum would give x instead
+        # pair within tol of the minimum would give x instead.  Every loss of a
+        # table of ones is 0 to rounding, so all four pairs are read, the three
+        # of axis 0 (df 1) and then the one of axis 1 (df 2)
         m = 5.0
         tol = 1e-12 * m
-        y, x = m + 1.5 * tol, m + 0.8 * tol
-        cand = collapse._scan(None, 0, np.array([0, 0, 1]), np.array([1, 2, 2]),
-                              np.array([y, x, m]), 1)
-        cand = collapse._scan(cand, 1, np.array([0]), np.array([1]), np.array([100.0]), 2)
-        assert (cand.dim, cand.u, cand.v) == (0, 1, 2)
+        losses = iter([m + 1.5 * tol, m + 0.8 * tol, m, 100.0])
+        read = collapse._Collapse._read
+        monkeypatch.setattr(collapse._Collapse, "_read",
+                            lambda self, *pair: read(self, *pair)._replace(g2=next(losses)))
+        state = collapse._Collapse(SparseTable.from_dense(np.ones((3, 2))), ("nominal",) * 2)
+        cand = state.select()
+        assert next(losses, None) is None
+        assert (cand.dim, cand.u, cand.v, cand.df) == (0, 1, 2, 1)
         assert cand.g2 == m
+        assert state.chosen.g2 == m
 
     @pytest.mark.parametrize("q,best,want", [
         (7.0, None, True),

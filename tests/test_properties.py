@@ -45,10 +45,10 @@ from pcctab.report import (
     render_pcc_trace,
     render_ratios,
 )
-from pcctab.hllm import IPF_MAX_ITER, IPF_TOL, _ipf, _ipf_batch
+from pcctab.hllm import IPF_MAX_ITER, IPF_TOL, _ipf_batch
 from pcctab import infoloss
 from pcctab.infoloss import (_axis_sums, _deviance, _key_cells, _merge_deltas, _one_pair_g2,
-                             _other_cols, _paired_cells, _xlogx)
+                             _other_cols, _paired_cells, _table_cells, _xlogx)
 from pcctab.pcc import _contiguous_partitions, _set_partitions, normalize_treatments
 from pcctab.table import group_weights
 
@@ -424,15 +424,16 @@ def test_ipf_engine_matches_reference_bitwise(problem, max_iter):
     obs = t.todense()
     want, want_iterations, want_converged = reference_ipf(obs, t.total, spec.generators,
                                                           IPF_TOL, max_iter)
-    fitted, iterations, converged, residual = _ipf(obs, t.total, spec, IPF_TOL, max_iter, {})
+    fitted, iterations, converged, residual = next(
+        _ipf_batch(obs, t.total, (spec,), IPF_TOL, max_iter, {}))
     assert fitted.shape == want.shape and np.array_equal(fitted, want)
     assert (iterations, converged) == (want_iterations, want_converged)
     assert (residual <= IPF_TOL) == converged
     # marginals shared with an earlier fit of another model change nothing
     targets: dict = {}
-    _ipf(obs, t.total, ModelSpec.main_effects(t.ndim), IPF_TOL, max_iter, targets)
-    _ipf(obs, t.total, ModelSpec.saturated(t.ndim), IPF_TOL, max_iter, targets)
-    shared, *rest = _ipf(obs, t.total, spec, IPF_TOL, max_iter, targets)
+    next(_ipf_batch(obs, t.total, (ModelSpec.main_effects(t.ndim),), IPF_TOL, max_iter, targets))
+    next(_ipf_batch(obs, t.total, (ModelSpec.saturated(t.ndim),), IPF_TOL, max_iter, targets))
+    shared, *rest = next(_ipf_batch(obs, t.total, (spec,), IPF_TOL, max_iter, targets))
     assert np.array_equal(shared, want) and tuple(rest) == (iterations, converged, residual)
     fit = ipf_fit(t, spec, max_iter=max_iter)
     assert np.array_equal(fit.fitted.todense(), want)
@@ -495,7 +496,8 @@ def test_sparse_group_gather_matches_dense_bitwise(problem):
     collapsed = apply_partition(t, part)
     want = dense_gather_deviance(t, part, collapsed.todense() / t.total)
     assert partition_deviance(t, part).hex() == want.hex()
-    fitted, _, _, _ = _ipf(collapsed.todense(), collapsed.total, spec, IPF_TOL, IPF_MAX_ITER, {})
+    fitted, _, _, _ = next(
+        _ipf_batch(collapsed.todense(), collapsed.total, (spec,), IPF_TOL, IPF_MAX_ITER, {}))
     want = dense_gather_deviance(t, part, fitted / t.total)
     assert fit_hllpm(t, part, spec).dev.hex() == want.hex()
 
@@ -782,14 +784,10 @@ def test_run_pcc_matches_stateless_walk(problem):
 
 
 def shuffled(t, seed):
-    """``t`` with its cells in a random order, which the constructor would
-    sort: the collapse must not depend on the order it is handed."""
+    """``t`` built from its records in a random order, as a user may give
+    them: the collapse must not depend on that order."""
     order = np.random.default_rng(seed).permutation(t.nnz)
-    out = object.__new__(SparseTable)
-    for name, value in (("shape", t.shape), ("coords", t.coords[order]), ("flat", t.flat[order]),
-                        ("counts", t.counts[order]), ("total", t.total)):
-        object.__setattr__(out, name, value)
-    return out
+    return SparseTable(t.shape, t.coords[order], t.counts[order])
 
 
 def _one_column_of_three():
@@ -801,7 +799,7 @@ def _one_column_of_three():
 @SETTINGS
 @given(collapse_problems(), st.integers(0, 2**32 - 1))
 # sparse enough for the key-only front end on axis 0, whose count lookup
-# searched table.flat as if it were sorted
+# searches table.flat by binary search
 @example((_one_column_of_three(), ["nominal"] * 4, None), 0)
 def test_run_pcc_ignores_cell_order(problem, seed):
     arr, treatments, stop = problem
@@ -826,6 +824,7 @@ def test_pair_evaluator_equals_full_axis_bitwise(arr, adjacent):
     t = SparseTable.from_dense(arr)
     for dim, r in enumerate(t.shape):
         full, _ = loss_grid(t, dim, adjacent)
+        full_shared = _axis_sums(*_table_cells(t, dim), r, adjacent)
         # rows are the categories of dim, columns the other cells in flat order
         rows = np.moveaxis(arr, dim, 0).reshape(r, -1)
         for u, v in combinations(range(r), 2):
@@ -833,9 +832,10 @@ def test_pair_evaluator_equals_full_axis_bitwise(arr, adjacent):
                 continue
             both = (rows[u] > 0) & (rows[v] > 0)
             between = np.count_nonzero(rows[u + 1:v, both], axis=0)
-            got = _one_pair_g2(rows[u][rows[u] > 0], rows[v][rows[v] > 0],
-                               rows[u, both], rows[v, both], between)
+            got, shared = _one_pair_g2(rows[u][rows[u] > 0], rows[v][rows[v] > 0],
+                                       rows[u, both], rows[v, both], between)
             assert got.hex() == full[u, v].hex()
+            assert shared.hex() == full_shared[u, v].hex()
 
 
 @SETTINGS
@@ -921,11 +921,13 @@ def assert_carried_sums_fresh(t, treatments):
     """Collapse ``t`` fully and, after every merge, compare each eligible
     axis's carried row totals and shared-column sums with fresh ones over
     the live cells, the sums from a kernel pass: they must agree within
-    1e-12 n.  Each current category's run of the index must also hold
-    exactly the live cells named by it, in strictly increasing column key,
-    with the keys their coordinates give."""
+    1e-12 n, and after a merge on an ordinal axis the merged category's two
+    neighbour entries, read afresh, must equal the fresh ones bitwise.  Each
+    current category's run of the index must also hold exactly the live
+    cells named by it, in strictly increasing column key, with the keys
+    their coordinates give."""
     state = collapse._Collapse(t, normalize_treatments(t.ndim, treatments))
-    while state.select() is not None:
+    while (merged := state.select()) is not None:
         state.merge()
         live = np.flatnonzero(state.alive[:state.size])
         coords = np.unravel_index(state.flat[live], t.shape)
@@ -942,9 +944,15 @@ def assert_carried_sums_fresh(t, treatments):
             rows = np.bincount(cats, weights=state.vals[live], minlength=state.shape[dim])
             shared = _axis_sums(*_paired_cells(cats, keys, state.shape[dim], state.vals[live]),
                                 state.shape[dim], state.adjacent[dim])
+            shared = shared + shared.T
             carried_rows, carried_shared = state.sums[dim]
             assert np.abs(carried_rows - rows).max() <= 1e-12 * t.total
-            assert np.abs(carried_shared - (shared + shared.T)).max() <= 1e-12 * t.total
+            assert np.abs(carried_shared - shared).max() <= 1e-12 * t.total
+            if dim == merged.dim and state.adjacent[dim]:
+                u = merged.u
+                near = [c for c in (u - 1, u + 1) if 0 <= c < state.shape[dim]]
+                assert ([carried_shared[u, c].hex() for c in near]
+                        == [shared[u, c].hex() for c in near])
             for c in range(state.shape[dim]):
                 cells, run_keys = state._cells_of(slot, c)
                 named = live[coords[dim] == state.rep[dim][c]]
