@@ -21,7 +21,7 @@ import numpy as np
 from .infoloss import (_axis_sums, _candidate_pairs, _merge_deltas, _one_pair_g2, _other_cols,
                        _pair_df, _pair_g2, _table_cells)
 from .pcc import MergeCandidate, _beats
-from .table import FIXED, ORDINAL, SparseTable, _order
+from .table import FIXED, ORDINAL, SparseTable, _find, _insert_sorted, _order
 
 
 def _eligible(shape: Sequence[int], treatments: Sequence[str]) -> list[tuple[int, int]]:
@@ -41,13 +41,15 @@ class _Collapse:
     the shortlist :meth:`select` compares and of an ordinal merged row.
 
     Cells live at fixed positions in buffers that grow by appending.  Each
-    holds its flat index over the original shape, its count and whether it
-    is alive.  On every axis a current category is named by the smallest
-    original id it holds (``rep`` maps current ids to names, ``cur`` back),
-    so names increase with the current ids, and a flat index ``(hi r + c)
-    inner + lo`` splits into the name ``c`` and the column key ``hi inner +
-    lo`` (:meth:`_split`), by which cells sort in current column order.  A
-    merge of ``v`` into ``u`` renumbers no cell: ``u``'s cells stay put with
+    holds its flat index over the original shape and its count, 0 once the
+    cell is dead and positive while it lives.  On every axis a current
+    category is named by the smallest original id it holds (``rep`` maps
+    current ids to names), so names increase with the current ids; ``cur``
+    maps every original category to its current id, a canonical key, which
+    is the axis's key in the trace.  A flat index ``(hi r + c) inner + lo``
+    splits into the name ``c`` and the column key ``hi inner + lo``
+    (:meth:`_split`), by which cells sort in current column order.  A merge
+    of ``v`` into ``u`` renumbers no cell: ``u``'s cells stay put with
     their merged counts, ``v``'s die, and those of ``v``'s columns that
     ``u`` lacked come back as new cells under ``u``'s name.
 
@@ -69,13 +71,10 @@ class _Collapse:
         self.adjacent = tuple(t == ORDINAL for t in treatments)
         self.eligible = _eligible(shape, treatments)
         self.pairs: dict[tuple[int, bool], tuple[np.ndarray, np.ndarray]] = {}
-        # the axes that can ever merge, each with a slot in the index arrays
-        self.axes = [dim for dim, _ in self.eligible]
-        self.slot = {dim: a for a, dim in enumerate(self.axes)}
-        # each axis's stride in a flat index, and each slot's number of columns,
-        # which its keys stay below and the index multiplies its names by
+        # each axis's stride in a flat index; per axis that can ever merge, its
+        # number of columns, which its keys stay below and its index multiplies names by
         self.inner = [math.prod(shape[k + 1:]) for k in range(len(shape))]
-        self.offset = [math.prod(shape) // shape[dim] for dim in self.axes]
+        self.offset = {dim: math.prod(shape) // shape[dim] for dim, _ in self.eligible}
         self.rep = [np.arange(s) for s in shape]
         self.cur = [np.arange(s) for s in shape]
 
@@ -88,19 +87,17 @@ class _Collapse:
         self.flat[:nnz] = table.flat
         self.vals = np.empty(cap)
         self.vals[:nnz] = table.counts
-        self.alive = np.zeros(cap, dtype=bool)
-        self.alive[:nnz] = True
-        # per slot: the index, cell positions sorted by category name and then
+        # per axis: the index, cell positions sorted by category name and then
         # column key, with those compound keys, and how many stored cells it has
         # taken in
-        self.index_key = [np.empty(0, dtype=self.key_type) for _ in self.axes]
-        self.index_pos = [_NO_CELLS for _ in self.axes]
-        self.indexed = [0] * len(self.axes)
+        self.index_key = {dim: np.empty(0, dtype=self.key_type) for dim in self.offset}
+        self.index_pos = {dim: _NO_CELLS for dim in self.offset}
+        self.indexed = dict.fromkeys(self.offset, 0)
 
         # the read of the pair select last returned, which merge consumes
         self.chosen: _PairRead | None = None
         self.sums: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for dim in self.axes:
+        for dim in self.offset:
             shared = _axis_sums(*_table_cells(table, dim), shape[dim], self.adjacent[dim])
             self.sums[dim] = (table.one_way(dim), shared + shared.T)
 
@@ -159,18 +156,16 @@ class _Collapse:
         nominal axis, the other categories' cells in the columns holding
         both.  Those between u and v set each column's offset pass; all of
         them enter the merged row."""
-        a = self.slot[dim]
         # the two runs of the index, each sorted by column key
-        u_cells, u_keys = self._cells_of(a, u)
-        v_cells, v_keys = self._cells_of(a, v)
+        u_cells, u_keys = self._cells_of(dim, u)
+        v_cells, v_keys = self._cells_of(dim, v)
         u_vals, v_vals = self.vals[u_cells], self.vals[v_cells]
-        at = np.minimum(np.searchsorted(u_keys, v_keys), max(u_keys.size - 1, 0))
-        both = u_keys[at] == v_keys if u_keys.size else np.zeros(v_keys.size, dtype=bool)
+        at, both = _find(u_keys, v_keys)
         shared_keys = v_keys[both]
         others = (_NO_VALS, _NO_CELLS, _NO_CELLS)
         between = np.zeros(shared_keys.size, dtype=np.intp)
         if shared_keys.size and not self.adjacent[dim]:
-            cells, w, which = self._cells_at(a, np.delete(self.rep[dim], [u, v]), shared_keys)
+            cells, w, which = self._cells_at(dim, np.delete(self.rep[dim], [u, v]), shared_keys)
             others = (self.vals[cells], w, which)
             # w counts the other categories skipping u and v, so u <= w < v - 1 lie between
             between = np.bincount(which[(w >= u) & (w < v - 1)], minlength=shared_keys.size)
@@ -184,7 +179,7 @@ class _Collapse:
         merged row, its two neighbour pairs, from the written cells."""
         dim, u, v, _, _, u_cells, v_cells, u_vals, v_vals, at, both, near = self.chosen
         new_shape = tuple(s - (k == dim) for k, s in enumerate(self.shape))
-        # v's cells die; those of columns u lacks come back under u's name
+        # v's cells die (hold 0); those of columns u lacks come back under u's name
         moved = v_cells[~both]
         flat = self.flat[np.concatenate([u_cells, moved])]
         flat[u_cells.size:] += (int(self.rep[dim][u]) - int(self.rep[dim][v])) * self.inner[dim]
@@ -195,13 +190,15 @@ class _Collapse:
         v_part[at[both]] = v_vals[both]
         v_part[u_vals.size:] = v_vals[~both]
         new_vals = u_part + v_part
-        self.alive[v_cells] = False
+        self.vals[v_cells] = 0.0
         self.vals[u_cells] = new_vals[:u_cells.size]
         self._append(flat[u_cells.size:], new_vals[u_cells.size:])
 
         others = np.arange(self.shape[dim]) != v
         self.rep[dim] = self.rep[dim][others]
-        self.cur[dim][self.rep[dim]] = np.arange(new_shape[dim])
+        cur = self.cur[dim]
+        cur[cur == v] = u
+        cur[cur > v] -= 1
         self.eligible = _eligible(new_shape, self.treatments)
         deltas = self._deltas([k for k, _ in self.eligible if k != dim], flat, (u_part, v_part))
         sums = {}
@@ -261,7 +258,7 @@ class _Collapse:
             for k in axes:
                 if self.adjacent[k] != adjacent:
                     continue
-                r_k, col_k = self.shape[k], self.offset[self.slot[k]]
+                r_k, col_k = self.shape[k], self.offset[k]
                 if r == 0 or (flat.size * (len(groups[-1]) + 1) > _PASS_CELLS
                               or (col + col_k) * (r + r_k) >= 2**62):
                     groups.append([])
@@ -277,7 +274,7 @@ class _Collapse:
                 cats.append(self.cur[k][names] + r)
                 cols.append(keys + col)
                 r += self.shape[k]
-                col += self.offset[self.slot[k]]
+                col += self.offset[k]
             p, q = (np.tile(part, len(group)) for part in parts)
             delta = _merge_deltas(np.concatenate(cats), np.concatenate(cols), p, q, r,
                                   self.adjacent[group[0]])
@@ -288,16 +285,16 @@ class _Collapse:
                 lo = hi
         return out
 
-    def _cells_of(self, a: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Live cells of current category ``c`` on slot ``a``'s axis, in
-        column order, and their column keys: one run of the index."""
-        self._index(a)
-        name, off = int(self.rep[self.axes[a]][c]), self.offset[a]
+    def _cells_of(self, dim: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Live cells of current category ``c`` on ``dim``, in column order,
+        and their column keys: one run of the index."""
+        self._index(dim)
+        name, off = int(self.rep[dim][c]), self.offset[dim]
         bounds = np.array([name * off, (name + 1) * off], dtype=self.key_type)
-        start, stop = np.searchsorted(self.index_key[a], bounds)
-        cells = self.index_pos[a][start:stop]
-        alive = self.alive[cells]
-        return cells[alive], self.index_key[a][start:stop][alive] - name * off
+        start, stop = np.searchsorted(self.index_key[dim], bounds)
+        cells = self.index_pos[dim][start:stop]
+        alive = self.vals[cells] > 0
+        return cells[alive], self.index_key[dim][start:stop][alive] - name * off
 
     def _split(self, dim: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The category names on ``dim`` of the cells with the flat indexes
@@ -308,19 +305,18 @@ class _Collapse:
         names %= self.origin[dim]
         return names, _other_cols(flat, names, self.origin, dim)
 
-    def _cells_at(self, a: int, names: np.ndarray, keys: np.ndarray
+    def _cells_at(self, dim: int, names: np.ndarray, keys: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cells of slot ``a``'s axis that lie in one of the categories
-        with the current ``names`` and in one of the current columns
-        ``keys``: their positions, and for each the index of its name and of
-        its column.  Only live cells match: a dead cell holds the name of a
-        category merged away on some axis, in its own name or in its key."""
-        self._index(a)
-        index = self.index_key[a]
-        want = (names.astype(self.key_type)[:, None] * self.offset[a] + keys[None, :]).ravel()
-        at = np.minimum(np.searchsorted(index, want), index.size - 1)
-        hit = np.flatnonzero(index[at] == want)
-        return self.index_pos[a][at[hit]], hit // keys.size, hit % keys.size
+        """The cells of ``dim`` that lie in one of the categories with the
+        current ``names`` and in one of the current columns ``keys``: their
+        positions, and for each the index of its name and of its column.
+        Only live cells match: a dead cell holds the name of a category
+        merged away on some axis, in its own name or in its key."""
+        self._index(dim)
+        want = (names.astype(self.key_type)[:, None] * self.offset[dim] + keys[None, :]).ravel()
+        at, found = _find(self.index_key[dim], want)
+        hit = np.flatnonzero(found)
+        return self.index_pos[dim][at[hit]], hit // keys.size, hit % keys.size
 
     def _append(self, flat: np.ndarray, vals: np.ndarray) -> None:
         m = vals.size
@@ -329,29 +325,28 @@ class _Collapse:
         lo, hi = self.size, self.size + m
         self.flat[lo:hi] = flat
         self.vals[lo:hi] = vals
-        self.alive[lo:hi] = True
         self.size = hi
 
-    def _index(self, a: int) -> None:
-        """Bring slot ``a``'s index up to the stored cells."""
-        lo, hi = self.indexed[a], self.size
+    def _index(self, dim: int) -> None:
+        """Bring ``dim``'s index up to the stored cells."""
+        lo, hi = self.indexed[dim], self.size
         if lo == hi:
             return
-        names, keys = self._split(self.axes[a], self.flat[lo:hi])
-        keys += np.multiply(names, self.offset[a], out=names)
+        names, keys = self._split(dim, self.flat[lo:hi])
+        keys += np.multiply(names, self.offset[dim], out=names)
         del names  # freed before the sort: kept, it raised the 600k peak 5 MB
         order, keys = _order(keys)
         keys = keys.astype(self.key_type, copy=False)
-        self.index_key[a], self.index_pos[a] = _insert_sorted(
-            (self.index_key[a], self.index_pos[a]),
-            np.searchsorted(self.index_key[a], keys, "right"), (keys, order.astype(np.int32) + lo))
-        self.indexed[a] = hi
+        index = self.index_key[dim], self.index_pos[dim]
+        self.index_key[dim], self.index_pos[dim] = _insert_sorted(
+            index, np.searchsorted(index[0], keys, "right"), (keys, order.astype(np.int32) + lo))
+        self.indexed[dim] = hi
 
     def _compact(self) -> None:
         """Drop the dead cells from the buffers and the indexes, keeping the
         order of the live ones."""
         n = self.size
-        alive = self.alive[:n].copy()
+        alive = self.vals[:n] > 0
         # kept[i]: live cells before position i, so the new position of a live cell
         kept = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(alive, out=kept[1:])
@@ -359,14 +354,11 @@ class _Collapse:
         # a row at a time, so the transient copy is one row
         for row in (self.flat, self.vals):
             row[:live.size] = row[live]
-        self.alive[:live.size] = True
-        self.alive[live.size:n] = False
-        for a in range(len(self.axes)):
-            cells = self.index_pos[a]
+        for dim, cells in self.index_pos.items():
             keep = alive[cells]
-            self.index_pos[a] = kept[cells[keep]]
-            self.index_key[a] = self.index_key[a][keep]
-            self.indexed[a] = int(kept[self.indexed[a]])
+            self.index_pos[dim] = kept[cells[keep]]
+            self.index_key[dim] = self.index_key[dim][keep]
+            self.indexed[dim] = int(kept[self.indexed[dim]])
         self.size = live.size
 
 
@@ -401,19 +393,3 @@ _NO_VALS = np.empty(0)
 # slices, while large slices gain nothing and would only add memory
 _PASS_CELLS = 1 << 13
 
-
-def _insert_sorted(arrays: tuple[np.ndarray, ...], at: np.ndarray,
-                   values: tuple[np.ndarray, ...]) -> list[np.ndarray]:
-    """Each of ``arrays`` with the matching ``values`` inserted before the
-    non-decreasing positions ``at``, as ``np.insert`` would, sharing one
-    mask."""
-    to = at + np.arange(at.size)
-    keep = np.ones(arrays[0].size + at.size, dtype=bool)
-    keep[to] = False
-    out = []
-    for arr, val in zip(arrays, values):
-        new = np.empty(keep.size, dtype=arr.dtype)
-        new[to] = val
-        new[keep] = arr
-        out.append(new)
-    return out

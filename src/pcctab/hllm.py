@@ -128,21 +128,19 @@ class ModelSpec:
             return cls(())
         if not re.fullmatch(r"\[[^\[\]]*\](\s*\[[^\[\]]*\])*", text):
             raise InputError(f"malformed generator list {text!r}")
-        letters = _letter_map(names)
+        # each variable by its initial, when the initials are unique
+        by_letter = {c: k for k, c in (_letter_map(names) or {}).items()}
         by_name = {n.lower(): k for k, n in enumerate(names)}
         terms = []
+        # an empty [] gives an empty term, which ModelSpec drops
         for chunk in re.findall(r"\[([^\[\]]*)\]", text):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            tokens = [t for t in chunk.replace(",", " ").split() if t]
             indices: list[int] = []
-            for tok in tokens:
+            for tok in chunk.replace(",", " ").split():
                 low = tok.lower()
                 if low in by_name:
                     indices.append(by_name[low])
-                elif letters is not None and all(c in _invert(letters) for c in low):
-                    indices.extend(_invert(letters)[c] for c in low)
+                elif all(c in by_letter for c in low):
+                    indices.extend(by_letter[c] for c in low)
                 else:
                     raise InputError(f"unknown variable token {tok!r} in {text!r}")
             terms.append(tuple(indices))
@@ -154,10 +152,6 @@ def _letter_map(names: Sequence[str]) -> dict[int, str] | None:
     if len(set(letters.values())) != len(names):
         return None
     return letters
-
-
-def _invert(letters: dict[int, str]) -> dict[str, int]:
-    return {v: k for k, v in letters.items()}
 
 
 def model_df(spec: ModelSpec, shape: Sequence[int]) -> int:

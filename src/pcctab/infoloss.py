@@ -16,8 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DegeneracyError, InputError
-from .table import (FIXED, NOMINAL, ORDINAL, Partition, SparseTable, _order, apply_partition,
-                    group_weights)
+from .table import (FIXED, NOMINAL, ORDINAL, Partition, SparseTable, _find, _order,
+                    apply_partition, group_weights)
 
 __all__ = [
     "PairLoss",
@@ -475,8 +475,8 @@ def _expanded_deviance(table: SparseTable, partition: Partition, collapsed: Spar
     groups = np.ravel_multi_index(
         tuple(np.asarray(key, dtype=np.intp)[coords[:, k]] for k, key in enumerate(partition.keys)),
         collapsed.shape)
-    at = np.minimum(np.searchsorted(collapsed.flat, groups), max(collapsed.nnz - 1, 0))
-    e = np.where(collapsed.flat[at] == groups, collapsed.counts[at], 0.0) / table.total
+    at, found = _find(collapsed.flat, groups)
+    e = np.where(found, collapsed.counts[at], 0.0) / table.total
     for k, w in enumerate(group_weights(partition, table.one_way_marginals())):
         e = e * w[coords[:, k]]
     return _deviance(table, e * table.total)

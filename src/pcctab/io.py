@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError
 from .table import (NOMINAL, TREATMENTS, CategoryScheme, SparseTable, VariableDef, _code_dtype,
-                    _first)
+                    _find, _insert_sorted)
 
 __all__ = ["VariableConfig", "RunConfig", "read_config", "read_counts", "write_counts", "load_table"]
 
@@ -391,10 +391,10 @@ class _Columns:
                 return None
             added = keys[rows]
             order = np.argsort(added)
-            at = np.searchsorted(table, added[order])
             raw_codes = self.raw_codes[k]
-            table = np.insert(table, at, added[order])
-            codes = np.insert(codes, at, [raw_codes[texts[i]] for i in order])
+            table, codes = _insert_sorted(
+                (table, codes), np.searchsorted(table, added[order]),
+                (added[order], [raw_codes[texts[i]] for i in order]))
             slots = _slot_table(table) if table.dtype.kind == "i" else None
             self.key_tables[k] = table, codes, slots
             pos, found = _lookup(table, slots, keys)
@@ -411,56 +411,56 @@ class _Columns:
 
     def add(self, rows, first):
         """Check and code one block of csv records; ``first`` is the record
-        number of ``rows[0]``.  Raises the error of the first offending
-        record, checked in the order arity, count parse, finite, sign,
-        labels left to right."""
+        number of ``rows[0]``.  A block holding a faulty record raises the
+        error :meth:`_fault` gives."""
         width = len(self.names) + 1
-        records = range(first, first + len(rows))
-        stop = len(rows)
+        numbered = enumerate(rows, first)
         if set(map(len, rows)) != {width}:
-            kept = [i for i, row in enumerate(rows) if row and (len(row) > 1 or row[0].strip())]
-            rows = [rows[i] for i in kept]
-            records = [first + i for i in kept]
-            stop = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
-            if stop < len(rows):
-                stop_error = f"expected {width} fields, got {len(rows[stop])}"
-        fields = list(zip(*rows[:stop])) or [()] * width
+            numbered = [(i, row) for i, row in numbered if len(row) > 1 or row and row[0].strip()]
+            rows = [row for _, row in numbered]
+            if set(map(len, rows)) - {width}:
+                raise self._fault(numbered)
+        n = len(rows)
+        fields = list(zip(*rows)) or [()] * width
         try:
-            counts = np.fromiter(map(float, fields[-1]), np.float64, stop)
+            counts = np.fromiter(map(float, fields[-1]), np.float64, n)
         except ValueError:
-            stop = next(i for i, text in enumerate(fields[-1]) if not _is_float(text))
-            stop_error = f"count {fields[-1][stop]!r} is not a number"
-            fields = [f[:stop] for f in fields]
-            counts = np.fromiter(map(float, fields[-1]), np.float64, stop)
-
-        bad, error = stop, None
-        nonfinite = _first(~np.isfinite(counts))
-        if nonfinite < bad:
-            bad, error = nonfinite, f"count {fields[-1][nonfinite]!r} is not finite"
-        negative = _first(counts < 0)
-        if negative < bad:
-            bad, error = negative, f"negative count {float(counts[negative])}"
-        lo, hi = self._reserve(stop)
+            raise self._fault(numbered) from None
+        if not np.all((counts >= 0) & (counts < np.inf)):
+            raise self._fault(numbered)
+        lo, hi = self._reserve(n)
         for k, col in enumerate(fields[:-1]):
             code = self.raw_codes[k].__getitem__
             try:
-                self.codes[lo:hi, k] = np.fromiter(map(code, col), self.codes.dtype, stop)
+                self.codes[lo:hi, k] = np.fromiter(map(code, col), self.codes.dtype, n)
             except KeyError:
                 # the block holds raw fields not seen before: code them, retry
-                unknown = self._code_labels(k, col)
-                if not unknown:
-                    self.codes[lo:hi, k] = np.fromiter(map(code, col), self.codes.dtype, stop)
-                    continue
-                row = next(i for i, text in enumerate(col) if text in unknown)
-                if row < bad:
-                    bad, error = row, (f"label {col[row].strip()!r} not in configured "
-                                       f"categories of {self.names[k]!r}")
-        if error is not None:
-            raise self._error(records[bad], error)
-        if stop < len(rows):
-            raise self._error(records[stop], stop_error)
+                if self._code_labels(k, col):
+                    raise self._fault(numbered) from None
+                self.codes[lo:hi, k] = np.fromiter(map(code, col), self.codes.dtype, n)
         self.counts[lo:hi] = counts
         self.rows = hi
+
+    def _fault(self, numbered) -> InputError:
+        """The error of the first faulty record among ``numbered``, a
+        block's ``(record number, fields)`` pairs, each record checked in
+        the order arity, count parse, finite, sign, labels left to right."""
+        width = len(self.names) + 1
+        for record, row in numbered:
+            if len(row) != width:
+                return self._error(record, f"expected {width} fields, got {len(row)}")
+            try:
+                count = float(row[-1])
+            except ValueError:
+                return self._error(record, f"count {row[-1]!r} is not a number")
+            if not np.isfinite(count):
+                return self._error(record, f"count {row[-1]!r} is not finite")
+            if count < 0:
+                return self._error(record, f"negative count {count}")
+            for k, text in enumerate(row[:-1]):
+                if self.fixed[k] and text.strip() not in self.index[k]:
+                    return self._error(record, f"label {text.strip()!r} not in configured "
+                                               f"categories of {self.names[k]!r}")
 
     def _code_labels(self, k, col) -> set[str]:
         """Give a code to every new raw field of column ``k``; return those
@@ -541,30 +541,13 @@ def _lookup(table, slots, keys):
     (:func:`_slot_table`; None to skip it) holds the position of that same
     key is found there; every other key is searched for in the table."""
     if slots is None:
-        return _search(table, keys)
+        return _find(table, keys)
     pos = slots[_slot(keys, slots.size.bit_length() - 1)]
     found = table[pos] == keys
     if not found.all():
         miss = np.flatnonzero(~found)
-        pos[miss], found[miss] = _search(table, keys[miss])
+        pos[miss], found[miss] = _find(table, keys[miss])
     return pos, found
-
-
-def _search(table, keys):
-    """:func:`_lookup` by binary search."""
-    pos = np.searchsorted(table, keys)
-    if not table.size:
-        return pos, np.zeros(keys.shape, bool)
-    np.minimum(pos, table.size - 1, out=pos)
-    return pos, table[pos] == keys
-
-
-def _is_float(text) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 def _first_undecodable(path) -> str:

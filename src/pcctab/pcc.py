@@ -154,11 +154,6 @@ def _finish(cls, rows: list[dict]) -> tuple:
                  for row in rows)
 
 
-def _merge_key(r: int, u: int, v: int) -> tuple[int, ...]:
-    # key over current categories merging v into u (u < v); already canonical
-    return tuple(u if c == v else (c if c < v else c - 1) for c in range(r))
-
-
 def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
             stop_quotient: float | None = None) -> PccTrace:
     """Run the full collapsing sequence and return its trace.
@@ -188,11 +183,13 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
       written, its two neighbour pairs' sums are read afresh by the one
       pair reader that rescores the shortlist (below), which gives them
       bitwise as a fresh kernel pass would.
-    - The table is kept as cells in flat indexes over the original shape,
-      with per-axis indexes (see :class:`~pcctab.collapse._Collapse`), so
-      a merge reads and writes only u's and v's cells and the cells
-      sharing their columns, and renumbers nothing.  Each merged count is
-      ``a + b`` as ``apply_partition`` forms it.
+    - The table is kept as cells in flat indexes over the original shape
+      with their counts, a dead cell's count 0, and with one index per axis
+      (see :class:`~pcctab.collapse._Collapse`), so a merge reads and
+      writes only u's and v's cells and the cells sharing their columns,
+      and renumbers nothing.  Each merged count is ``a + b`` as
+      ``apply_partition`` forms it.  Each axis's map from original to
+      current categories is canonical and is the trace's key.
     - Carried sums are not bitwise what a fresh kernel pass over the
       current table gives: the pairing kernel folds each delta's terms in
       another order than the offset passes of ``infoloss._axis_sums``, and
@@ -249,11 +246,11 @@ def run_pcc(table: SparseTable, treatments: Sequence[str] | None = None,
         if stop_quotient is not None and cand.quotient > stop_quotient:
             stopped_early = True
             break
-        step_key = _merge_key(state.shape[cand.dim], cand.u, cand.v)
         state.merge()
         keys = list(cumulative.keys)
-        # merging a group into an earlier one keeps the keys canonical
-        keys[cand.dim] = tuple(step_key[g] for g in keys[cand.dim])
+        # each original category's current id, each group numbered by its
+        # smallest member: already canonical
+        keys[cand.dim] = tuple(state.cur[cand.dim].tolist())
         cumulative = Partition._canonical(tuple(keys))
         r += 1
         dev += cand.g2

@@ -141,12 +141,7 @@ def render_oracle(results: dict[tuple[int, ...], tuple[Partition, float]],
     """One row per collapsed shape: the minimal-loss partition and its loss,
     largest shapes first."""
     lines = ["\t".join(["shape", "loss", "keys"])]
-    def cells(shape):
-        p = 1
-        for s in shape:
-            p *= s
-        return p
-    for shape in sorted(results, key=lambda sh: (-cells(sh), tuple(-s for s in sh))):
+    for shape in sorted(results, key=lambda sh: (-math.prod(sh), tuple(-s for s in sh))):
         part, loss = results[shape]
         keys = "; ".join(" ".join(str(g) for g in key) for key in part.keys)
         lines.append("\t".join([

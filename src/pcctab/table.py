@@ -305,6 +305,34 @@ def _order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, keys
 
 
+def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``keys`` is or would go in the sorted ``table``,
+    clipped to its last entry, and whether it is there; an empty table
+    finds nothing."""
+    pos = np.searchsorted(table, keys)
+    if not table.size:
+        return pos, np.zeros(pos.shape, dtype=bool)
+    np.minimum(pos, table.size - 1, out=pos)
+    return pos, table[pos] == keys
+
+
+def _insert_sorted(arrays: tuple[np.ndarray, ...], at: np.ndarray,
+                   values: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """Each of ``arrays`` with the matching ``values`` inserted before the
+    non-decreasing positions ``at``, as ``np.insert`` would, sharing one
+    mask."""
+    to = at + np.arange(at.size)
+    keep = np.ones(arrays[0].size + at.size, dtype=bool)
+    keep[to] = False
+    out = []
+    for arr, val in zip(arrays, values):
+        new = np.empty(keep.size, dtype=arr.dtype)
+        new[to] = val
+        new[keep] = arr
+        out.append(new)
+    return out
+
+
 def _canonical_key(key: Sequence[int]) -> tuple[int, ...]:
     # renumber group ids by order of first occurrence: 2 2 3 2 5 -> 0 0 1 0 2
     seen: dict[int, int] = {}

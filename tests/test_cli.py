@@ -44,6 +44,14 @@ class TestPccCommand:
         # merged states keep reporting until the collapse ends
         assert (out / "pcc_loss_r06_age.tsv").exists()
 
+    def test_loss_matrices_skip_a_fixed_variable(self, out, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variables": [{"name": "schooling", "treatment": "fixed"}]}))
+        assert run(["pcc", "--data", "wermuth_cox", "--config", cfg, "--out", out,
+                    "--loss-matrices"]) == 0
+        assert (out / "pcc_loss_r00_age.tsv").exists()
+        assert not list(out.glob("pcc_loss_*_schooling.tsv"))
+
     def test_stop_quotient(self, out):
         assert run(["pcc", "--data", "wermuth_cox", "--out", out,
                     "--stop-quotient", "1.0"]) == 0
@@ -97,6 +105,13 @@ class TestLossMatrixCommand:
         run(["lossmatrix", "--data", "christensen_abortion", "--out", out])
         for name in ("race", "sex", "opinion", "age"):
             assert (out / f"lossmatrix_{name}.tsv").exists()
+
+    def test_all_variables_fixed_exit_1(self, out, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variables": [
+            {"name": name, "treatment": "fixed"} for name in ("schooling", "age")]}))
+        assert run(["lossmatrix", "--data", "wermuth_cox", "--config", cfg, "--out", out]) == 1
+        assert "all variables are fixed" in capsys.readouterr().err
 
 
 class TestHllmCommand:

@@ -74,6 +74,16 @@ class TestModelSpec:
         spec = ModelSpec.from_brackets("[opinion,age][race]", names)
         assert spec.generators == ((0,), (2, 3))
 
+    def test_empty_bracket_is_skipped(self):
+        names = ("sex", "age")
+        assert ModelSpec.from_brackets("[s][][a]", names).generators == ((0,), (1,))
+
+    def test_shared_initials_render_full_names(self):
+        names = ("sex", "size", "age")
+        spec = ModelSpec(((0, 1), (2,)))
+        assert spec.brackets(names) == "[sex,size][age]"
+        assert ModelSpec.from_brackets(spec.brackets(names), names) == spec
+
     def test_unknown_token_rejected(self):
         with pytest.raises(InputError):
             ModelSpec.from_brackets("[xy]", ("alpha", "beta"))

@@ -265,6 +265,15 @@ class TestEncoding:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "latin1.csv" in err
 
+    def test_latin1_header_goes_to_the_csv_loop(self, tmp_path):
+        """A plain header that is not UTF-8 is left to the csv loop, which
+        names its line."""
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"caf\xe9,b,count\nx,u,1\n")
+        with pytest.raises(InputError, match=r"latin1\.csv: not valid UTF-8 text "
+                                             r"\(line 1, byte 0xe9\)"):
+            load_table(data)
+
     def test_latin1_config_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.json"
         cfg.write_bytes('{"variables": [{"name": "caf\xe9"}]}'.encode("latin-1"))
@@ -579,13 +588,13 @@ def test_keys_sharing_one_slot_are_searched_for(tmp_path, monkeypatch):
     slot holds is found there; the others fall back to the binary search."""
     monkeypatch.setattr(pcctab.io, "_slot", lambda keys, bits: np.zeros(keys.shape, np.intp))
     searched = []
-    search = pcctab.io._search
+    search = pcctab.io._find
 
     def counted(table, keys):
         searched.append(keys.size)
         return search(table, keys)
 
-    monkeypatch.setattr(pcctab.io, "_search", counted)
+    monkeypatch.setattr(pcctab.io, "_find", counted)
     rng = np.random.default_rng(15)
     path = tmp_path / "one_slot.csv"
     path.write_text("u,v,w,count\n" + "".join(
@@ -615,6 +624,26 @@ def test_eight_and_nine_byte_labels_across_the_switch_to_wide_keys(tmp_path, mon
     assert columns.take(("\n".join(rows[200:]) + "\n").encode()) == 200
     assert [t[2] is not None for t in columns.key_tables] == [False, True]
     assert columns.key_widths == [16, 8]
+
+
+def test_label_too_wide_for_its_block_goes_to_the_csv_loop(tmp_path, monkeypatch):
+    """A block whose keys of one column would take over 16 times its bytes
+    (one 300-byte label among 3,000 short records) is left to the csv loop,
+    which reads it as the reference does."""
+    path = tmp_path / "wide_label.csv"
+    records = [f"a{i % 7},b{i % 5},{i % 4}\n" for i in range(3000)]
+    records[1500] = "x" * 300 + ",b0,2\n"
+    path.write_text("a,b,count\n" + "".join(records))
+    blocks = []
+    add = pcctab.io._Columns.add
+
+    def counted(self, rows, first):
+        blocks.append(len(rows))
+        return add(self, rows, first)
+
+    monkeypatch.setattr(pcctab.io._Columns, "add", counted)
+    assert read_counts(path) == reference_read_counts(path)
+    assert sum(blocks) == 3000
 
 
 def test_nul_byte_goes_to_the_csv_loop(tmp_path):

@@ -929,10 +929,9 @@ def assert_carried_sums_fresh(t, treatments):
     state = collapse._Collapse(t, normalize_treatments(t.ndim, treatments))
     while (merged := state.select()) is not None:
         state.merge()
-        live = np.flatnonzero(state.alive[:state.size])
+        live = np.flatnonzero(state.vals[:state.size] > 0)
         coords = np.unravel_index(state.flat[live], t.shape)
         for dim, _ in state.eligible:
-            slot = state.slot[dim]
             names, keys = state._split(dim, state.flat[live])
             # the split gives each cell's name and the flat index of its other
             # coordinates over the original shape
@@ -954,7 +953,7 @@ def assert_carried_sums_fresh(t, treatments):
                 assert ([carried_shared[u, c].hex() for c in near]
                         == [shared[u, c].hex() for c in near])
             for c in range(state.shape[dim]):
-                cells, run_keys = state._cells_of(slot, c)
+                cells, run_keys = state._cells_of(dim, c)
                 named = live[coords[dim] == state.rep[dim][c]]
                 assert np.array_equal(np.sort(cells), named)
                 assert np.all(np.diff(run_keys) > 0)
