@@ -87,9 +87,8 @@ class _Collapse:
         self.flat[:nnz] = table.flat
         self.vals = np.empty(cap)
         self.vals[:nnz] = table.counts
-        # per axis: the index, cell positions sorted by category name and then
-        # column key, with those compound keys, and how many stored cells it has
-        # taken in
+        # per axis: the index, cell positions sorted by category name and then column
+        # key, with those compound keys, and how many stored cells it has taken in
         self.index_key = {dim: np.empty(0, dtype=self.key_type) for dim in self.offset}
         self.index_pos = {dim: _NO_CELLS for dim in self.offset}
         self.indexed = dict.fromkeys(self.offset, 0)
@@ -116,19 +115,24 @@ class _Collapse:
         self.chosen = None
         if not self.eligible:
             return None
-        # the candidate pairs of the sizes the axes have now; no other size is kept
+        # the candidate pairs of the sizes the axes have now, and of no other size;
+        # an axis that shrank from r + 1 keeps those of its former pairs below r
         at = [(self.shape[dim], self.adjacent[dim]) for dim, _ in self.eligible]
-        self.pairs = {key: self.pairs[key] if key in self.pairs else _candidate_pairs(*key)
-                      for key in at}
+        for r, adjacent in set(at) - self.pairs.keys():
+            us, vs = self.pairs.get((r + 1, adjacent)) or _candidate_pairs(r, adjacent)
+            if vs[-1] == r:
+                keep = vs < r
+                us, vs = us[keep], vs[keep]
+            self.pairs[r, adjacent] = us, vs
+        self.pairs = {key: self.pairs[key] for key in at}
         pairs = [self.pairs[key] for key in at]
         sums = [self.sums[dim] for dim, _ in self.eligible]
-        sizes = [us.size for us, _ in pairs]
         carried = _pair_g2(
             np.concatenate([rows[us] for (rows, _), (us, _) in zip(sums, pairs)]),
             np.concatenate([rows[vs] for (rows, _), (_, vs) in zip(sums, pairs)]),
             np.concatenate([shared[us, vs] for (_, shared), (us, vs) in zip(sums, pairs)]))
-        carried /= np.repeat([df for _, df in self.eligible], sizes)
-        if np.all(np.isfinite(carried)):
+        carried /= np.array([df for _, df in self.eligible]).repeat([us.size for us, _ in pairs])
+        if np.isfinite(carried).all():
             q_min = float(carried.min())
             df_min = min(df for _, df in self.eligible)
             window = q_min + 1e-7 * max(1.0, abs(q_min)) + 1e-9 * self.n / df_min
@@ -137,8 +141,8 @@ class _Collapse:
         shortlist = ~(carried > window)  # nan stays in
         best: MergeCandidate | None = None
         start = 0
-        for (dim, df), (us, vs), size in zip(self.eligible, pairs, sizes):
-            for i in np.flatnonzero(shortlist[start:start + size]).tolist():
+        for (dim, df), (us, vs) in zip(self.eligible, pairs):
+            for i in shortlist[start:start + us.size].nonzero()[0].tolist():
                 if best is not None and best.quotient == 0.0:
                     # losses are clamped at 0 and _beats needs a lower quotient
                     return best
@@ -146,7 +150,7 @@ class _Collapse:
                 q = read.g2 / df
                 if _beats(q, None if best is None else best.quotient):
                     best, self.chosen = MergeCandidate(dim, read.u, read.v, read.g2, df, q), read
-            start += size
+            start += us.size
         return best
 
     def _read(self, dim: int, u: int, v: int) -> _PairRead:
@@ -165,7 +169,9 @@ class _Collapse:
         others = (_NO_VALS, _NO_CELLS, _NO_CELLS)
         between = np.zeros(shared_keys.size, dtype=np.intp)
         if shared_keys.size and not self.adjacent[dim]:
-            cells, w, which = self._cells_at(dim, np.delete(self.rep[dim], [u, v]), shared_keys)
+            rep = self.rep[dim]
+            cells, w, which = self._cells_at(
+                dim, np.concatenate((rep[:u], rep[u + 1:v], rep[v + 1:])), shared_keys)
             others = (self.vals[cells], w, which)
             # w counts the other categories skipping u and v, so u <= w < v - 1 lie between
             between = np.bincount(which[(w >= u) & (w < v - 1)], minlength=shared_keys.size)
@@ -192,7 +198,11 @@ class _Collapse:
         new_vals = u_part + v_part
         self.vals[v_cells] = 0.0
         self.vals[u_cells] = new_vals[:u_cells.size]
-        self._append(flat[u_cells.size:], new_vals[u_cells.size:])
+        if self.size + moved.size > self.vals.size:
+            self._compact()
+        lo, self.size = self.size, self.size + moved.size
+        self.flat[lo:self.size] = flat[u_cells.size:]
+        self.vals[lo:self.size] = new_vals[u_cells.size:]
 
         others = np.arange(self.shape[dim]) != v
         self.rep[dim] = self.rep[dim][others]
@@ -227,10 +237,11 @@ class _Collapse:
                             gain -= t * np.log(t)
                         # w skips u and v; the new ids skip u only
                         row = row + np.bincount(w + (w >= u), weights=gain, minlength=row.size)
-                merged_rows = rows[others]
-                merged_rows[u] += rows[v]
-                rows = merged_rows
-                shared = shared[np.ix_(others, others)]
+                rows, v_row = rows[others], rows[v]
+                rows[u] += v_row
+                old, shared = shared, np.empty((new_shape[dim],) * 2)  # all but v's row and column
+                shared[:v, :v], shared[:v, v:] = old[:v, :v], old[:v, v + 1:]
+                shared[v:, :v], shared[v:, v:] = old[v + 1:, :v], old[v + 1:, v + 1:]
                 shared[u, :] = row
                 shared[:, u] = row
             else:
@@ -255,9 +266,7 @@ class _Collapse:
         groups: list[list[int]] = []
         for adjacent in (False, True):
             r = col = 0
-            for k in axes:
-                if self.adjacent[k] != adjacent:
-                    continue
+            for k in [k for k in axes if self.adjacent[k] == adjacent]:
                 r_k, col_k = self.shape[k], self.offset[k]
                 if r == 0 or (flat.size * (len(groups[-1]) + 1) > _PASS_CELLS
                               or (col + col_k) * (r + r_k) >= 2**62):
@@ -267,22 +276,20 @@ class _Collapse:
                 r, col = r + r_k, col + col_k
         out = {}
         for group in groups:
-            cats, cols = [], []
+            cats, cols, los = [], [], []
             r = col = 0
             for k in group:
                 names, keys = self._split(k, flat)
                 cats.append(self.cur[k][names] + r)
                 cols.append(keys + col)
+                los.append(r)
                 r += self.shape[k]
                 col += self.offset[k]
-            p, q = (np.tile(part, len(group)) for part in parts)
+            p, q = (np.concatenate([part] * len(group)) for part in parts)
             delta = _merge_deltas(np.concatenate(cats), np.concatenate(cols), p, q, r,
                                   self.adjacent[group[0]])
-            lo = 0
-            for k in group:
-                hi = lo + self.shape[k]
-                out[k] = delta[lo:hi, lo:hi]
-                lo = hi
+            for k, lo in zip(group, los):
+                out[k] = delta[lo:lo + self.shape[k], lo:lo + self.shape[k]]
         return out
 
     def _cells_of(self, dim: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +298,7 @@ class _Collapse:
         self._index(dim)
         name, off = int(self.rep[dim][c]), self.offset[dim]
         bounds = np.array([name * off, (name + 1) * off], dtype=self.key_type)
-        start, stop = np.searchsorted(self.index_key[dim], bounds)
+        start, stop = self.index_key[dim].searchsorted(bounds)
         cells = self.index_pos[dim][start:stop]
         alive = self.vals[cells] > 0
         return cells[alive], self.index_key[dim][start:stop][alive] - name * off
@@ -318,15 +325,6 @@ class _Collapse:
         hit = np.flatnonzero(found)
         return self.index_pos[dim][at[hit]], hit // keys.size, hit % keys.size
 
-    def _append(self, flat: np.ndarray, vals: np.ndarray) -> None:
-        m = vals.size
-        if self.size + m > self.vals.size:
-            self._compact()
-        lo, hi = self.size, self.size + m
-        self.flat[lo:hi] = flat
-        self.vals[lo:hi] = vals
-        self.size = hi
-
     def _index(self, dim: int) -> None:
         """Bring ``dim``'s index up to the stored cells."""
         lo, hi = self.indexed[dim], self.size
@@ -339,7 +337,7 @@ class _Collapse:
         keys = keys.astype(self.key_type, copy=False)
         index = self.index_key[dim], self.index_pos[dim]
         self.index_key[dim], self.index_pos[dim] = _insert_sorted(
-            index, np.searchsorted(index[0], keys, "right"), (keys, order.astype(np.int32) + lo))
+            index, index[0].searchsorted(keys, "right"), (keys, order.astype(np.int32) + lo))
         self.indexed[dim] = hi
 
     def _compact(self) -> None:

@@ -259,17 +259,22 @@ def _column_runs(cols: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, np.nd
     positions of the cells that share their column with another (None when
     all do), the column ids of those cells, and how many cells follow each
     one in its column."""
-    shares = cols[1:] == cols[:-1]
-    paired = np.zeros(cols.shape[0], dtype=bool)
-    paired[:-1] = shares
-    paired[1:] |= shares
-    keep = None
-    if not paired.all():
-        keep = np.flatnonzero(paired)
-        cols = cols[keep]
     n = cols.shape[0]
-    ends = np.append(np.flatnonzero(cols[1:] != cols[:-1]) + 1, n)
-    remaining = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(n) - 1
+    # first[i]: cell i opens its column's run; first[n] closes the last run
+    first = np.ones(n + 1, dtype=bool)
+    np.not_equal(cols[1:], cols[:-1], out=first[1:n])
+    # a cell alone in its column opens a run that the next position closes
+    alone = first[:-1] & first[1:]
+    keep = None
+    if alone.any():
+        keep = np.flatnonzero(~alone)
+        cols = cols[keep]
+        # every cell of a kept column is kept, so each keeps its flag
+        first = np.concatenate((first[keep], first[n:]))
+    bounds = np.flatnonzero(first)
+    ends = bounds[1:]
+    remaining = ends.repeat(ends - bounds[:-1])
+    remaining -= np.arange(1, cols.shape[0] + 1)
     return keep, cols, remaining
 
 
@@ -278,14 +283,14 @@ def _pair_blocks(remaining: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray
     ``(left, right)`` index arrays ordered by ``i`` and then ``t``, in blocks
     of whole cells: at most ``_PAIR_BLOCK`` pairs, unless one cell alone has
     more (fewer than the categories of its axis)."""
-    ends = np.cumsum(remaining)
+    ends = remaining.cumsum()
     total = int(ends[-1]) if ends.size else 0
     # pair j of cell i, numbered from ends[i] - remaining[i], has the partner j + shift[i]
     shift = np.arange(1, remaining.size + 1) - (ends - remaining)
     lo = done = 0
     while done < total:
-        hi = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, "right")), lo + 1)
-        left = np.repeat(np.arange(lo, hi), remaining[lo:hi])
+        hi = max(int(ends.searchsorted(done + _PAIR_BLOCK, "right")), lo + 1)
+        left = np.arange(lo, hi).repeat(remaining[lo:hi])
         right = shift[left]
         right += np.arange(done, done + left.size)
         yield left, right
@@ -344,14 +349,14 @@ def _one_pair_g2(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray,
     pass's terms fold in column order and the passes in ascending order from
     0.0; then :func:`_pair_g2` applies.
     """
-    rows = np.bincount(np.repeat([0, 1], [a.size, b.size]), weights=np.concatenate([a, b]),
-                       minlength=2)
     ab = x + y
     h = x * np.log(x) + y * np.log(y) - ab * np.log(ab)
     shared = 0.0
     for term in np.bincount(between, weights=h).tolist():
         shared += term
-    return float(_pair_g2(rows[:1], rows[1:], np.array([shared]))[0]), shared
+    # each row total folds in column order, as a bincount does; an empty row totals 0.0
+    rows = np.array([row.cumsum()[-1] if row.size else 0.0 for row in (a, b)] + [shared])
+    return float(_pair_g2(rows[:1], rows[1:2], rows[2:])[0]), shared
 
 
 def _candidate_pairs(r: int, adjacent: bool) -> tuple[np.ndarray, np.ndarray]:

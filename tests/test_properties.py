@@ -818,24 +818,62 @@ def test_run_pcc_matches_stateless_walk_on_bundled_data(name, treatment, request
     assert (trace.steps, trace.partitions) == reference_pcc_walk(t, treatments)
 
 
+def assert_pair_evaluator_bitwise(t, dim, adjacent, pairs):
+    """``_one_pair_g2`` on each pair ``(u, v)`` of ``pairs`` (the adjacent
+    ones alone with ``adjacent``), read from the dense rows of ``t`` on
+    ``dim``, gives ``loss_matrix``'s loss and ``_axis_sums``' shared sum bit
+    for bit."""
+    r = t.shape[dim]
+    full, _ = loss_grid(t, dim, adjacent)
+    full_shared = _axis_sums(*_table_cells(t, dim), r, adjacent)
+    # rows are the categories of dim, columns the other cells in flat order
+    rows = np.moveaxis(t.todense(), dim, 0).reshape(r, -1)
+    for u, v in pairs:
+        if adjacent and v != u + 1:
+            continue
+        both = (rows[u] > 0) & (rows[v] > 0)
+        between = np.count_nonzero(rows[u + 1:v, both], axis=0)
+        got, shared = _one_pair_g2(rows[u][rows[u] > 0], rows[v][rows[v] > 0],
+                                   rows[u, both], rows[v, both], between)
+        assert got.hex() == full[u, v].hex()
+        assert shared.hex() == full_shared[u, v].hex()
+
+
+# rows of one cell, sharing a column or not, and an empty row
+ONE_CELL_ROWS = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 0.0, 5.0]])
+# an empty first row beside rows of one cell and of several
+EMPTY_FIRST_ROW = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [1.5, 2.5, 0.0], [0.0, 7.0, 0.25]])
+
+
 @SETTINGS
 @given(scaled_tie_heavy_tables(max_side=6), st.booleans())
+@example(ONE_CELL_ROWS, False)
+@example(ONE_CELL_ROWS, True)
+@example(EMPTY_FIRST_ROW, False)
+@example(EMPTY_FIRST_ROW, True)
 def test_pair_evaluator_equals_full_axis_bitwise(arr, adjacent):
     t = SparseTable.from_dense(arr)
     for dim, r in enumerate(t.shape):
-        full, _ = loss_grid(t, dim, adjacent)
-        full_shared = _axis_sums(*_table_cells(t, dim), r, adjacent)
-        # rows are the categories of dim, columns the other cells in flat order
-        rows = np.moveaxis(arr, dim, 0).reshape(r, -1)
-        for u, v in combinations(range(r), 2):
-            if adjacent and v != u + 1:
-                continue
-            both = (rows[u] > 0) & (rows[v] > 0)
-            between = np.count_nonzero(rows[u + 1:v, both], axis=0)
-            got, shared = _one_pair_g2(rows[u][rows[u] > 0], rows[v][rows[v] > 0],
-                                       rows[u, both], rows[v, both], between)
-            assert got.hex() == full[u, v].hex()
-            assert shared.hex() == full_shared[u, v].hex()
+        assert_pair_evaluator_bitwise(t, dim, adjacent, combinations(range(r), 2))
+
+
+@pytest.mark.parametrize("adjacent", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_evaluator_on_empty_and_one_cell_rows(seed, adjacent):
+    """Rows with no cell or one cell, as a collapse with empty categories
+    reads them: 60 individuals over a (40, 3, 2) table with Dirichlet(0.5)
+    weights on the first axis leave categories empty and others with one
+    cell.  An empty row totals exactly 0.0."""
+    rng = np.random.default_rng(seed)
+    shape, n = (40, 3, 2), 60
+    counts = np.zeros(shape)
+    np.add.at(counts, (rng.choice(shape[0], n, p=rng.dirichlet(np.full(shape[0], 0.5))),
+                       rng.integers(0, shape[1], n), rng.integers(0, shape[2], n)), 1.0)
+    t = SparseTable.from_dense(counts)
+    cells = np.count_nonzero(counts.reshape(shape[0], -1), axis=1)
+    assert (cells == 0).any() and (cells == 1).any()
+    assert_pair_evaluator_bitwise(t, 0, adjacent, [
+        (u, v) for u, v in combinations(range(shape[0]), 2) if min(cells[u], cells[v]) <= 1])
 
 
 @SETTINGS
@@ -925,9 +963,15 @@ def assert_carried_sums_fresh(t, treatments):
     neighbour entries, read afresh, must equal the fresh ones bitwise.  Each
     current category's run of the index must also hold exactly the live
     cells named by it, in strictly increasing column key, with the keys
-    their coordinates give."""
+    their coordinates give.  At each select after a merge, every eligible
+    axis's cached candidate pairs, filtered from the former size's when the
+    axis shrank, must be the pairs of its current size in values and dtype."""
     state = collapse._Collapse(t, normalize_treatments(t.ndim, treatments))
     while (merged := state.select()) is not None:
+        for dim, _ in state.eligible:
+            key = (state.shape[dim], state.adjacent[dim])
+            assert ([(a.dtype, a.tobytes()) for a in state.pairs[key]]
+                    == [(a.dtype, a.tobytes()) for a in infoloss._candidate_pairs(*key)])
         state.merge()
         live = np.flatnonzero(state.vals[:state.size] > 0)
         coords = np.unravel_index(state.flat[live], t.shape)
@@ -1182,6 +1226,35 @@ def assert_front_ends_agree(t, dim, treatment):
 @given(front_end_cases())
 def test_front_ends_of_a_loss_pass_agree_bitwise(case):
     assert_front_ends_agree(*case)
+
+
+def reference_column_runs(cols):
+    """``_column_runs`` in plain Python: the positions of the cells that
+    share their column (None when all do), their column ids, and how many
+    cells follow each in its column."""
+    cols = cols.tolist()
+    keep = [i for i, c in enumerate(cols) if cols.count(c) > 1]
+    kept = [cols[i] for i in keep]
+    remaining = [kept[i + 1:].count(c) for i, c in enumerate(kept)]
+    return None if len(keep) == len(cols) else keep, kept, remaining
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 12), max_size=40))
+@example([])  # no cell, so every cell shares its column
+@example([3])  # one cell, alone
+@example([0, 1, 2, 5])  # every cell alone
+@example([4] * 9)  # one long run
+@example([0, 0, 1, 2, 2, 2, 3, 4, 4, 7])  # runs and lone cells mixed
+def test_column_runs_match_reference(cols):
+    cols = np.array(sorted(cols), dtype=np.int64)
+    keep, kept, remaining = infoloss._column_runs(cols)
+    want_keep, want_kept, want_remaining = reference_column_runs(cols)
+    assert (keep is None) == (want_keep is None)
+    if keep is not None:
+        assert keep.tolist() == want_keep
+    assert kept.tolist() == want_kept and kept.dtype == cols.dtype
+    assert remaining.tolist() == want_remaining and remaining.dtype == np.intp
 
 
 def lone_cell_table():
